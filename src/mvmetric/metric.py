@@ -8,6 +8,8 @@ from .model import MultiviewMetricModel
 
 WEIGHT_MODES = ("exponent", "linear", "uniform")
 TRIANGLE_SLACK = 1e-9
+# triples scored per array pass in check_metric_axioms; bounds its memory
+CHECK_BLOCK = 4096
 
 
 def _projection(model: MultiviewMetricModel, view: int) -> np.ndarray:
@@ -83,6 +85,10 @@ def mahalanobis_distance(matrix, x, y) -> float:
     return float(np.sqrt(max(value, 0.0)))
 
 
+def _row_norms(diff: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
 def check_metric_axioms(
     model: MultiviewMetricModel,
     view: int,
@@ -99,6 +105,11 @@ def check_metric_axioms(
     projection rank is below the view dimension the induced distance is a
     pseudometric, with d(x, y) = 0 exactly when x - y lies in the null space
     of W_v.T.
+
+    The samples are projected once and the triples are scored in blocks of
+    ``CHECK_BLOCK``, so memory does not grow with ``trials``.  The triples
+    are the rows of one ``rng.integers(N, size=(trials, 3))`` draw, whatever
+    the block size.
     """
     w = _projection(model, view)
     samples = np.asarray(samples, dtype=float)
@@ -106,30 +117,30 @@ def check_metric_axioms(
         raise ValueError(f"samples must have shape ({w.shape[0]}, N)")
     if samples.shape[1] < 3:
         raise ValueError("need at least 3 sample vectors")
+    if not np.isfinite(samples).all():
+        raise ValueError("samples: non-finite entries")
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
+    # one projected point per row, so a triple's points are three row gathers
+    points = samples.T @ w
     rng = np.random.default_rng(seed)
-    triples = rng.integers(samples.shape[1], size=(trials, 3))
     symmetry_mismatches = 0
     negative_distances = 0
     max_triangle_violation = 0.0
     triangle_violations = 0
-    for i, j, k in triples:
-        x, y, z = samples[:, i], samples[:, j], samples[:, k]
-        d_xy = view_distance(model, view, x, y)
-        d_yx = view_distance(model, view, y, x)
-        d_yz = view_distance(model, view, y, z)
-        d_xz = view_distance(model, view, x, z)
-        if d_xy != d_yx:
-            symmetry_mismatches += 1
-        if min(d_xy, d_yz, d_xz) < 0.0:
-            negative_distances += 1
+    for start in range(0, trials, CHECK_BLOCK):
+        i, j, k = rng.integers(samples.shape[1], size=(min(CHECK_BLOCK, trials - start), 3)).T
+        x, y, z = points[i], points[j], points[k]
+        d_xy = _row_norms(x - y)
+        d_yx = _row_norms(y - x)
+        d_yz = _row_norms(y - z)
+        d_xz = _row_norms(x - z)
+        symmetry_mismatches += int(np.count_nonzero(d_xy != d_yx))
+        negative_distances += int(np.count_nonzero(np.minimum(np.minimum(d_xy, d_yz), d_xz) < 0.0))
         violation = d_xz - (d_xy + d_yz)
-        if violation > max_triangle_violation:
-            max_triangle_violation = violation
-        if violation > triangle_slack:
-            triangle_violations += 1
+        max_triangle_violation = max(max_triangle_violation, float(violation.max()))
+        triangle_violations += int(np.count_nonzero(violation > triangle_slack))
 
     rank = int(np.linalg.matrix_rank(w))
     return {
@@ -144,6 +155,6 @@ def check_metric_axioms(
         "nonnegative": negative_distances == 0,
         "triangle_slack": triangle_slack,
         "triangle_violations": triangle_violations,
-        "max_triangle_violation": float(max(max_triangle_violation, 0.0)),
+        "max_triangle_violation": max_triangle_violation,
         "distinguishable": rank == w.shape[0],
     }

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from mvmetric import (
     multiview_distance,
     view_distance,
 )
+from mvmetric.metric import CHECK_BLOCK, TRIANGLE_SLACK
 
 
 def make_model(projections, weights, r=2.0):
@@ -173,3 +176,74 @@ def test_axiom_checker_validates_inputs():
         check_metric_axioms(model, 1, rng.standard_normal((4, 2)), trials=10, seed=0)
     with pytest.raises(ValueError, match="trials"):
         check_metric_axioms(model, 1, rng.standard_normal((4, 5)), trials=0, seed=0)
+
+
+def reference_distances(model, view, samples, trials, seed):
+    """Per-triple loop over ``view_distance``: the reference for the batched check.
+
+    Returns one row ``(d_xy, d_yx, d_yz, d_xz)`` per triple of the seed's draw.
+    """
+    triples = np.random.default_rng(seed).integers(samples.shape[1], size=(trials, 3))
+    rows = []
+    for i, j, k in triples:
+        x, y, z = samples[:, i], samples[:, j], samples[:, k]
+        rows.append([view_distance(model, view, a, b) for a, b in ((x, y), (y, x), (y, z), (x, z))])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("trials", [100, CHECK_BLOCK, 2 * CHECK_BLOCK + 37])
+@pytest.mark.parametrize("dims, d", [([6, 9], 2), ([3, 4], 3)])
+def test_batched_check_matches_per_triple_loop(trials, dims, d):
+    rng = np.random.default_rng(trials + d)
+    model = random_model(rng, dims, d)  # d < dim: rank-deficient metric; d == dim: full rank
+    for v, dim in enumerate(dims, start=1):
+        samples = rng.standard_normal((dim, 40))
+        d_xy, d_yx, d_yz, d_xz = reference_distances(model, v, samples, trials, 11).T
+        violation = d_xz - (d_xy + d_yz)
+        # a negative slack makes the violation count depend on the data, so it is compared too
+        for slack in (TRIANGLE_SLACK, -0.5):
+            report = check_metric_axioms(model, v, samples, trials, seed=11, triangle_slack=slack)
+            assert report["symmetry_mismatches"] == np.count_nonzero(d_xy != d_yx) == 0
+            assert report["nonnegative"] is bool(min(d_xy.min(), d_yz.min(), d_xz.min()) >= 0.0)
+            assert report["triangle_violations"] == np.count_nonzero(violation > slack)
+            assert abs(report["max_triangle_violation"] - max(violation.max(), 0.0)) <= 1e-12
+            assert report["distinguishable"] is (d == dim)
+            assert type(report["triangle_violations"]) is int  # JSON-serialisable
+            assert type(report["max_triangle_violation"]) is float
+        assert report["triangle_violations"] > 0  # the negative slack did count something
+
+
+@pytest.mark.parametrize("shift", [1e4, 1e6])
+def test_check_is_clean_under_a_constant_shift(shift):
+    rng = np.random.default_rng(12)
+    model = random_model(rng, [8], 3)
+    samples = rng.standard_normal((8, 50)) + shift
+    report = check_metric_axioms(model, 1, samples, trials=5000, seed=1)
+    assert report["symmetry_exact"]
+    assert report["nonnegative"]
+    assert report["triangle_violations"] == 0
+    assert report["max_triangle_violation"] <= TRIANGLE_SLACK
+
+
+def test_check_memory_does_not_grow_with_trials():
+    rng = np.random.default_rng(13)
+    model = random_model(rng, [20], 5)
+    samples = rng.standard_normal((20, 500))
+    tracemalloc.start()
+    try:
+        report = check_metric_axioms(model, 1, samples, trials=1_000_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["trials"] == 1_000_000
+    assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_rejects_non_finite_samples(bad):
+    rng = np.random.default_rng(14)
+    model = random_model(rng, [4], 2)
+    samples = rng.standard_normal((4, 1000))
+    samples[2, 999] = bad  # one trial almost surely never draws this column
+    with pytest.raises(ValueError, match="non-finite"):
+        check_metric_axioms(model, 1, samples, trials=1, seed=0)
