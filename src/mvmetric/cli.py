@@ -91,8 +91,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     model = train(dataset, sp, cons, hyper)
     model.save(cfg["out"], config=_jsonable(cfg))
     weights = ", ".join(f"{w:.6f}" for w in model.view_weights)
+    stopped = "converged below tol" if model.stop_reason == "tol" else "stopped at max_iters"
     print(
-        f"trained {model.num_views} views in {len(model.trace)} iterations; view weights: [{weights}]",
+        f"trained {model.num_views} views in {len(model.trace)} iterations ({stopped}); "
+        f"view weights: [{weights}]",
         file=sys.stderr,
     )
     return EXIT_OK

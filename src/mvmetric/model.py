@@ -12,6 +12,7 @@ from ._format import FORMAT_VERSION
 
 ORTHONORMALITY_TOL = 1e-8
 SIMPLEX_TOL = 1e-12
+STOP_REASONS = (None, "tol", "max_iters")
 
 
 @dataclass(frozen=True)
@@ -61,13 +62,16 @@ class MultiviewMetricModel:
     """Learned projections W_v (columns orthonormal) and simplex view weights.
 
     The induced per-view metric matrix is ``W_v @ W_v.T``.  ``trace`` keeps
-    per-iteration diagnostics from training.
+    per-iteration diagnostics from training.  ``stop_reason`` is ``"tol"``
+    when training converged, ``"max_iters"`` when it ran out of iterations,
+    and ``None`` when unknown (models built by hand or saved without it).
     """
 
     projections: tuple
     view_weights: np.ndarray
     hyper: Hyperparams
     trace: tuple = ()
+    stop_reason: str | None = None
 
     def __post_init__(self):
         if self.hyper.embed_dim is None:
@@ -93,6 +97,8 @@ class MultiviewMetricModel:
         if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > SIMPLEX_TOL:
             raise ValueError("view weights must be nonnegative and sum to 1")
         weights.setflags(write=False)
+        if self.stop_reason not in STOP_REASONS:
+            raise ValueError(f"stop_reason must be one of {STOP_REASONS}, got {self.stop_reason!r}")
         object.__setattr__(self, "projections", tuple(projections))
         object.__setattr__(self, "view_weights", weights)
         object.__setattr__(self, "trace", tuple(self.trace))
@@ -121,6 +127,7 @@ class MultiviewMetricModel:
             "tol": self.hyper.tol,
             "view_weights": self.view_weights.tolist(),
             "projections": [w.tolist() for w in self.projections],
+            "stop_reason": self.stop_reason,
             "trace": list(self.trace),
         }
         if config is not None:
@@ -143,9 +150,10 @@ class MultiviewMetricModel:
             projections = [np.asarray(w, dtype=float) for w in doc["projections"]]
             weights = np.asarray(doc["view_weights"], dtype=float)
             trace = tuple(doc.get("trace", ()))
+            stop_reason = doc.get("stop_reason")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"invalid model document: {exc}") from exc
-        return cls(tuple(projections), weights, hyper, trace)
+        return cls(tuple(projections), weights, hyper, trace, stop_reason)
 
     @classmethod
     def load(cls, path) -> "MultiviewMetricModel":

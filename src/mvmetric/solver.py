@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .constraints import ConstraintSet
-from .dataset import MultiviewDataset, SplitSpec
+from .dataset import MultiviewDataset, SplitSpec, ViewMatrix
 from .model import Hyperparams, MultiviewMetricModel
 from .scatter import CrossCorrelation, ScatterPair, compute_cross, compute_scatter
 
@@ -153,6 +153,9 @@ def _refine_blocks(Z, dims, blocks, max_sweeps=30, inner_iters=50):
     Each block update is a monotone majorize-maximize step: with the diagonal
     block shifted to be PSD, W <- polar(H W + B) never decreases the
     objective, so the sweep output is at least as good as its input.
+
+    Returns the refined blocks, the number of sweeps run and the number of
+    polar SVDs made.
     """
     offsets = _block_offsets(dims)
     m = len(dims)
@@ -160,7 +163,8 @@ def _refine_blocks(Z, dims, blocks, max_sweeps=30, inner_iters=50):
     shifts = [max(0.0, -float(np.linalg.eigvalsh(a).min())) for a in diag]
     blocks = [b.copy() for b in blocks]
     obj = stacked_objective(Z, blocks)
-    for _ in range(max_sweeps):
+    sweeps = svds = 0
+    for sweeps in range(1, max_sweeps + 1):
         for v in range(m):
             lo, hi = offsets[v], offsets[v + 1]
             coupling = np.zeros_like(blocks[v])
@@ -171,6 +175,7 @@ def _refine_blocks(Z, dims, blocks, max_sweeps=30, inner_iters=50):
             current = blocks[v]
             for _ in range(inner_iters):
                 updated, _ = _orthonormal_polar(shifted @ current + coupling)
+                svds += 1
                 if np.linalg.norm(updated - current) <= 1e-12:
                     current = updated
                     break
@@ -181,10 +186,12 @@ def _refine_blocks(Z, dims, blocks, max_sweeps=30, inner_iters=50):
             obj = new_obj
             break
         obj = new_obj
-    return blocks
+    return blocks, sweeps, svds
 
 
 def _update_projections(Z, dims, d):
+    """W-step; returns the blocks, the padded views (1-based), the refine
+    sweeps run and the polar SVDs made (one per view, then the sweeps')."""
     atol = 1e-10 * max(1.0, float(np.abs(Z).max()))
     if np.abs(Z - Z.T).max() > atol:
         raise ValueError("Z must be symmetric")
@@ -198,8 +205,8 @@ def _update_projections(Z, dims, d):
         blocks.append(w)
         if was_padded:
             padded.append(v + 1)
-    blocks = _refine_blocks(Z, dims, blocks)
-    return blocks, padded
+    blocks, sweeps, svds = _refine_blocks(Z, dims, blocks)
+    return blocks, padded, sweeps, len(dims) + svds
 
 
 def update_projections(Z: np.ndarray, dims, d: int):
@@ -209,8 +216,7 @@ def update_projections(Z: np.ndarray, dims, d: int):
     column-orthonormal matrix (polar factor; rank-deficient slices are padded
     deterministically), then improved by monotone block-coordinate sweeps.
     """
-    blocks, _ = _update_projections(Z, list(dims), d)
-    return blocks
+    return _update_projections(Z, list(dims), d)[0]
 
 
 def compute_view_gains(projections, scatters, crosses, hyper: Hyperparams) -> np.ndarray:
@@ -285,19 +291,45 @@ def train(
 
     Weights start uniform.  Convergence is the relative Frobenius change of
     the stacked projections between iterations; the per-iteration trace
-    records the objective, gains, updated weights, residual, and any views
-    whose eigenvector slice needed rank padding.
+    records the objective, gains, updated weights, residual, any views whose
+    eigenvector slice needed rank padding, and the refine sweeps and polar
+    SVDs of the W-step.  The model's ``stop_reason`` says whether the
+    residual fell below ``tol`` or ``max_iters`` ran out.
+
+    A view with more than ``n_train + d`` features is solved in ``n_train + d``
+    coordinates: an orthonormal basis ``Q_v`` (from a thin QR) of its first
+    ``d`` feature axes and its training columns, mapped back once with
+    ``W_v = Q_v V_v``.  Every block of Z is built from the training columns,
+    so the objective sees ``W_v`` only through its part in their span, and
+    the ``d`` axes leave room for any part outside it; those axes come first
+    in ``Q_v`` because rank padding tries standard basis vectors in index
+    order, so padding picks the same vectors as in raw coordinates.  Gains,
+    objective, residual and weights are unchanged by this orthonormal change
+    of basis, and the projections can differ from a solve in raw coordinates
+    by a right rotation, which leaves ``W_v W_v^T`` as it is.  Narrower views
+    keep their raw coordinates.
     """
     hyper = (hyper or Hyperparams()).resolved(dataset.view_dims)
-    dims = dataset.view_dims
     d = hyper.embed_dim
     r = hyper.weight_exponent
     train_idx = split_spec.train_indices
+    n_train = len(train_idx)
 
-    train_views = [v.restrict(train_idx) for v in dataset.views]
+    train_views, bases = [], []
+    for view in dataset.views:
+        tv = view.restrict(train_idx)
+        basis = None
+        if tv.n_features > n_train + d:
+            axes = np.eye(tv.n_features, d)
+            basis, reduced = np.linalg.qr(np.hstack([axes, tv.data]))
+            tv = ViewMatrix(tv.view_id, reduced[:, d:])
+        train_views.append(tv)
+        bases.append(basis)
+    dims = [tv.n_features for tv in train_views]
     scatters = [compute_scatter(tv, constraints) for tv in train_views]
+    columns = np.arange(n_train)
     crosses = [
-        compute_cross(dataset.views[a], dataset.views[b], train_idx)
+        compute_cross(train_views[a], train_views[b], columns)
         for a in range(dataset.m)
         for b in range(a + 1, dataset.m)
     ]
@@ -305,9 +337,10 @@ def train(
     weights = np.full(dataset.m, 1.0 / dataset.m)
     previous = None
     trace = []
+    stop_reason = "max_iters"
     for iteration in range(1, hyper.max_iters + 1):
         Z = assemble_block_matrix(scatters, crosses, weights, hyper)
-        blocks, padded = _update_projections(Z, dims, d)
+        blocks, padded, sweeps, svds = _update_projections(Z, dims, d)
         gains = compute_view_gains(blocks, scatters, crosses, hyper)
         objective = float(np.dot(weights**r, gains))
         weights = update_view_weights(gains, r)
@@ -324,11 +357,15 @@ def train(
                 "weights": weights.tolist(),
                 "residual": residual,
                 "padded_views": padded,
+                "refine_sweeps": sweeps,
+                "polar_svds": svds,
             }
         )
         if not np.isfinite(objective):
             raise TrainingError(f"non-finite objective at iteration {iteration}", trace)
         previous = blocks
         if residual is not None and residual < hyper.tol:
+            stop_reason = "tol"
             break
-    return MultiviewMetricModel(tuple(previous), weights, hyper, tuple(trace))
+    projections = tuple(b if q is None else q @ b for b, q in zip(previous, bases))
+    return MultiviewMetricModel(projections, weights, hyper, tuple(trace), stop_reason)

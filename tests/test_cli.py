@@ -103,13 +103,25 @@ def test_train_writes_model_and_echoes_weights(dataset_dir, tmp_path, capsys):
         ]
     )
     assert code == 0
-    assert "view weights" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "view weights" in err
     doc = json.loads(model_path.read_text())
+    assert doc["stop_reason"] == "tol"
+    assert "(converged below tol)" in err
     assert doc["format_version"] == "1"
     assert doc["num_views"] == 2
     assert doc["embed_dim"] == 2
     assert doc["config"]["train_count"] == 12
     assert len(doc["trace"]) >= 1
+
+
+def test_train_reports_hitting_max_iters(dataset_dir, tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    argv = ["train", "--manifest", str(dataset_dir / "manifest.json"), "--train-count", "12",
+            "--d", "2", "--max-iters", "1", "--out", str(model_path)]
+    assert run_cli(argv) == 0
+    assert "in 1 iterations (stopped at max_iters)" in capsys.readouterr().err
+    assert json.loads(model_path.read_text())["stop_reason"] == "max_iters"
 
 
 def test_train_missing_labels_file(dataset_dir, tmp_path, capsys):

@@ -51,6 +51,7 @@ def test_save_load_roundtrip_is_exact(tmp_path):
     assert np.array_equal(model.view_weights, loaded.view_weights)
     assert model.hyper == loaded.hyper
     assert model.trace == loaded.trace
+    assert loaded.stop_reason == model.stop_reason == "tol"
 
 
 def test_model_document_fields(tmp_path):
@@ -65,6 +66,19 @@ def test_model_document_fields(tmp_path):
     assert len(doc["projections"][0]) == 4
     assert len(doc["projections"][0][0]) == 2
     json.dumps(doc)  # must be JSON-serializable as-is
+
+
+def test_stop_reason_missing_from_older_documents_loads_as_none(tmp_path):
+    doc = _trained_model().to_dict()
+    assert doc["stop_reason"] == "tol"
+    del doc["stop_reason"]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert MultiviewMetricModel.load(path).stop_reason is None
+    doc["stop_reason"] = "gave_up"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="stop_reason"):
+        MultiviewMetricModel.load(path)
 
 
 def test_model_validates_orthonormality():

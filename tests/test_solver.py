@@ -442,3 +442,173 @@ def test_default_embed_dim_resolution():
     assert model.embed_dim == 4
     with pytest.raises(ValueError, match="exceeds"):
         train(ds, sp, cs, Hyperparams(embed_dim=5))
+
+
+# ---------------------------------------------------------------------------
+# wide views are solved in the span of their training columns
+
+
+def full_space_train(dataset, split_spec, constraints, hyper):
+    """The alternation in every view's raw coordinates, from the public pieces.
+
+    Returns the projections, the final weights and the per-iteration
+    objectives.
+    """
+    hyper = hyper.resolved(dataset.view_dims)
+    r = hyper.weight_exponent
+    idx = split_spec.train_indices
+    scatters = [compute_scatter(v.restrict(idx), constraints) for v in dataset.views]
+    crosses = [
+        compute_cross(dataset.views[a], dataset.views[b], idx)
+        for a in range(dataset.m)
+        for b in range(a + 1, dataset.m)
+    ]
+    weights = np.full(dataset.m, 1.0 / dataset.m)
+    previous, objectives = None, []
+    for _ in range(hyper.max_iters):
+        Z = assemble_block_matrix(scatters, crosses, weights, hyper)
+        blocks = update_projections(Z, dataset.view_dims, hyper.embed_dim)
+        gains = compute_view_gains(blocks, scatters, crosses, hyper)
+        objectives.append(float(np.dot(weights**r, gains)))
+        weights = update_view_weights(gains, r)
+        done = previous is not None and (
+            sum(np.linalg.norm(b - p) for b, p in zip(blocks, previous))
+            / sum(np.linalg.norm(p) for p in previous)
+            < hyper.tol
+        )
+        previous = blocks
+        if done:
+            break
+    return previous, weights, objectives
+
+
+def _fit_both(ds, train_count, seed, d, eta=1.0):
+    sp = split(ds, train_count, seed=seed)
+    cs = build_constraints(ds.labels[sp.train_indices])
+    hyper = Hyperparams(embed_dim=d, coupling_eta=eta)
+    return train(ds, sp, cs, hyper), full_space_train(ds, sp, cs, hyper)
+
+
+def _assert_same_fit(model, reference, same_iterations=True):
+    projections, weights, objectives = reference
+    for w, ref in zip(model.projections, projections):
+        assert w.shape == ref.shape
+        np.testing.assert_allclose(w @ w.T, ref @ ref.T, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(model.view_weights, weights, rtol=0, atol=1e-12)
+    trace_objectives = [e["objective"] for e in model.trace]
+    if not same_iterations:
+        trace_objectives, objectives = trace_objectives[-1], objectives[-1]
+    else:
+        assert len(trace_objectives) == len(objectives)
+    np.testing.assert_allclose(trace_objectives, objectives, rtol=1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_wide_views_match_the_full_space_solve(seed):
+    # views 1 and 2 are wider than the 24 training samples, view 3 is not
+    ds = generate_synthetic(3, 12, [70, 40, 9], noise_views={2}, seed=seed)
+    model, reference = _fit_both(ds, 24, 100 + seed, 4)
+    assert not any(e["padded_views"] for e in model.trace)
+    _assert_same_fit(model, reference)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_uncoupled_wide_views_match_the_full_space_solve_despite_padding(seed):
+    # without coupling every eigenvector slice is rank-padded; each view's
+    # columns may then rotate freely, which moves the residual, so only the
+    # final fit is compared
+    ds = generate_synthetic(3, 12, [70, 40, 9], noise_views={2}, seed=seed)
+    model, reference = _fit_both(ds, 24, 100 + seed, 4, np.inf)
+    assert all(e["padded_views"] for e in model.trace)
+    _assert_same_fit(model, reference, same_iterations=False)
+
+
+def test_narrow_views_are_solved_in_raw_coordinates_exactly():
+    ds = generate_synthetic(3, 12, [6, 11, 9], noise_views={2}, seed=4)
+    model, (projections, weights, objectives) = _fit_both(ds, 24, 7, 3)
+    for w, ref in zip(model.projections, projections):
+        assert np.array_equal(w, ref)
+    assert np.array_equal(model.view_weights, weights)
+    assert [e["objective"] for e in model.trace] == objectives
+
+
+def test_views_no_wider_than_n_train_plus_d_keep_raw_coordinates():
+    # n_train + d = 12: view 1 sits on the boundary, view 2 below it
+    ds = generate_synthetic(2, 6, [12, 10], seed=5)
+    model, (projections, weights, objectives) = _fit_both(ds, 8, 3, 4)
+    for w, ref in zip(model.projections, projections):
+        assert np.array_equal(w, ref)
+    assert np.array_equal(model.view_weights, weights)
+    assert [e["objective"] for e in model.trace] == objectives
+
+
+def test_wide_view_can_use_directions_outside_its_training_span():
+    # same-mean classes: the margin has fewer than d positive eigenvalues, so
+    # the best d columns include directions on which the margin is zero, all
+    # of them orthogonal to the 6 training columns
+    rng = np.random.default_rng(16)
+    labels = np.array([0, 1] * 5)
+    ds = _dataset_from_views([rng.standard_normal((30, 10))], labels)
+    sp = SplitSpec(np.arange(6), np.arange(6, 10), seed=0)
+    cs = build_constraints(labels[:6])
+    scatter = compute_scatter(ds.views[0].restrict(sp.train_indices), cs)
+    eigvals = np.linalg.eigvalsh(scatter.between - scatter.within)
+    assert np.sum(eigvals > 1e-9) < 4
+    model = train(ds, sp, cs, Hyperparams(embed_dim=4))
+    best = eigvals[eigvals > 0].sum()
+    np.testing.assert_allclose(model.trace[-1]["objective"], best, rtol=1e-9)
+
+
+def test_rank_deficient_wide_view_matches_the_full_space_solve():
+    rng = np.random.default_rng(15)
+    labels = np.array([0, 1] * 6)
+    # view 1: 30 features, but the columns of a class are duplicates and the
+    # two classes' columns are parallel, so the 8 training columns span one
+    # dimension, fewer than d = 2
+    wide = np.outer(rng.standard_normal(30), 1.0 + labels)
+    narrow = rng.standard_normal((6, 12)) + 2.0 * np.outer(rng.standard_normal(6), labels)
+    ds = _dataset_from_views([wide, narrow], labels)
+    sp = SplitSpec(np.arange(8), np.arange(8, 12), seed=0)
+    cs = build_constraints(labels[:8])
+    hyper = Hyperparams(embed_dim=2)
+    model = train(ds, sp, cs, hyper)
+    assert [w.shape for w in model.projections] == [(30, 2), (6, 2)]
+    for w in model.projections:
+        np.testing.assert_allclose(w.T @ w, np.eye(2), rtol=0, atol=1e-10)
+    assert all(e["padded_views"] == [1] for e in model.trace)
+    _assert_same_fit(model, full_space_train(ds, sp, cs, hyper))
+
+
+def test_trace_counts_refine_sweeps_and_polar_svds(monkeypatch):
+    ds = generate_synthetic(2, 10, [25, 6], seed=8)
+    sp = split(ds, 12, seed=9)
+    cs = build_constraints(ds.labels[sp.train_indices])
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    model = train(ds, sp, cs, Hyperparams(embed_dim=3))
+    for entry in model.trace:
+        assert 1 <= entry["refine_sweeps"] <= 30
+        # one polar projection per view, then at least one per view and sweep
+        assert entry["polar_svds"] >= 2 + 2 * entry["refine_sweeps"]
+    assert sum(e["polar_svds"] for e in model.trace) == len(calls)
+
+
+def test_stop_reason_names_what_ended_training():
+    ds = generate_synthetic(2, 10, [4, 6], seed=3)
+    sp = split(ds, 12, seed=5)
+    cs = build_constraints(ds.labels[sp.train_indices])
+    converged = train(ds, sp, cs, Hyperparams(embed_dim=2))
+    assert converged.stop_reason == "tol"
+    assert converged.trace[-1]["residual"] < converged.hyper.tol
+    assert len(converged.trace) < converged.hyper.max_iters
+    capped = train(ds, sp, cs, Hyperparams(embed_dim=2, max_iters=2))
+    assert capped.stop_reason == "max_iters"
+    assert len(capped.trace) == 2
+    assert capped.trace[-1]["residual"] >= capped.hyper.tol
+    assert train(ds, sp, cs, Hyperparams(embed_dim=2, max_iters=1)).stop_reason == "max_iters"
