@@ -22,14 +22,12 @@ from .dataset import (
 from .eval import (
     EvalReport,
     derive_trial_seed,
-    euclidean_multiview_distance,
     knn_classify,
     run_benchmark,
 )
 from .metric import (
     check_metric_axioms,
     distance_weights,
-    mahalanobis_distance,
     metric_matrix,
     multiview_distance,
     view_distance,
@@ -40,10 +38,7 @@ from .solver import (
     TrainingError,
     assemble_block_matrix,
     compute_view_gains,
-    stacked_objective,
-    top_eigenpairs,
     train,
-    update_projections,
     update_view_weights,
 )
 
@@ -67,21 +62,16 @@ __all__ = [
     "compute_view_gains",
     "derive_trial_seed",
     "distance_weights",
-    "euclidean_multiview_distance",
     "generate_synthetic",
     "knn_classify",
     "load_dataset",
     "load_manifest",
-    "mahalanobis_distance",
     "metric_matrix",
     "multiview_distance",
     "run_benchmark",
     "split",
-    "stacked_objective",
     "standardize_views",
-    "top_eigenpairs",
     "train",
-    "update_projections",
     "update_view_weights",
     "view_distance",
     "write_dataset",

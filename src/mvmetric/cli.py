@@ -227,7 +227,7 @@ def _add_common_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=float, help="view weight exponent, must be > 1 (default 2)")
     p.add_argument("--eta", type=float, help="cross-view coupling divisor, must be > 0 (default 1)")
     p.add_argument("--max-iters", dest="max_iters", type=int, help="maximum alternating iterations (default 50)")
-    p.add_argument("--tol", type=float, help="relative projection-change stopping tolerance (default 1e-6)")
+    p.add_argument("--tol", type=float, help="stopping tolerance on the relative change of W_v W_v^T (default 1e-6)")
     p.add_argument("--max-pairs-per-set", dest="max_pairs_per_set", type=int, help="cap on constraint pairs per set")
     p.add_argument(
         "--standardize",

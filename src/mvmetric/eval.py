@@ -120,23 +120,12 @@ def knn_classify(
     return _knn_predict(distances, train_labels, k)
 
 
-def euclidean_multiview_distance(xs, ys) -> float:
-    """Identity-metric baseline: unweighted Euclidean over concatenated views."""
-    total = 0.0
-    for x, y in zip(xs, ys):
-        diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        total += np.dot(diff, diff)
-    return float(np.sqrt(total))
-
-
 def _euclidean_knn(train_views, train_labels, test_sample, k: int = 1) -> int:
-    distances = np.array(
-        [
-            euclidean_multiview_distance(test_sample, [view[:, j] for view in train_views])
-            for j in range(train_labels.shape[0])
-        ]
+    """Identity-metric baseline: unweighted Euclidean over the concatenated views."""
+    squared = sum(
+        np.sum((view - x[:, None]) ** 2, axis=0) for view, x in zip(train_views, test_sample)
     )
-    return _knn_predict(distances, train_labels, k)
+    return _knn_predict(np.sqrt(squared), train_labels, k)
 
 
 def _worker_count() -> int:

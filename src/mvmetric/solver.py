@@ -290,7 +290,9 @@ def train(
     """Alternate the W-step and the weight step until the projections settle.
 
     Weights start uniform.  Convergence is the relative Frobenius change of
-    the stacked projections between iterations; the per-iteration trace
+    the per-view metrics ``W_v W_v^T`` between iterations, which a rotation
+    of a view's columns leaves alone (inside a degenerate eigenspace the
+    W-step may return any such rotation); the per-iteration trace
     records the objective, gains, updated weights, residual, any views whose
     eigenvector slice needed rank padding, and the refine sweeps and polar
     SVDs of the W-step.  The model's ``stop_reason`` says whether the
@@ -346,8 +348,8 @@ def train(
         weights = update_view_weights(gains, r)
         residual = None
         if previous is not None:
-            num = sum(np.linalg.norm(b - p) for b, p in zip(blocks, previous))
-            den = sum(np.linalg.norm(p) for p in previous)
+            num = sum(np.linalg.norm(b @ b.T - p @ p.T) for b, p in zip(blocks, previous))
+            den = sum(np.linalg.norm(p @ p.T) for p in previous)
             residual = float(num / den)
         trace.append(
             {

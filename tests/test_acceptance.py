@@ -28,13 +28,12 @@ from mvmetric import (
     metric_matrix,
     run_benchmark,
     split,
-    stacked_objective,
     train,
-    update_projections,
     update_view_weights,
     write_dataset,
 )
 from mvmetric.cli import main as cli_main
+from mvmetric.solver import stacked_objective, update_projections
 
 from test_scatter import naive_cross, naive_pair_scatter
 from test_solver import cross_for, objective_oracle, random_instance, random_orthonormal_blocks

@@ -8,14 +8,13 @@ from mvmetric import (
     ViewMatrix,
     build_constraints,
     derive_trial_seed,
-    euclidean_multiview_distance,
     generate_synthetic,
     knn_classify,
     multiview_distance,
     run_benchmark,
     train,
 )
-from mvmetric.eval import _knn_predict
+from mvmetric.eval import _euclidean_knn, _knn_predict
 
 
 def _trained_on(dataset, train_idx, test_idx, hyper):
@@ -146,11 +145,76 @@ def test_trial_seeds_reproduce_single_trial():
     assert solo.trials[0]["train_indices"] == report.trials[0]["train_indices"]
 
 
-def test_euclidean_distance_helper():
-    xs = [np.array([1.0, 0.0]), np.array([2.0])]
-    ys = [np.array([0.0, 0.0]), np.array([0.0])]
-    assert euclidean_multiview_distance(xs, ys) == pytest.approx(np.sqrt(5.0))
-    assert euclidean_multiview_distance(xs, xs) == 0.0
+def brute_force_euclidean_knn(train_views, train_labels, x, k):
+    """Per-pair reference: rank by (distance, index), nearest tied label wins."""
+    distances = []
+    for j in range(len(train_labels)):
+        total = 0.0
+        for view, xv in zip(train_views, x):
+            for a, b in zip(xv, view[:, j]):
+                total += (float(a) - float(b)) ** 2
+        distances.append((np.sqrt(total), j))
+    nearest = [int(train_labels[j]) for _, j in sorted(distances)[:k]]
+    counts = {lab: nearest.count(lab) for lab in nearest}
+    return next(lab for lab in nearest if counts[lab] == max(counts.values()))
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_euclidean_baseline_matches_per_pair_loop(k):
+    rng = np.random.default_rng(20 + k)
+    train_views = [rng.standard_normal((dim, 30)) for dim in (4, 7, 2)]
+    train_labels = rng.integers(0, 3, size=30)
+    for _ in range(25):
+        x = [rng.standard_normal(view.shape[0]) for view in train_views]
+        expected = brute_force_euclidean_knn(train_views, train_labels, x, k)
+        assert _euclidean_knn(train_views, train_labels, x, k) == expected
+
+
+def test_euclidean_baseline_distance_tie_goes_to_lower_index():
+    # columns 1 and 2 are identical and nearest, with different labels
+    train_views = [np.array([[5.0, 1.0, 1.0, 3.0]]), np.array([[0.0, 2.0, 2.0, 0.0]])]
+    train_labels = np.array([0, 2, 1, 1])
+    x = [np.array([1.0]), np.array([2.0])]
+    assert _euclidean_knn(train_views, train_labels, x, k=1) == 2
+
+
+def test_euclidean_baseline_vote_tie_goes_to_nearest():
+    # k=2 is a 1-1 vote; the nearest neighbour has the higher index
+    train_views = [np.array([[2.0, 1.0, 9.0]]), np.array([[0.0, 0.0, 0.0]])]
+    train_labels = np.array([0, 1, 0])
+    x = [np.array([0.0]), np.array([0.0])]
+    assert _euclidean_knn(train_views, train_labels, x, k=2) == 1
+
+
+@pytest.mark.parametrize("shift", [2.0**10, 2.0**30], ids=["2**10", "2**30"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_euclidean_baseline_ignores_a_constant_shift(k, shift):
+    # on a grid of quarters every shifted feature and every difference is
+    # exact, so the distances (ties included) are bit-identical; at 2**30
+    # the squared features are not, so expanding |x|^2 + |y|^2 - 2 x.y
+    # instead of subtracting first would show
+    rng = np.random.default_rng(31)
+    train_views = [rng.integers(-8, 8, size=(dim, 40)) / 4.0 for dim in (3, 5)]
+    train_labels = rng.integers(0, 3, size=40)
+    tests = [[rng.integers(-8, 8, size=view.shape[0]) / 4.0 for view in train_views] for _ in range(40)]
+    shifted_views = [view + shift for view in train_views]
+    for x in tests:
+        plain = _euclidean_knn(train_views, train_labels, x, k)
+        assert _euclidean_knn(shifted_views, train_labels, [xv + shift for xv in x], k) == plain
+        assert plain == brute_force_euclidean_knn(train_views, train_labels, x, k)
+
+
+def test_benchmark_baseline_matches_per_pair_loop():
+    ds = generate_synthetic(3, 10, [4, 6], seed=14)
+    report = run_benchmark(ds, 15, 2, Hyperparams(embed_dim=2), seed=7, include_baseline=True, k=3)
+    for record in report.trials:
+        train_views = ds.columns(record["train_indices"])
+        train_labels = ds.labels[record["train_indices"]]
+        correct = sum(
+            brute_force_euclidean_knn(train_views, train_labels, ds.sample(i), 3) == ds.labels[i]
+            for i in record["test_indices"]
+        )
+        assert record["baseline_accuracy"] == correct / len(record["test_indices"])
 
 
 def test_thread_workers_match_sequential(monkeypatch):

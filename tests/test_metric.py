@@ -7,12 +7,11 @@ from mvmetric import (
     Hyperparams,
     MultiviewMetricModel,
     check_metric_axioms,
-    mahalanobis_distance,
     metric_matrix,
     multiview_distance,
     view_distance,
 )
-from mvmetric.metric import CHECK_BLOCK, TRIANGLE_SLACK
+from mvmetric.metric import CHECK_BLOCK, TRIANGLE_SLACK, mahalanobis_distance
 
 
 def make_model(projections, weights, r=2.0):

@@ -15,12 +15,10 @@ from mvmetric import (
     compute_view_gains,
     generate_synthetic,
     split,
-    stacked_objective,
-    top_eigenpairs,
     train,
-    update_projections,
     update_view_weights,
 )
+from mvmetric.solver import stacked_objective, top_eigenpairs, update_projections
 
 
 def random_instance(rng, dims, n_samples=8):
@@ -472,8 +470,8 @@ def full_space_train(dataset, split_spec, constraints, hyper):
         objectives.append(float(np.dot(weights**r, gains)))
         weights = update_view_weights(gains, r)
         done = previous is not None and (
-            sum(np.linalg.norm(b - p) for b, p in zip(blocks, previous))
-            / sum(np.linalg.norm(p) for p in previous)
+            sum(np.linalg.norm(b @ b.T - p @ p.T) for b, p in zip(blocks, previous))
+            / sum(np.linalg.norm(p @ p.T) for p in previous)
             < hyper.tol
         )
         previous = blocks
@@ -612,3 +610,24 @@ def test_stop_reason_names_what_ended_training():
     assert len(capped.trace) == 2
     assert capped.trace[-1]["residual"] >= capped.hyper.tol
     assert train(ds, sp, cs, Hyperparams(embed_dim=2, max_iters=1)).stop_reason == "max_iters"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_uncoupled_fit_converges_whatever_the_feature_order(seed):
+    # without coupling each view's columns may rotate freely inside a
+    # degenerate eigenspace; the residual compares W_v W_v^T, so the
+    # rotation the W-step happens to return cannot keep training going
+    ds = generate_synthetic(2, 8, [40, 30], noise_views={2}, seed=seed)
+    objectives = []
+    for p in range(3):
+        rng = np.random.default_rng(p)
+        order = [rng.permutation(v.n_features) if p else np.arange(v.n_features) for v in ds.views]
+        views = tuple(ViewMatrix(v.view_id, v.data[o]) for v, o in zip(ds.views, order))
+        permuted = MultiviewDataset(views, ds.labels)
+        sp = split(permuted, 12, seed=seed)
+        cs = build_constraints(permuted.labels[sp.train_indices])
+        model = train(permuted, sp, cs, Hyperparams(embed_dim=10, coupling_eta=np.inf))
+        assert model.stop_reason == "tol"
+        assert len(model.trace) <= 10
+        objectives.append(model.trace[-1]["objective"])
+    np.testing.assert_allclose(objectives, objectives[0], rtol=1e-12)
