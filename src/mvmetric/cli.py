@@ -7,8 +7,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from ._format import FORMAT_VERSION
 from .constraints import build_constraints
 from .dataset import generate_synthetic, load_manifest, split, write_dataset
@@ -89,7 +87,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         dataset.labels[sp.train_indices], cfg["max_pairs_per_set"], cfg["seed"]
     )
     model = train(dataset, sp, cons, hyper)
-    model.save(cfg["out"], config=_jsonable(cfg))
+    model.save(cfg["out"], config=cfg)
     weights = ", ".join(f"{w:.6f}" for w in model.view_weights)
     stopped = "converged below tol" if model.stop_reason == "tol" else "stopped at max_iters"
     print(
@@ -132,7 +130,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         weight_mode=cfg["distance_weights"],
         k=cfg["k"],
     )
-    report.config["cli"] = _jsonable(cfg)
+    report.config["cli"] = cfg
     report.save(cfg["out"])
     if cfg["csv"]:
         Path(cfg["csv"]).write_text(report.summary_csv())
@@ -167,7 +165,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         seed=cfg["seed"],
         separation=cfg["separation"],
     )
-    manifest = write_dataset(dataset, cfg["out"], config=_jsonable(cfg))
+    manifest = write_dataset(dataset, cfg["out"], config=cfg)
     print(f"wrote {dataset.m} views, {dataset.n} samples; manifest: {manifest}", file=sys.stderr)
     return EXIT_OK
 
@@ -194,7 +192,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     )
     doc = {
         "format_version": FORMAT_VERSION,
-        "config": _jsonable(cfg),
+        "config": cfg,
         "views": reports,
         "violations": violations,
     }
@@ -207,19 +205,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(f"error: {violations} metric axiom violation(s) found", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
-
-
-def _jsonable(cfg: dict) -> dict:
-    clean = {}
-    for key, value in cfg.items():
-        if isinstance(value, (np.integer,)):
-            value = int(value)
-        elif isinstance(value, (np.floating,)):
-            value = float(value)
-        elif isinstance(value, Path):
-            value = str(value)
-        clean[key] = value
-    return clean
 
 
 def _add_common_hyper_flags(p: argparse.ArgumentParser) -> None:

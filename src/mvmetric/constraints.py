@@ -16,9 +16,14 @@ class ConstraintSet:
 
     def __post_init__(self):
         for name in ("similar", "dissimilar"):
-            pairs = np.array(getattr(self, name), dtype=int).reshape(-1, 2)
+            raw = np.asarray(getattr(self, name))
+            if raw.size and raw.dtype.kind not in "iu":
+                raise ValueError(f"{name} pairs must be integer indices, got dtype {raw.dtype}")
+            pairs = raw.astype(int).reshape(-1, 2)
             if pairs.shape[0] < 1:
                 raise ValueError(f"{name} pair set is empty")
+            if np.any(pairs < 0):
+                raise ValueError(f"{name} pairs must have non-negative indices")
             if np.any(pairs[:, 0] >= pairs[:, 1]):
                 raise ValueError(f"{name} pairs must satisfy i < j")
             pairs.setflags(write=False)

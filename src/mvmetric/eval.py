@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,6 +15,7 @@ from .metric import multiview_distance
 from .model import Hyperparams, MultiviewMetricModel
 from .solver import train
 
+# unused by the package; perfbench/harness.py reads the name to clear the variable
 THREADS_ENV_VAR = "MVMETRIC_THREADS"
 
 
@@ -128,15 +127,6 @@ def _euclidean_knn(train_views, train_labels, test_sample, k: int = 1) -> int:
     return _knn_predict(np.sqrt(squared), train_labels, k)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return value if value > 1 else 1
-
-
 def run_benchmark(
     dataset: MultiviewDataset,
     train_count: int,
@@ -153,15 +143,17 @@ def run_benchmark(
     Each trial derives its own split and constraint seeds from the master
     seed, trains a model on the train half, and classifies the test half.
     With ``include_baseline`` the identity-metric Euclidean classifier runs
-    on the identical splits for paired comparison.  Trials are independent
-    and may run on worker threads (MVMETRIC_THREADS); results are ordered by
-    trial index either way.
+    on the identical splits for paired comparison.  Trials run one after
+    another, in trial order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 1 <= k <= train_count:
+        raise ValueError(f"k must be in [1, {train_count}], got {k}")
     hyper = (hyper or Hyperparams()).resolved(dataset.view_dims)
 
-    def run_trial(t: int) -> dict:
+    records = []
+    for t in range(trials):
         split_seed = derive_trial_seed(seed, t, 0)
         constraint_seed = derive_trial_seed(seed, t, 1)
         sp = split(dataset, train_count, split_seed)
@@ -190,14 +182,7 @@ def run_benchmark(
         }
         if include_baseline:
             record["baseline_accuracy"] = baseline_correct / n_test
-        return record
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_trial, range(trials)))
-    else:
-        records = [run_trial(t) for t in range(trials)]
+        records.append(record)
 
     accuracies = [r["accuracy"] for r in records]
     config = {

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mvmetric import build_constraints
+from mvmetric import ConstraintSet, ViewMatrix, build_constraints, compute_scatter
 
 
 def _as_pair_set(pairs):
@@ -53,6 +53,32 @@ def test_pairs_are_ordered_and_disjoint():
         assert labels[i] == labels[j]
     for i, j in cs.dissimilar:
         assert labels[i] != labels[j]
+
+
+def test_negative_indices_are_rejected():
+    # (-1, 0) satisfies i < j, and numpy would read -1 as the last sample
+    with pytest.raises(ValueError, match="similar pairs must have non-negative indices"):
+        ConstraintSet([[-1, 0]], [[0, 1]])
+    with pytest.raises(ValueError, match="dissimilar pairs must have non-negative indices"):
+        ConstraintSet([[0, 1]], [[0, 2], [-3, -2]])
+
+
+def test_non_integer_indices_are_rejected():
+    with pytest.raises(ValueError, match="similar pairs must be integer indices"):
+        ConstraintSet([[0.5, 1]], [[0, 1]])
+    with pytest.raises(ValueError, match="dissimilar pairs must be integer indices"):
+        ConstraintSet([[0, 1]], np.array([[0.0, 2.0]]))
+    with pytest.raises(ValueError, match="integer indices"):
+        ConstraintSet([[True, True]], [[0, 1]])
+
+
+def test_valid_indices_reach_the_scatter_unchanged():
+    cs = ConstraintSet(np.array([[0, 1]], dtype=np.uint8), [[1, 2]])
+    assert cs.similar.dtype == int
+    view = ViewMatrix(1, np.arange(6.0).reshape(2, 3))
+    scatter = compute_scatter(view, cs)
+    assert np.array_equal(scatter.within, np.ones((2, 2)))
+    assert np.array_equal(scatter.between, np.ones((2, 2)))
 
 
 def test_cap_subsamples_deterministically():

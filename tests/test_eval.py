@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+import mvmetric.eval
 from mvmetric import (
     Hyperparams,
     MultiviewDataset,
@@ -217,14 +220,34 @@ def test_benchmark_baseline_matches_per_pair_loop():
         assert record["baseline_accuracy"] == correct / len(record["test_indices"])
 
 
-def test_thread_workers_match_sequential(monkeypatch):
+def test_trials_run_on_the_calling_thread_whatever_the_environment(monkeypatch):
     ds = generate_synthetic(2, 10, [3, 4], seed=10)
     hyper = Hyperparams(embed_dim=2)
     monkeypatch.delenv("MVMETRIC_THREADS", raising=False)
-    sequential = run_benchmark(ds, 12, 4, hyper, seed=5, include_baseline=True)
+    plain = run_benchmark(ds, 12, 4, hyper, seed=5, include_baseline=True)
+    threads = []
+
+    def recording_train(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(mvmetric.eval, "train", recording_train)
     monkeypatch.setenv("MVMETRIC_THREADS", "3")
-    threaded = run_benchmark(ds, 12, 4, hyper, seed=5, include_baseline=True)
-    assert sequential.to_dict() == threaded.to_dict()
+    report = run_benchmark(ds, 12, 4, hyper, seed=5, include_baseline=True)
+    assert threads == [threading.get_ident()] * 4
+    assert report.to_dict() == plain.to_dict()
+
+
+def test_k_is_checked_before_the_first_fit(monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("train must not run when k is invalid")
+
+    monkeypatch.setattr(mvmetric.eval, "train", no_fit)
+    ds = generate_synthetic(2, 10, [3, 4], seed=10)
+    with pytest.raises(ValueError, match=r"k must be in \[1, 12\], got 13"):
+        run_benchmark(ds, 12, 2, Hyperparams(embed_dim=2), k=13)
+    with pytest.raises(ValueError, match=r"k must be in \[1, 12\], got 0"):
+        run_benchmark(ds, 12, 2, Hyperparams(embed_dim=2), k=0)
 
 
 def test_benchmark_with_cap_and_larger_k():
