@@ -27,7 +27,6 @@ from .eval import (
 )
 from .metric import (
     check_metric_axioms,
-    distance_weights,
     metric_matrix,
     multiview_distance,
     view_distance,
@@ -61,7 +60,6 @@ __all__ = [
     "compute_scatter",
     "compute_view_gains",
     "derive_trial_seed",
-    "distance_weights",
     "generate_synthetic",
     "knn_classify",
     "load_dataset",

@@ -11,7 +11,7 @@ from ._format import FORMAT_VERSION
 from .constraints import build_constraints
 from .dataset import generate_synthetic, load_manifest, split, write_dataset
 from .eval import run_benchmark
-from .metric import WEIGHT_MODES, check_metric_axioms
+from .metric import check_metric_axioms
 from .model import Hyperparams, MultiviewMetricModel
 from .solver import TrainingError, train
 
@@ -107,7 +107,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "out": None,
         "csv": None,
         "baseline": None,
-        "distance_weights": "exponent",
         "k": 1,
         **_HYPER_DEFAULTS,
     }
@@ -115,8 +114,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _require(cfg, ["manifest", "train_count", "out"])
     if cfg["baseline"] not in (None, "euclidean"):
         raise ValueError(f"unsupported baseline: {cfg['baseline']!r}")
-    if cfg["distance_weights"] not in WEIGHT_MODES:
-        raise ValueError(f"distance-weights must be one of {WEIGHT_MODES}")
     hyper = _hyper_from_config(cfg)
     dataset = load_manifest(cfg["manifest"], standardize=cfg["standardize"])
     report = run_benchmark(
@@ -127,7 +124,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         seed=cfg["seed"],
         max_pairs_per_set=cfg["max_pairs_per_set"],
         include_baseline=cfg["baseline"] == "euclidean",
-        weight_mode=cfg["distance_weights"],
         k=cfg["k"],
     )
     report.config["cli"] = cfg
@@ -209,7 +205,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def _add_common_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=int, help="shared embedding dimension per view (default: min(10, smallest view dim))")
-    p.add_argument("--r", type=float, help="view weight exponent, must be > 1 (default 2)")
+    p.add_argument("--r", type=float, help="view weight exponent, finite and > 1 (default 2)")
     p.add_argument("--eta", type=float, help="cross-view coupling divisor, must be > 0 (default 1)")
     p.add_argument("--max-iters", dest="max_iters", type=int, help="maximum alternating iterations (default 50)")
     p.add_argument("--tol", type=float, help="stopping tolerance on the relative change of W_v W_v^T (default 1e-6)")
@@ -245,12 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output report JSON path")
     p.add_argument("--csv", help="also write a CSV summary table here")
     p.add_argument("--baseline", choices=["euclidean"], help="run the identity-metric baseline on identical splits")
-    p.add_argument(
-        "--distance-weights",
-        dest="distance_weights",
-        choices=list(WEIGHT_MODES),
-        help="per-view weighting of squared distances at test time (default exponent)",
-    )
     p.add_argument("--k", type=int, help="neighbors for classification (default 1)")
     p.add_argument("--config", help="JSON config file; flags override its values")
     _add_common_hyper_flags(p)

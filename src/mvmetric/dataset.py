@@ -60,9 +60,10 @@ class MultiviewDataset:
     """Aligned views plus one integer class label per sample.
 
     Views must agree on the sample count; at least two distinct labels are
-    required.  File-based ingestion additionally requires two or more views
-    (``load_dataset``); direct construction permits a single view so that the
-    degenerate single-view training path stays usable.
+    required, and float labels must be integral (``1.0`` loads as 1, ``0.5``
+    is an error).  File-based ingestion additionally requires two or more
+    views (``load_dataset``); direct construction permits a single view so
+    that the degenerate single-view training path stays usable.
     """
 
     views: tuple
@@ -79,7 +80,10 @@ class MultiviewDataset:
         for v in views:
             if v.n_samples != n:
                 raise ValueError("sample count mismatch across views")
-        labels = _frozen_array(self.labels, dtype=int)
+        values = np.asarray(self.labels)
+        if values.dtype.kind == "f" and not ((np.abs(values) < 2.0**63) & (values == np.trunc(values))).all():
+            raise ValueError("labels must be integers, got non-integral or out-of-range values")
+        labels = _frozen_array(values, dtype=int)
         if labels.ndim != 1 or labels.shape[0] != n:
             raise ValueError(f"label count {labels.shape} != sample count {n}")
         if np.unique(labels).size < 2:
@@ -189,14 +193,11 @@ def load_dataset(view_paths, labels_path, standardize: bool = False) -> Multivie
     return MultiviewDataset(tuple(views), labels)
 
 
-def write_dataset(
-    dataset: MultiviewDataset, out_dir, config: dict | None = None, names=None
-) -> Path:
+def write_dataset(dataset: MultiviewDataset, out_dir, config: dict | None = None) -> Path:
     """Write per-view CSVs, a labels file, and a JSON manifest; returns the manifest path.
 
     Floats are written with 17 significant digits so a reload reproduces the
-    arrays bit-exactly.  ``names`` optionally records one display name per
-    view in the manifest.
+    arrays bit-exactly.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -211,11 +212,6 @@ def write_dataset(
         "views": view_files,
         "labels": "labels.txt",
     }
-    if names is not None:
-        names = [str(n) for n in names]
-        if len(names) != dataset.m:
-            raise ValueError(f"expected {dataset.m} view names, got {len(names)}")
-        manifest["names"] = names
     if config is not None:
         manifest["config"] = config
     manifest_path = out / "manifest.json"

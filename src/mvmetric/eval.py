@@ -101,7 +101,6 @@ def knn_classify(
     train_labels,
     test_sample,
     k: int = 1,
-    weight_mode: str = "exponent",
 ) -> int:
     """Predict the majority label among the k nearest training samples."""
     train_labels = np.asarray(train_labels)
@@ -112,7 +111,7 @@ def knn_classify(
         raise ValueError(f"k must be in [1, {n_train}], got {k}")
     distances = np.array(
         [
-            multiview_distance(model, test_sample, [view[:, j] for view in train_views], weight_mode)
+            multiview_distance(model, test_sample, [view[:, j] for view in train_views])
             for j in range(n_train)
         ]
     )
@@ -135,7 +134,6 @@ def run_benchmark(
     seed: int = 0,
     max_pairs_per_set: int | None = None,
     include_baseline: bool = False,
-    weight_mode: str = "exponent",
     k: int = 1,
 ) -> EvalReport:
     """Repeated random-split 1NN benchmark of the learned metrics.
@@ -166,7 +164,7 @@ def run_benchmark(
         for i in sp.test_indices:
             xs = dataset.sample(int(i))
             truth = int(dataset.labels[i])
-            if knn_classify(model, train_views, train_labels, xs, k, weight_mode) == truth:
+            if knn_classify(model, train_views, train_labels, xs, k) == truth:
                 correct += 1
             if include_baseline and _euclidean_knn(train_views, train_labels, xs, k) == truth:
                 baseline_correct += 1
@@ -190,7 +188,6 @@ def run_benchmark(
         "trials": trials,
         "seed": seed,
         "k": k,
-        "weight_mode": weight_mode,
         "max_pairs_per_set": max_pairs_per_set,
         "include_baseline": include_baseline,
         "embed_dim": hyper.embed_dim,

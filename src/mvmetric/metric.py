@@ -6,7 +6,6 @@ import numpy as np
 
 from .model import MultiviewMetricModel
 
-WEIGHT_MODES = ("exponent", "linear", "uniform")
 TRIANGLE_SLACK = 1e-9
 # triples scored per array pass in check_metric_axioms; bounds its memory
 CHECK_BLOCK = 4096
@@ -16,17 +15,6 @@ def _projection(model: MultiviewMetricModel, view: int) -> np.ndarray:
     if not 1 <= view <= model.num_views:
         raise ValueError(f"view index {view} out of range 1..{model.num_views}")
     return model.projections[view - 1]
-
-
-def distance_weights(model: MultiviewMetricModel, weight_mode: str = "exponent") -> np.ndarray:
-    """Per-view weights applied to squared view distances when combining views."""
-    if weight_mode == "exponent":
-        return model.view_weights**model.hyper.weight_exponent
-    if weight_mode == "linear":
-        return np.array(model.view_weights, dtype=float)
-    if weight_mode == "uniform":
-        return np.ones(model.num_views)
-    raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}, got {weight_mode!r}")
 
 
 def metric_matrix(model: MultiviewMetricModel, view: int) -> np.ndarray:
@@ -57,16 +45,15 @@ def view_distance(model: MultiviewMetricModel, view: int, x, y) -> float:
     return float(np.sqrt(np.dot(z, z)))
 
 
-def multiview_distance(model: MultiviewMetricModel, xs, ys, weight_mode: str = "exponent") -> float:
-    """Weighted combination of per-view distances: sqrt(sum_v u_v * d_v^2).
+def multiview_distance(model: MultiviewMetricModel, xs, ys) -> float:
+    """Weighted combination of per-view distances: sqrt(sum_v a_v^r * d_v^2).
 
-    The default weights are the view weights raised to the training exponent,
-    matching how the objective scales each view; ``linear`` and ``uniform``
-    modes are available for comparison.
+    Each view's squared distance is scaled by its weight raised to the
+    training exponent, as the objective scales that view.
     """
     if len(xs) != model.num_views or len(ys) != model.num_views:
         raise ValueError(f"expected {model.num_views} per-view vectors")
-    weights = distance_weights(model, weight_mode)
+    weights = model.view_weights**model.hyper.weight_exponent
     total = 0.0
     for v in range(model.num_views):
         w = model.projections[v]
@@ -75,14 +62,6 @@ def multiview_distance(model: MultiviewMetricModel, xs, ys, weight_mode: str = "
         z = w.T @ (x - y)
         total += weights[v] * np.dot(z, z)
     return float(np.sqrt(total))
-
-
-def mahalanobis_distance(matrix, x, y) -> float:
-    """Diagnostic form sqrt((x-y).T A (x-y)) for an explicit PSD matrix A."""
-    matrix = np.asarray(matrix, dtype=float)
-    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    value = float(diff @ matrix @ diff)
-    return float(np.sqrt(max(value, 0.0)))
 
 
 def _row_norms(diff: np.ndarray) -> np.ndarray:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -23,8 +25,8 @@ class Hyperparams:
         Shared number of projection columns per view; ``None`` resolves to
         ``min(10, smallest view dimension)`` at training time.
     weight_exponent
-        Exponent r > 1 on the view weights; larger values push the learned
-        weights toward uniform.
+        Finite exponent r > 1 on the view weights; larger values push the
+        learned weights toward uniform.
     coupling_eta
         Divisor of the cross-view coupling term (coefficient 1/(2*eta));
         larger values weaken the coupling, ``inf`` disables it.
@@ -37,16 +39,16 @@ class Hyperparams:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.embed_dim is not None and self.embed_dim < 1:
+        if self.embed_dim is not None and operator.index(self.embed_dim) < 1:
             raise ValueError("d must be >= 1")
-        if not self.weight_exponent > 1.0:
-            raise ValueError("r must be > 1")
+        if not 1.0 < self.weight_exponent < math.inf:
+            raise ValueError("r must be > 1 and finite")
         if not self.coupling_eta > 0.0:
             raise ValueError("eta must be > 0")
-        if self.max_iters < 1:
+        if operator.index(self.max_iters) < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be > 0")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be > 0 and finite")
 
     def resolved(self, view_dims) -> "Hyperparams":
         """Copy with embed_dim pinned to a concrete, validated value."""

@@ -190,8 +190,11 @@ def _refine_blocks(Z, dims, blocks, max_sweeps=30, inner_iters=50):
 
 
 def _update_projections(Z, dims, d):
-    """W-step; returns the blocks, the padded views (1-based), the refine
-    sweeps run and the polar SVDs made (one per view, then the sweeps')."""
+    """W-step: each view's slice of the top-d eigenvectors of Z, projected to
+    its nearest column-orthonormal matrix (rank-deficient slices are padded
+    deterministically), then improved by monotone block-coordinate sweeps.
+    Returns the blocks, the padded views (1-based), the refine sweeps run and
+    the polar SVDs made (one per view, then the sweeps')."""
     atol = 1e-10 * max(1.0, float(np.abs(Z).max()))
     if np.abs(Z - Z.T).max() > atol:
         raise ValueError("Z must be symmetric")
@@ -207,16 +210,6 @@ def _update_projections(Z, dims, d):
             padded.append(v + 1)
     blocks, sweeps, svds = _refine_blocks(Z, dims, blocks)
     return blocks, padded, sweeps, len(dims) + svds
-
-
-def update_projections(Z: np.ndarray, dims, d: int):
-    """W-step: top-d eigenvectors of Z, split per view and re-orthonormalized.
-
-    Each per-view slice of the eigenvector matrix is projected to its nearest
-    column-orthonormal matrix (polar factor; rank-deficient slices are padded
-    deterministically), then improved by monotone block-coordinate sweeps.
-    """
-    return _update_projections(Z, list(dims), d)[0]
 
 
 def compute_view_gains(projections, scatters, crosses, hyper: Hyperparams) -> np.ndarray:
@@ -240,26 +233,16 @@ def compute_view_gains(projections, scatters, crosses, hyper: Hyperparams) -> np
     return gains
 
 
-def update_view_weights(
-    gains,
-    weight_exponent: float,
-    clamp_floor: float = GAIN_CLAMP_FLOOR,
-    inverse_gain: bool = False,
-) -> np.ndarray:
+def update_view_weights(gains, weight_exponent: float) -> np.ndarray:
     """Closed-form simplex weights from the view gains.
 
-    Default direction rewards gain: a_v is proportional to
-    ``g_v ** (1/(r-1))``, so higher-gain views get more weight, uniform gains
-    give exactly uniform weights, and r -> inf flattens toward 1/m.  This is
-    the interior stationary point of the weight subproblem
-    ``min sum_v a_v^r / g_v`` on the simplex.
+    a_v is proportional to ``g_v ** (1/(r-1))``, so higher-gain views get
+    more weight, uniform gains give exactly uniform weights, and r -> inf
+    flattens toward 1/m.  This is the interior stationary point of the
+    weight subproblem ``min sum_v a_v^r / g_v`` on the simplex.
 
-    ``inverse_gain=True`` applies the reciprocal form
-    ``a_v ~ (1/g_v) ** (1/(r-1))`` (the stationary point of the raw weighted
-    objective ``sum_v a_v^r g_v``), which instead favors low-gain views.
-
-    Gains are clamped below at ``clamp_floor`` before the power, since the
-    margin term can be negative.
+    Gains are clamped below at ``GAIN_CLAMP_FLOOR`` before the power, since
+    the margin term can be negative.
     """
     if not weight_exponent > 1.0:
         raise ValueError("r must be > 1")
@@ -268,16 +251,10 @@ def update_view_weights(
         raise ValueError("gains must be a nonempty vector")
     if not np.isfinite(gains).all():
         raise ValueError("gains are not finite")
-    clamped = np.maximum(gains, clamp_floor)
-    # normalize so the largest ratio is exactly 1: uniform gains then yield
-    # exactly 1/m and the power never overflows for moderate exponents
-    ratios = clamped / clamped.max() if not inverse_gain else clamped.min() / clamped
-    exponent = 1.0 / (weight_exponent - 1.0)
-    with np.errstate(over="ignore"):
-        raw = ratios**exponent
-    if not np.isfinite(raw).all():
-        log_ratios = np.log(ratios) * exponent
-        raw = np.exp(log_ratios - log_ratios.max())
+    clamped = np.maximum(gains, GAIN_CLAMP_FLOOR)
+    # ratios in (0, 1] with the largest exactly 1 and a finite positive power:
+    # no overflow, and uniform gains yield exactly 1/m
+    raw = (clamped / clamped.max()) ** (1.0 / (weight_exponent - 1.0))
     return raw / raw.sum()
 
 

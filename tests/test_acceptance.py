@@ -33,7 +33,7 @@ from mvmetric import (
     write_dataset,
 )
 from mvmetric.cli import main as cli_main
-from mvmetric.solver import stacked_objective, update_projections
+from mvmetric.solver import _update_projections, stacked_objective
 
 from test_scatter import naive_cross, naive_pair_scatter
 from test_solver import cross_for, objective_oracle, random_instance, random_orthonormal_blocks
@@ -130,7 +130,7 @@ def test_criterion_4_projection_step_optimality_bound():
         total = sum(dims)
         base = rng.standard_normal((total, total))
         Z = (base + base.T) / 2.0
-        ours = stacked_objective(Z, update_projections(Z, dims, d))
+        ours = stacked_objective(Z, _update_projections(Z, dims, d)[0])
         candidates = [np.linalg.qr(rng.standard_normal((10_000, dim, d)))[0] for dim in dims]
         best = max(
             stacked_objective(Z, [c[i] for c in candidates]) for i in range(10_000)
@@ -151,9 +151,7 @@ def test_criterion_5_weight_update_closed_form():
 
     The default update rewards gain: it is the interior stationary point of
     ``min sum_v a_v^r / g_v`` on the simplex, verified here by dense grid
-    search (m=2, step 1e-4).  The reciprocal variant (``inverse_gain=True``,
-    stationary point of the raw ``sum_v a_v^r g_v``) is verified against its
-    own grid oracle in the unit suite.
+    search (m=2, step 1e-4).
     """
     rng = np.random.default_rng(50)
     start = time.perf_counter()

@@ -142,21 +142,23 @@ def test_train_missing_labels_file(dataset_dir, tmp_path, capsys):
 
 
 def test_train_rejects_r_of_one(dataset_dir, tmp_path, capsys):
-    code = run_cli(
-        [
-            "train",
-            "--manifest",
-            str(dataset_dir / "manifest.json"),
-            "--train-count",
-            "12",
-            "--r",
-            "1.0",
-            "--out",
-            str(tmp_path / "m.json"),
-        ]
-    )
-    assert code == 2
-    assert "r must be > 1" in capsys.readouterr().err
+    for r, message in (("1.0", "r must be > 1"), ("inf", "r must be > 1 and finite")):
+        code = run_cli(
+            [
+                "train",
+                "--manifest",
+                str(dataset_dir / "manifest.json"),
+                "--train-count",
+                "12",
+                "--r",
+                r,
+                "--out",
+                str(tmp_path / "m.json"),
+            ]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
 
 def test_config_file_merging(dataset_dir, tmp_path):
@@ -199,6 +201,13 @@ def test_config_file_unknown_key(dataset_dir, tmp_path, capsys):
     )
     assert code == 2
     assert "unknown keys" in capsys.readouterr().err
+    # test-time distances have one weighting, a_v^r; there is no option to choose another
+    config.write_text(json.dumps({"train_count": 12, "distance_weights": "linear"}))
+    eval_argv = ["eval", "--manifest", str(dataset_dir / "manifest.json"), "--out", str(tmp_path / "r.json")]
+    assert run_cli([*eval_argv, "--config", str(config)]) == 2
+    assert "unknown keys ['distance_weights']" in capsys.readouterr().err
+    assert run_cli([*eval_argv, "--train-count", "12", "--distance-weights", "linear"]) == 2
+    assert "unrecognized arguments: --distance-weights" in capsys.readouterr().err
 
 
 def test_eval_report_and_repeatability(dataset_dir, tmp_path, capsys):

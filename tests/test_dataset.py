@@ -51,6 +51,15 @@ def test_load_dataset_single_class(tmp_path):
         load_dataset([tmp_path / "a.csv", tmp_path / "b.csv"], tmp_path / "labels.txt")
 
 
+@pytest.mark.parametrize("bad", [[0.5, 1.5, 1.0], [0.0, np.nan, 1.0], [0.0, np.inf, 1.0], [0.0, 1e20, 1.0]])
+def test_non_integral_labels_are_rejected(bad):
+    view = ViewMatrix(1, np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="non-integral"):
+        MultiviewDataset((view,), np.array(bad))
+    for labels in ([0, 1, 1], np.array([0, 1, 1], dtype=np.uint8), np.array([0.0, 1.0, 1.0])):
+        np.testing.assert_array_equal(MultiviewDataset((view,), labels).labels, [0, 1, 1])
+
+
 def test_load_dataset_non_numeric(tmp_path):
     (tmp_path / "a.csv").write_text("1.0,2.0\nx,3.0\n")
     _write_csv(tmp_path / "b.csv", [[1.0], [2.0]])
@@ -84,17 +93,6 @@ def test_manifest_carries_format_version(tmp_path):
     doc = json.loads(manifest.read_text())
     assert doc["format_version"] == "1"
     assert doc["config"] == {"seed": 1}
-
-
-def test_manifest_optional_view_names(tmp_path):
-    ds = generate_synthetic(2, 3, [2, 2], seed=1)
-    manifest = write_dataset(ds, tmp_path / "data", names=["text", "image"])
-    doc = json.loads(manifest.read_text())
-    assert doc["names"] == ["text", "image"]
-    reloaded = load_manifest(manifest)  # names are informational only
-    assert reloaded.m == 2
-    with pytest.raises(ValueError, match="view names"):
-        write_dataset(ds, tmp_path / "data2", names=["only-one"])
 
 
 def test_views_aligned_on_sample_count():

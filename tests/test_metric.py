@@ -11,7 +11,7 @@ from mvmetric import (
     multiview_distance,
     view_distance,
 )
-from mvmetric.metric import CHECK_BLOCK, TRIANGLE_SLACK, mahalanobis_distance
+from mvmetric.metric import CHECK_BLOCK, TRIANGLE_SLACK
 
 
 def make_model(projections, weights, r=2.0):
@@ -60,12 +60,6 @@ def test_view_distance_basics():
     assert view_distance(model, 1, x, np.zeros(2)) == 1.0
 
 
-def test_explicit_matrix_diagnostic():
-    assert mahalanobis_distance([[2.0, 0.0], [0.0, 1.0]], [1.0, 0.0], [0.0, 0.0]) == pytest.approx(
-        np.sqrt(2.0)
-    )
-
-
 def test_view_distance_validates_input():
     model = make_model([np.eye(2)], [1.0])
     with pytest.raises(ValueError, match="view index"):
@@ -81,19 +75,11 @@ def test_multiview_distance_weighted_combination():
     ys = [np.array([0.0]), np.array([0.0])]
     assert multiview_distance(model, xs, ys) == pytest.approx(2.5, abs=1e-12)
     assert multiview_distance(model, xs, xs) == 0.0
-
-
-def test_multiview_distance_weight_modes():
+    # unequal weights enter squared, as a_v^r with r = 2
     model = make_model([np.array([[1.0]]), np.array([[1.0]])], [0.25, 0.75], r=2.0)
-    xs = [np.array([1.0]), np.array([1.0])]
-    ys = [np.array([0.0]), np.array([0.0])]
-    assert multiview_distance(model, xs, ys, "exponent") == pytest.approx(
-        np.sqrt(0.25**2 + 0.75**2)
+    assert multiview_distance(model, xs, ys) == pytest.approx(
+        np.sqrt(0.25**2 * 9.0 + 0.75**2 * 16.0), abs=1e-12
     )
-    assert multiview_distance(model, xs, ys, "linear") == pytest.approx(1.0)
-    assert multiview_distance(model, xs, ys, "uniform") == pytest.approx(np.sqrt(2.0))
-    with pytest.raises(ValueError, match="weight_mode"):
-        multiview_distance(model, xs, ys, "bogus")
 
 
 def test_identical_views_factorize():

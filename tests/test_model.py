@@ -27,10 +27,18 @@ def test_hyperparams_validation():
         Hyperparams(coupling_eta=0.0)
     with pytest.raises(ValueError, match="max_iters"):
         Hyperparams(max_iters=0)
-    with pytest.raises(ValueError, match="tol"):
-        Hyperparams(tol=0.0)
+    for tol in (0.0, float("inf")):
+        with pytest.raises(ValueError, match="tol must be > 0 and finite"):
+            Hyperparams(tol=tol)
     with pytest.raises(ValueError, match="d must be"):
         Hyperparams(embed_dim=0)
+    with pytest.raises(ValueError, match="r must be > 1 and finite"):
+        Hyperparams(weight_exponent=float("inf"))
+    for bad in ({"embed_dim": 2.5}, {"max_iters": 2.5}):
+        with pytest.raises(TypeError, match="integer"):
+            Hyperparams(**bad)
+    assert Hyperparams(coupling_eta=float("inf")).coupling_eta == float("inf")
+    assert Hyperparams(embed_dim=np.int64(2), max_iters=np.int64(3)).max_iters == 3
 
 
 def test_hyperparams_default_dim_resolution():

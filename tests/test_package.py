@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import mvmetric
 
 REMOVED = (
@@ -6,6 +9,7 @@ REMOVED = (
     "stacked_objective",
     "update_projections",
     "mahalanobis_distance",
+    "distance_weights",
 )
 
 
@@ -19,3 +23,12 @@ def test_test_only_helpers_are_not_exported():
     for name in REMOVED:
         assert name not in mvmetric.__all__
         assert not hasattr(mvmetric, name)
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    weights, accuracies = capsys.readouterr().out.splitlines()
+    assert weights.startswith("[") and len(accuracies.split()) == 2
