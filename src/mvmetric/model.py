@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -142,13 +143,14 @@ class MultiviewMetricModel:
     @classmethod
     def from_dict(cls, doc: dict) -> "MultiviewMetricModel":
         try:
-            hyper = Hyperparams(
-                embed_dim=int(doc["embed_dim"]),
-                weight_exponent=float(doc["weight_exponent"]),
-                coupling_eta=float(doc["coupling_eta"]),
-                max_iters=int(doc.get("max_iters", 50)),
-                tol=float(doc.get("tol", 1e-6)),
-            )
+            # the JSON values go to Hyperparams as they are, so its checks see
+            # them: 2.5 or "7" is no max_iters, and true is no eta
+            values = {key: doc[key] for key in ("embed_dim", "weight_exponent", "coupling_eta")}
+            values.update((key, doc[key]) for key in ("max_iters", "tol") if key in doc)
+            for key, value in values.items():
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise TypeError(f"{key} must be a number, got {value!r}")
+            hyper = Hyperparams(**values)
             projections = [np.asarray(w, dtype=float) for w in doc["projections"]]
             weights = np.asarray(doc["view_weights"], dtype=float)
             trace = tuple(doc.get("trace", ()))

@@ -17,12 +17,14 @@ closed-form simplex update driven by each view's marginal gain.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .constraints import ConstraintSet
 from .dataset import MultiviewDataset, SplitSpec, ViewMatrix
 from .model import Hyperparams, MultiviewMetricModel
-from .scatter import CrossCorrelation, ScatterPair, compute_cross, compute_scatter
+from .scatter import compute_cross, compute_scatter
 
 GAIN_CLAMP_FLOOR = 1e-8
 
@@ -129,11 +131,11 @@ def _orthonormal_polar(block: np.ndarray):
     column count and deficient directions were completed deterministically.
     """
     U, s, Vh = np.linalg.svd(block, full_matrices=False)
-    cutoff = 1e-10 * max(1.0, float(s[0]) if s.size else 0.0)
-    deficient = s <= cutoff
-    padded = bool(deficient.any())
+    cutoff = 1e-10 * max(1.0, float(s[0]))
+    # singular values come in descending order, so the last is the smallest
+    padded = bool(s[-1] <= cutoff)
     if padded:
-        U = _fill_deficient_columns(U, deficient)
+        U = _fill_deficient_columns(U, s <= cutoff)
     return U @ Vh, padded
 
 
@@ -160,7 +162,7 @@ def _refine_blocks(Z, dims, blocks, max_sweeps=30, inner_iters=50):
     offsets = _block_offsets(dims)
     m = len(dims)
     diag = [Z[offsets[v]:offsets[v + 1], offsets[v]:offsets[v + 1]] for v in range(m)]
-    shifts = [max(0.0, -float(np.linalg.eigvalsh(a).min())) for a in diag]
+    shifted = [a + max(0.0, -float(np.linalg.eigvalsh(a).min())) * np.eye(len(a)) for a in diag]
     blocks = [b.copy() for b in blocks]
     obj = stacked_objective(Z, blocks)
     sweeps = svds = 0
@@ -171,15 +173,15 @@ def _refine_blocks(Z, dims, blocks, max_sweeps=30, inner_iters=50):
             for w in range(m):
                 if w != v:
                     coupling += Z[lo:hi, offsets[w]:offsets[w + 1]] @ blocks[w]
-            shifted = diag[v] + shifts[v] * np.eye(dims[v])
             current = blocks[v]
             for _ in range(inner_iters):
-                updated, _ = _orthonormal_polar(shifted @ current + coupling)
+                updated, _ = _orthonormal_polar(shifted[v] @ current + coupling)
                 svds += 1
-                if np.linalg.norm(updated - current) <= 1e-12:
-                    current = updated
-                    break
+                # the Frobenius norm of the step, as np.linalg.norm computes it
+                step = (updated - current).ravel(order="K")
                 current = updated
+                if math.sqrt(step.dot(step)) <= 1e-12:
+                    break
             blocks[v] = current
         new_obj = stacked_objective(Z, blocks)
         if new_obj - obj <= 1e-12 * (1.0 + abs(obj)):

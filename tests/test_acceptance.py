@@ -36,7 +36,7 @@ from mvmetric.cli import main as cli_main
 from mvmetric.solver import _update_projections, stacked_objective
 
 from test_scatter import naive_cross, naive_pair_scatter
-from test_solver import cross_for, objective_oracle, random_instance, random_orthonormal_blocks
+from test_solver import objective_oracle, random_instance, random_orthonormal_blocks
 
 
 def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:

@@ -58,8 +58,13 @@ def test_save_load_roundtrip_is_exact(tmp_path):
         assert np.array_equal(a, b)
     assert np.array_equal(model.view_weights, loaded.view_weights)
     assert model.hyper == loaded.hyper
+    hyper_types = [type(getattr(loaded.hyper, f)) for f in Hyperparams.__dataclass_fields__]
+    assert hyper_types == [int, float, float, int, float]
     assert model.trace == loaded.trace
     assert loaded.stop_reason == model.stop_reason == "tol"
+    doc = model.to_dict()
+    del doc["max_iters"], doc["tol"]
+    assert MultiviewMetricModel.from_dict(doc).hyper == Hyperparams(embed_dim=2)
 
 
 def test_model_document_fields(tmp_path):
@@ -116,6 +121,30 @@ def test_load_rejects_bad_documents(tmp_path):
         MultiviewMetricModel.load(path)
     with pytest.raises(FileNotFoundError):
         MultiviewMetricModel.load(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("max_iters", 2.5),
+        ("embed_dim", 2.9),
+        ("max_iters", "7"),
+        ("embed_dim", "2"),
+        ("weight_exponent", "2.0"),
+        ("tol", "1e-6"),
+        ("coupling_eta", True),
+        ("tol", True),
+        ("max_iters", True),
+        ("embed_dim", None),
+    ],
+)
+def test_load_passes_hyperparameters_to_validation_unconverted(tmp_path, key, value):
+    doc = _trained_model().to_dict()
+    doc[key] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="invalid model document"):
+        MultiviewMetricModel.load(path)
 
 
 def test_load_rejects_corrupted_projection(tmp_path):

@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -32,3 +33,34 @@ def test_readme_library_example_runs(capsys):
     exec(compile(blocks[0], "README.md", "exec"), {})
     weights, accuracies = capsys.readouterr().out.splitlines()
     assert weights.startswith("[") and len(accuracies.split()) == 2
+
+
+def _unused_imports(path):
+    """Names a module imports but never loads; re-exports in ``__all__`` count as used."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    loaded = {
+        node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in loaded | exported)
+
+
+def test_no_unused_imports():
+    package = Path(mvmetric.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) > 1
+    unused = {path.name: found for path in modules if (found := _unused_imports(path))}
+    assert unused == {}

@@ -18,7 +18,14 @@ from mvmetric import (
     train,
     update_view_weights,
 )
-from mvmetric.solver import _update_projections, stacked_objective, top_eigenpairs
+from mvmetric import solver
+from mvmetric.solver import (
+    _block_offsets,
+    _fill_deficient_columns,
+    _update_projections,
+    stacked_objective,
+    top_eigenpairs,
+)
 
 
 def random_instance(rng, dims, n_samples=8):
@@ -175,7 +182,7 @@ def test_update_projections_pads_rank_deficient_blocks():
 
 
 def test_refinement_never_hurts_the_polar_initializer():
-    from mvmetric.solver import _block_offsets, _orthonormal_polar
+    from mvmetric.solver import _orthonormal_polar
 
     rng = np.random.default_rng(14)
     for _ in range(25):
@@ -201,6 +208,90 @@ def test_orthonormality_invariant_on_random_instances():
         Z = (base + base.T) / 2.0
         for block in _update_projections(Z, dims, d)[0]:
             assert np.linalg.norm(block.T @ block - np.eye(d)) <= 1e-8
+
+
+def _reference_orthonormal_polar(block):
+    """The polar projection as first written, kept to pin the solver's bits."""
+    U, s, Vh = np.linalg.svd(block, full_matrices=False)
+    cutoff = 1e-10 * max(1.0, float(s[0]) if s.size else 0.0)
+    deficient = s <= cutoff
+    padded = bool(deficient.any())
+    if padded:
+        U = _fill_deficient_columns(U, deficient)
+    return U @ Vh, padded
+
+
+def _reference_refine_blocks(Z, dims, blocks, max_sweeps=30, inner_iters=50):
+    """The refine sweeps as first written, kept to pin the solver's bits."""
+    offsets = _block_offsets(dims)
+    m = len(dims)
+    diag = [Z[offsets[v]:offsets[v + 1], offsets[v]:offsets[v + 1]] for v in range(m)]
+    shifts = [max(0.0, -float(np.linalg.eigvalsh(a).min())) for a in diag]
+    blocks = [b.copy() for b in blocks]
+    obj = stacked_objective(Z, blocks)
+    sweeps = svds = 0
+    for sweeps in range(1, max_sweeps + 1):
+        for v in range(m):
+            lo, hi = offsets[v], offsets[v + 1]
+            coupling = np.zeros_like(blocks[v])
+            for w in range(m):
+                if w != v:
+                    coupling += Z[lo:hi, offsets[w]:offsets[w + 1]] @ blocks[w]
+            shifted = diag[v] + shifts[v] * np.eye(dims[v])
+            current = blocks[v]
+            for _ in range(inner_iters):
+                updated, _ = _reference_orthonormal_polar(shifted @ current + coupling)
+                svds += 1
+                if np.linalg.norm(updated - current) <= 1e-12:
+                    current = updated
+                    break
+                current = updated
+            blocks[v] = current
+        new_obj = stacked_objective(Z, blocks)
+        if new_obj - obj <= 1e-12 * (1.0 + abs(obj)):
+            obj = new_obj
+            break
+        obj = new_obj
+    return blocks, sweeps, svds
+
+
+def _refine_cases():
+    rng = np.random.default_rng(17)
+    for _ in range(25):
+        dims = [int(rng.integers(2, 9)) for _ in range(int(rng.integers(2, 5)))]
+        d = int(rng.integers(1, min(dims) + 1))
+        base = rng.standard_normal((sum(dims), sum(dims)))
+        yield (base + base.T) / 2.0, dims, d, False
+    yield np.zeros((7, 7)), [3, 4], 2, True
+    # view 1 is uncoupled and its margin is -u u^T: the shifted block has rank
+    # 2, so with d = 3 every step of that view pads a column
+    u = rng.standard_normal(3)
+    base = rng.standard_normal((4, 4))
+    Z = np.zeros((7, 7))
+    Z[:3, :3] = -np.outer(u, u)
+    Z[3:, 3:] = (base + base.T) / 2.0
+    yield Z, [3, 4], 3, True
+
+
+def test_refine_sweeps_are_bit_identical_to_the_reference_loop(monkeypatch):
+    fills = []
+    fill = solver._fill_deficient_columns
+
+    def counted(*args):
+        fills.append(1)
+        return fill(*args)
+
+    monkeypatch.setattr(solver, "_fill_deficient_columns", counted)
+    for Z, dims, d, pads in _refine_cases():
+        _, vecs = top_eigenpairs(Z, d)
+        offsets = _block_offsets(dims)
+        start = [_reference_orthonormal_polar(vecs[lo:hi])[0] for lo, hi in zip(offsets, offsets[1:])]
+        fills.clear()
+        blocks, sweeps, svds = solver._refine_blocks(Z, dims, start)
+        ref_blocks, ref_sweeps, ref_svds = _reference_refine_blocks(Z, dims, start)
+        assert all(np.array_equal(b, ref) for b, ref in zip(blocks, ref_blocks))
+        assert (sweeps, svds) == (ref_sweeps, ref_svds)
+        assert bool(fills) == pads
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +633,7 @@ def test_wide_view_can_use_directions_outside_its_training_span():
     np.testing.assert_allclose(model.trace[-1]["objective"], best, rtol=1e-9)
 
 
-def test_rank_deficient_wide_view_matches_the_full_space_solve():
+def _rank_deficient_wide_view_fit_inputs():
     rng = np.random.default_rng(15)
     labels = np.array([0, 1] * 6)
     # view 1: 30 features, but the columns of a class are duplicates and the
@@ -553,7 +644,11 @@ def test_rank_deficient_wide_view_matches_the_full_space_solve():
     ds = _dataset_from_views([wide, narrow], labels)
     sp = SplitSpec(np.arange(8), np.arange(8, 12), seed=0)
     cs = build_constraints(labels[:8])
-    hyper = Hyperparams(embed_dim=2)
+    return ds, sp, cs, Hyperparams(embed_dim=2)
+
+
+def test_rank_deficient_wide_view_matches_the_full_space_solve():
+    ds, sp, cs, hyper = _rank_deficient_wide_view_fit_inputs()
     model = train(ds, sp, cs, hyper)
     assert [w.shape for w in model.projections] == [(30, 2), (6, 2)]
     for w in model.projections:
@@ -566,6 +661,7 @@ def test_trace_counts_refine_sweeps_and_polar_svds(monkeypatch):
     ds = generate_synthetic(2, 10, [25, 6], seed=8)
     sp = split(ds, 12, seed=9)
     cs = build_constraints(ds.labels[sp.train_indices])
+    fits = [(ds, sp, cs, Hyperparams(embed_dim=3)), _rank_deficient_wide_view_fit_inputs()]
     calls = []
     svd = np.linalg.svd
 
@@ -574,12 +670,17 @@ def test_trace_counts_refine_sweeps_and_polar_svds(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    model = train(ds, sp, cs, Hyperparams(embed_dim=3))
-    for entry in model.trace:
-        assert 1 <= entry["refine_sweeps"] <= 30
-        # one polar projection per view, then at least one per view and sweep
-        assert entry["polar_svds"] >= 2 + 2 * entry["refine_sweeps"]
-    assert sum(e["polar_svds"] for e in model.trace) == len(calls)
+    for fit in fits:
+        calls.clear()
+        model = train(*fit)
+        for entry in model.trace:
+            assert 1 <= entry["refine_sweeps"] <= 30
+            # one polar projection per view, then at least one per view and sweep
+            assert entry["polar_svds"] >= 2 + 2 * entry["refine_sweeps"]
+        # a padded step completes the columns of its own SVD and makes no other
+        assert sum(e["polar_svds"] for e in model.trace) == len(calls)
+    # the last fit counted pads view 1 in every iteration
+    assert all(e["padded_views"] == [1] for e in model.trace)
 
 
 def test_stop_reason_names_what_ended_training():
