@@ -27,8 +27,32 @@ def _parse_int_list(text: str, what: str) -> list:
         raise ValueError(f"malformed {what} list: {text!r}") from exc
 
 
+def _config_value(action: argparse.Action, value):
+    """A config-file value as its flag would parse it, or ``TypeError``.
+
+    The flag's action fixes the type: an integer for ``type=int``, a number
+    for ``type=float`` (a bool is neither), a bool for
+    ``BooleanOptionalAction`` and a string otherwise.  ``null`` keeps the
+    default.
+    """
+    if value is None:
+        return None
+    if isinstance(action, argparse.BooleanOptionalAction):
+        expected, ok = "true or false", isinstance(value, bool)
+    elif action.type is int:
+        expected, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
+    elif action.type is float:
+        expected, ok = "a number", isinstance(value, (int, float)) and not isinstance(value, bool)
+    else:
+        expected, ok = "a string", isinstance(value, str)
+    if not ok:
+        raise TypeError(f"must be {expected}, got {json.dumps(value)}")
+    return action.type(value) if action.type in (int, float) else value
+
+
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags; unknown config keys are errors."""
+    """defaults < config file < explicit flags; unknown config keys and
+    values of the wrong type are errors."""
     merged = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path:
@@ -41,7 +65,14 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = set(loaded) - set(defaults)
         if unknown:
             raise ValueError(f"config file {path}: unknown keys {sorted(unknown)}")
-        merged.update(loaded)
+        actions = {action.dest: action for action in args.parser._actions}
+        for key, value in loaded.items():
+            try:
+                value = _config_value(actions[key], value)
+            except TypeError as exc:
+                raise ValueError(f"config file {path}: {key} {exc}") from exc
+            if value is not None:
+                merged[key] = value
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
@@ -231,9 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output model JSON path")
     p.add_argument("--config", help="JSON config file; flags override its values")
     _add_common_hyper_flags(p)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, parser=p)
 
-    p = sub.add_parser("eval", help="repeated-split 1NN benchmark; writes a report file")
+    p = sub.add_parser("eval", help="repeated-split kNN benchmark (k=1 by default); writes a report file")
     p.add_argument("--manifest", help="dataset manifest JSON")
     p.add_argument("--train-count", dest="train_count", type=int, help="training samples per trial")
     p.add_argument("--trials", type=int, help="number of random-split trials (default 10)")
@@ -244,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="neighbors for classification (default 1)")
     p.add_argument("--config", help="JSON config file; flags override its values")
     _add_common_hyper_flags(p)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, parser=p)
 
     p = sub.add_parser("generate", help="write a synthetic multiview dataset (CSVs + labels + manifest)")
     p.add_argument("--classes", type=int, help="number of classes (>= 2)")
@@ -255,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--separation", type=float, help="minimum class-mean separation (default 4)")
     p.add_argument("--out", help="output directory")
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func=cmd_generate, parser=p)
 
     p = sub.add_parser("check", help="verify metric axioms of a saved model against a dataset")
     p.add_argument("--model", help="model JSON path")
@@ -269,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="z-score features per view at load time (default off)",
     )
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=cmd_check, parser=p)
 
     return parser
 

@@ -11,7 +11,7 @@ import numpy as np
 from ._format import FORMAT_VERSION
 from .constraints import build_constraints
 from .dataset import MultiviewDataset, split
-from .metric import multiview_distance
+from .metric import _check_vector, _weighted_distance
 from .model import Hyperparams, MultiviewMetricModel
 from .solver import train
 
@@ -21,7 +21,7 @@ THREADS_ENV_VAR = "MVMETRIC_THREADS"
 
 @dataclass
 class EvalReport:
-    """Per-trial and aggregate 1NN accuracies with full reproduction provenance."""
+    """Per-trial and aggregate kNN accuracies with full reproduction provenance."""
 
     per_trial_accuracy: list
     mean_accuracy: float
@@ -102,18 +102,37 @@ def knn_classify(
     test_sample,
     k: int = 1,
 ) -> int:
-    """Predict the majority label among the k nearest training samples."""
+    """Predict the majority label among the k nearest training samples.
+
+    The inputs are checked once per call: one test vector and one
+    ``(D_v, n_train)`` training view per model view, all finite.  Each
+    training column is then scored with the arithmetic of
+    ``multiview_distance``, so the distances are bit-identical to it.
+    """
     train_labels = np.asarray(train_labels)
     n_train = train_labels.shape[0]
     if n_train == 0:
         raise ValueError("empty training set")
     if not 1 <= k <= n_train:
         raise ValueError(f"k must be in [1, {n_train}], got {k}")
+    if len(test_sample) != model.num_views or len(train_views) != model.num_views:
+        raise ValueError(f"expected {model.num_views} test vectors and training views")
+    xs = []
+    columns = []
+    for v, (w, x, view) in enumerate(zip(model.projections, test_sample, train_views), 1):
+        xs.append(_check_vector(x, w.shape[0], f"view {v} test sample"))
+        view = np.asarray(view, dtype=float)
+        if view.shape != (w.shape[0], n_train):
+            raise ValueError(
+                f"view {v} training data: expected shape {(w.shape[0], n_train)}, got {view.shape}"
+            )
+        if not np.isfinite(view).all():
+            raise ValueError(f"view {v} training data: non-finite entries")
+        # row j of view.T is training column j, the same vector as view[:, j]
+        columns.append(view.T)
+    powered = model.view_weights**model.hyper.weight_exponent
     distances = np.array(
-        [
-            multiview_distance(model, test_sample, [view[:, j] for view in train_views])
-            for j in range(n_train)
-        ]
+        [_weighted_distance(model.projections, powered, xs, ys) for ys in zip(*columns)]
     )
     return _knn_predict(distances, train_labels, k)
 
@@ -136,7 +155,7 @@ def run_benchmark(
     include_baseline: bool = False,
     k: int = 1,
 ) -> EvalReport:
-    """Repeated random-split 1NN benchmark of the learned metrics.
+    """Repeated random-split kNN benchmark of the learned metrics, with ``k`` neighbours.
 
     Each trial derives its own split and constraint seeds from the master
     seed, trains a model on the train half, and classifies the test half.

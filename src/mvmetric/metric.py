@@ -53,14 +53,25 @@ def multiview_distance(model: MultiviewMetricModel, xs, ys) -> float:
     """
     if len(xs) != model.num_views or len(ys) != model.num_views:
         raise ValueError(f"expected {model.num_views} per-view vectors")
-    weights = model.view_weights**model.hyper.weight_exponent
+    checked = [
+        (_check_vector(x, w.shape[0], f"view {v} x"), _check_vector(y, w.shape[0], f"view {v} y"))
+        for v, (w, x, y) in enumerate(zip(model.projections, xs, ys), 1)
+    ]
+    powered = model.view_weights**model.hyper.weight_exponent
+    return _weighted_distance(model.projections, powered, *zip(*checked))
+
+
+def _weighted_distance(projections, powered, xs, ys) -> float:
+    """sqrt(sum_v powered[v] * ||W_v.T (x_v - y_v)||^2) over checked float vectors.
+
+    The one copy of the distance arithmetic: ``multiview_distance`` and
+    ``knn_classify`` both score with it, so their distances agree bit for
+    bit.  The views are summed in order, starting from 0.0.
+    """
     total = 0.0
-    for v in range(model.num_views):
-        w = model.projections[v]
-        x = _check_vector(xs[v], w.shape[0], f"view {v + 1} x")
-        y = _check_vector(ys[v], w.shape[0], f"view {v + 1} y")
+    for w, u, x, y in zip(projections, powered, xs, ys):
         z = w.T @ (x - y)
-        total += weights[v] * np.dot(z, z)
+        total += u * np.dot(z, z)
     return float(np.sqrt(total))
 
 

@@ -60,6 +60,19 @@ class Hyperparams:
         return replace(self, embed_dim=d)
 
 
+def _numbers(value, what: str) -> np.ndarray:
+    """Nested lists of JSON numbers as a float array.
+
+    A string, boolean or null entry raises ``TypeError`` instead of being
+    converted: ``"0.5"`` or ``true`` is no weight.
+    """
+    entries = np.array(value, dtype=object)
+    for kind in set(map(type, entries.flat)):
+        if issubclass(kind, bool) or not issubclass(kind, numbers.Real):
+            raise TypeError(f"{what} entries must be numbers, got {kind.__name__}")
+    return entries.astype(float)
+
+
 @dataclass(frozen=True)
 class MultiviewMetricModel:
     """Learned projections W_v (columns orthonormal) and simplex view weights.
@@ -97,8 +110,9 @@ class MultiviewMetricModel:
         weights = np.array(self.view_weights, dtype=float)
         if weights.shape != (len(projections),):
             raise ValueError("one view weight per projection is required")
-        if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > SIMPLEX_TOL:
-            raise ValueError("view weights must be nonnegative and sum to 1")
+        # NaN fails every comparison, so it must be rejected by name
+        if not np.isfinite(weights).all() or np.any(weights < 0.0) or abs(weights.sum() - 1.0) > SIMPLEX_TOL:
+            raise ValueError("view weights must be finite, nonnegative and sum to 1")
         weights.setflags(write=False)
         if self.stop_reason not in STOP_REASONS:
             raise ValueError(f"stop_reason must be one of {STOP_REASONS}, got {self.stop_reason!r}")
@@ -151,13 +165,15 @@ class MultiviewMetricModel:
                 if isinstance(value, bool) or not isinstance(value, numbers.Real):
                     raise TypeError(f"{key} must be a number, got {value!r}")
             hyper = Hyperparams(**values)
-            projections = [np.asarray(w, dtype=float) for w in doc["projections"]]
-            weights = np.asarray(doc["view_weights"], dtype=float)
-            trace = tuple(doc.get("trace", ()))
+            projections = [_numbers(w, "projection") for w in doc["projections"]]
+            weights = _numbers(doc["view_weights"], "view_weights")
+            trace = doc.get("trace", [])
+            if not isinstance(trace, list) or not all(isinstance(entry, dict) for entry in trace):
+                raise TypeError(f"trace must be a list of objects, got {trace!r:.40}")
             stop_reason = doc.get("stop_reason")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"invalid model document: {exc}") from exc
-        return cls(tuple(projections), weights, hyper, trace, stop_reason)
+        return cls(tuple(projections), weights, hyper, tuple(trace), stop_reason)
 
     @classmethod
     def load(cls, path) -> "MultiviewMetricModel":

@@ -34,7 +34,9 @@ class CrossCorrelation:
 
 
 def _pair_scatter(data: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    diffs = data[:, pairs[:, 0]] - data[:, pairs[:, 1]]
+    # subtract in place: one pairs x D temporary fewer, the same differences
+    diffs = data[:, pairs[:, 0]]
+    diffs -= data[:, pairs[:, 1]]
     scatter = (diffs @ diffs.T) / pairs.shape[0]
     # scrub floating-point asymmetry; (a+b)/2 == (b+a)/2 so this is exactly symmetric
     return (scatter + scatter.T) / 2.0

@@ -210,6 +210,38 @@ def test_config_file_unknown_key(dataset_dir, tmp_path, capsys):
     assert "unrecognized arguments: --distance-weights" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("train", {"standardize": "false"}, "standardize must be true or false, got \"false\""),
+        ("eval", {"trials": True}, "trials must be an integer, got true"),
+        ("eval", {"k": 1.0}, "k must be an integer, got 1.0"),
+        ("train", {"r": "2"}, "r must be a number, got \"2\""),
+        ("train", {"eta": False}, "eta must be a number, got false"),
+        ("train", {"seed": [3]}, "seed must be an integer, got [3]"),
+        ("check", {"out": 7}, "out must be a string, got 7"),
+        ("generate", {"view_dims": [4, 6]}, "view_dims must be a string, got [4, 6]"),
+    ],
+)
+def test_config_values_must_have_their_flag_type(tmp_path, capsys, command, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert run_cli([command, "--config", str(path)]) == 2
+    assert f"config file {path}: {message}" in capsys.readouterr().err
+
+
+def test_config_file_values_parse_like_their_flags(dataset_dir, tmp_path):
+    # null keeps the default, false is the default, and an integer r becomes
+    # the float the flag parses: the model file is the one the flags alone write
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"train_count": 12, "d": None, "r": 2, "standardize": False}))
+    argv = ["train", "--manifest", str(dataset_dir / "manifest.json")]
+    assert run_cli([*argv, "--config", str(config), "--out", str(tmp_path / "a.json")]) == 0
+    assert run_cli([*argv, "--train-count", "12", "--r", "2", "--out", str(tmp_path / "b.json")]) == 0
+    a, b = ((tmp_path / name).read_text() for name in ("a.json", "b.json"))
+    assert a.replace("a.json", "b.json") == b
+
+
 def test_eval_report_and_repeatability(dataset_dir, tmp_path, capsys):
     report_path = tmp_path / "report.json"
     argv = [

@@ -7,6 +7,7 @@ import mvmetric.eval
 from mvmetric import (
     Hyperparams,
     MultiviewDataset,
+    MultiviewMetricModel,
     SplitSpec,
     ViewMatrix,
     build_constraints,
@@ -75,6 +76,89 @@ def test_knn_matches_brute_force_oracle():
             if d < best_d:
                 best_j, best_d = j, d
         assert knn_classify(model, train_views, train_labels, x, k=1) == train_labels[best_j]
+
+
+def reference_distance(model, xs, ys):
+    """The per-pair loop of ``multiview_distance`` before ``knn_classify`` shared its arithmetic."""
+    weights = model.view_weights**model.hyper.weight_exponent
+    total = 0.0
+    for v in range(model.num_views):
+        z = model.projections[v].T @ (np.asarray(xs[v], dtype=float) - np.asarray(ys[v], dtype=float))
+        total += weights[v] * np.dot(z, z)
+    return float(np.sqrt(total))
+
+
+def _random_model(rng, dims, d):
+    projections = tuple(np.linalg.qr(rng.standard_normal((dim, d)))[0] for dim in dims)
+    weights = rng.dirichlet(np.ones(len(dims)))
+    weights /= weights.sum()
+    hyper = Hyperparams(embed_dim=d, weight_exponent=rng.uniform(1.5, 4.0))
+    return MultiviewMetricModel(projections, weights, hyper)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("k", [1, 3])
+def test_knn_scores_exactly_the_per_pair_distances(monkeypatch, seed, k):
+    # 2-4 views; the first is narrow (W_v square), the others wider than d, so
+    # their metrics are rank-deficient; the training data has rank 2 per view
+    # and repeats a column, so distances tie and vanish
+    rng = np.random.default_rng(40 + seed)
+    d = int(rng.integers(2, 4))
+    dims = [d, *(int(dim) for dim in rng.integers(d + 1, 12, size=int(rng.integers(1, 4))))]
+    model = _random_model(rng, dims, d)
+    n_train = 15
+    train_views = [rng.standard_normal((dim, 2)) @ rng.standard_normal((2, n_train)) + 5.0 for dim in dims]
+    for view in train_views:
+        view[:, 7] = view[:, 3]
+    train_labels = rng.integers(0, 3, size=n_train)
+    seen = []
+
+    def recording(distances, labels, k):
+        seen.append(distances)
+        return _knn_predict(distances, labels, k)
+
+    monkeypatch.setattr(mvmetric.eval, "_knn_predict", recording)
+    tests = [[rng.standard_normal(dim) * 3.0 + 5.0 for dim in dims] for _ in range(12)]
+    tests.append([view[:, 3].copy() for view in train_views])
+    for x in tests:
+        predicted = knn_classify(model, train_views, train_labels, x, k)
+        columns = [[view[:, j] for view in train_views] for j in range(n_train)]
+        expected = np.array([reference_distance(model, x, ys) for ys in columns])
+        assert np.array_equal(seen[-1], expected)
+        assert np.array_equal([multiview_distance(model, x, ys) for ys in columns], expected)
+        assert predicted == _knn_predict(expected, train_labels, k)
+    assert np.count_nonzero(seen[-1] == 0.0) == 2
+
+
+def test_knn_rejects_malformed_input_before_scoring(monkeypatch):
+    def no_distance(*args):
+        raise AssertionError("no distance may be scored for malformed input")
+
+    rng = np.random.default_rng(50)
+    model = _random_model(rng, [3, 5], 2)
+    train_views = [rng.standard_normal((3, 6)), rng.standard_normal((5, 6))]
+    train_labels = np.array([0, 1, 0, 1, 0, 1])
+    x = [rng.standard_normal(3), rng.standard_normal(5)]
+    nan_train = train_views[1].copy()
+    nan_train[2, 5] = np.nan
+    inf_test = x[1].copy()
+    inf_test[4] = np.inf
+    cases = [
+        (x[:1], train_views, "expected 2 test vectors and training views"),
+        (x, train_views[:1], "expected 2 test vectors and training views"),
+        (x, [*train_views, train_views[0]], "expected 2 test vectors and training views"),
+        ([x[0], x[1][:4]], train_views, r"view 2 test sample: expected shape \(5,\)"),
+        (x, [train_views[0][:2], train_views[1]], r"view 1 training data: expected shape \(3, 6\), got \(2,"),
+        (x, [train_views[0], train_views[1][:, :5]], r"expected shape \(5, 6\), got \(5, 5\)"),
+        (x, [np.hstack([train_views[0], train_views[0][:, :1]]), train_views[1]], r"got \(3, 7\)"),
+        (x, [train_views[0], train_views[1][:, 0]], r"got \(5,\)"),
+        (x, [train_views[0], nan_train], "view 2 training data: non-finite entries"),
+        ([x[0], inf_test], train_views, "view 2 test sample: non-finite entries"),
+    ]
+    monkeypatch.setattr(mvmetric.eval, "_weighted_distance", no_distance)
+    for test_sample, views, message in cases:
+        with pytest.raises(ValueError, match=message):
+            knn_classify(model, views, train_labels, test_sample, k=1)
 
 
 def test_knn_vote_and_tie_breaking():

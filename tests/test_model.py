@@ -106,6 +106,8 @@ def test_model_validates_weights():
         MultiviewMetricModel((w,), np.array([0.5]), Hyperparams(embed_dim=2))
     with pytest.raises(ValueError, match="one view weight"):
         MultiviewMetricModel((w,), np.array([0.5, 0.5]), Hyperparams(embed_dim=2))
+    with pytest.raises(ValueError, match="finite, nonnegative and sum to 1"):
+        MultiviewMetricModel((w, w), np.array([np.nan, 1.0]), Hyperparams(embed_dim=2))
 
 
 def test_load_rejects_bad_documents(tmp_path):
@@ -154,4 +156,28 @@ def test_load_rejects_corrupted_projection(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="orthonormal"):
+        MultiviewMetricModel.load(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.update(view_weights=[str(a) for a in doc["view_weights"]]),
+        lambda doc: doc.update(view_weights=[True, False]),
+        lambda doc: doc.update(view_weights=[None, 1.0]),
+        lambda doc: doc["projections"][0][0].__setitem__(0, str(doc["projections"][0][0][0])),
+        lambda doc: doc["projections"][1].__setitem__(2, [True, False]),
+        lambda doc: doc.update(trace="garbage"),
+        lambda doc: doc.update(trace=[1, 2]),
+        lambda doc: doc.update(trace={"iteration": 1}),
+    ],
+    ids=["string-weights", "bool-weights", "null-weight", "string-entry", "bool-entries",
+         "string-trace", "trace-of-numbers", "trace-object"],
+)
+def test_load_rejects_entries_that_are_not_json_numbers(tmp_path, edit):
+    doc = _trained_model().to_dict()
+    edit(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="invalid model document"):
         MultiviewMetricModel.load(path)

@@ -58,9 +58,47 @@ def _unused_imports(path):
     return sorted((line, name) for name, line in imported.items() if name not in loaded | exported)
 
 
+TESTS = Path(__file__).resolve().parent
+
+
 def test_no_unused_imports():
     package = Path(mvmetric.__file__).resolve().parent
     modules = sorted(package.glob("*.py"))
-    assert len(modules) > 1
-    unused = {path.name: found for path in modules if (found := _unused_imports(path))}
+    tests = sorted(TESTS.glob("*.py"))
+    assert len(modules) > 1 and len(tests) > 1
+    unused = {
+        f"{path.parent.name}/{path.name}": found for path in modules + tests if (found := _unused_imports(path))
+    }
     assert unused == {}
+
+
+# pytest.mark.skip / skipif / xfail, pytest.skip(), pytest.xfail() and
+# pytest.importorskip() all reach pytest through one of these names
+SKIPPING = {"skip", "skipif", "xfail", "importorskip"}
+
+
+def _skips(tree):
+    """Lines that name one of pytest's ways to skip a test or expect it to fail."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in SKIPPING:
+            found.add(node.lineno)
+        elif isinstance(node, ast.Name) and node.id in SKIPPING:
+            found.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(alias.name in SKIPPING for alias in node.names):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_no_skipped_or_xfailed_tests():
+    # a failing property lands together with its fix, never as a skip or xfail
+    sample = (
+        "@pytest.mark.skipif(True, reason='')\n"
+        "def test_a():\n"
+        "    pytest.xfail('')\n"
+        "from pytest import importorskip\n"
+    )
+    assert _skips(ast.parse(sample)) == [1, 3, 4]
+    tests = sorted(TESTS.glob("*.py"))
+    skipped = {path.name: found for path in tests if (found := _skips(ast.parse(path.read_text())))}
+    assert skipped == {}

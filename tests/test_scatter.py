@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,26 @@ def test_cross_uses_only_training_columns():
     idx = np.array([1, 4, 6])
     c = compute_cross(ViewMatrix(1, a), ViewMatrix(2, b), idx)
     np.testing.assert_allclose(c.matrix, a[:, idx] @ b[:, idx].T, atol=1e-12)
+
+
+def test_scatter_peak_memory_is_two_pair_arrays():
+    # with 10,000 pairs of 20 features the pair arrays dwarf the 20 x 20
+    # scatter: gathering both ends of every pair and then subtracting into a
+    # third array peaks at about three pair arrays, subtracting in place at two
+    rng = np.random.default_rng(19)
+    labels = np.repeat([0, 1], 100)
+    cs = build_constraints(labels)
+    view = ViewMatrix(1, rng.standard_normal((20, 200)))
+    pair_bytes = max(len(cs.similar), len(cs.dissimilar)) * 20 * 8
+    tracemalloc.start()
+    try:
+        pair = compute_scatter(view, cs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * pair_bytes
+    # the same differences as subtracting into a fresh array, so the same bits
+    for scatter, pairs in ((pair.between, cs.dissimilar), (pair.within, cs.similar)):
+        diffs = view.data[:, pairs[:, 0]] - view.data[:, pairs[:, 1]]
+        reference = (diffs @ diffs.T) / len(pairs)
+        assert np.array_equal(scatter, (reference + reference.T) / 2.0)
