@@ -9,6 +9,7 @@ column ``i`` of every view describes sample ``i``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -273,6 +274,8 @@ def generate_synthetic(
         raise ValueError("per_class must be >= 2")
     if any(d < 2 for d in view_dims):
         raise ValueError("all view dims must be >= 2")
+    if not math.isfinite(separation):
+        raise ValueError(f"separation must be finite, got {separation}")
     noise_views = set(int(v) for v in noise_views)
     if not noise_views <= set(range(1, len(view_dims) + 1)):
         raise ValueError(f"noise_views out of range 1..{len(view_dims)}: {sorted(noise_views)}")

@@ -11,12 +11,15 @@ import numpy as np
 from ._format import FORMAT_VERSION
 from .constraints import build_constraints
 from .dataset import MultiviewDataset, split
-from .metric import _check_vector, _weighted_distance
+from .metric import _check_vector, _squared_distances
 from .model import Hyperparams, MultiviewMetricModel
 from .solver import train
 
 # unused by the package; perfbench/harness.py reads the name to clear the variable
 THREADS_ENV_VAR = "MVMETRIC_THREADS"
+# test samples scored per distance matrix; bounds the scoring memory to a few
+# SCORE_BLOCK x n_train arrays, whatever the number of test samples
+SCORE_BLOCK = 256
 
 
 @dataclass
@@ -95,6 +98,24 @@ def _knn_predict(distance_to_train, train_labels, k: int):
     raise AssertionError("unreachable: some neighbor label must be in the tied set")
 
 
+def _predict(points, weights, train_indices, test_indices, train_labels, k: int) -> np.ndarray:
+    """k-NN labels of the ``test_indices`` columns of ``points`` among its ``train_indices`` ones.
+
+    ``points[v]`` holds view v's points as columns.  The test samples are
+    scored ``SCORE_BLOCK`` at a time with ``_squared_distances`` and each row
+    is voted by ``_knn_predict``, so both tie rules hold.
+    """
+    train_points = [p[:, train_indices] for p in points]
+    predicted = np.empty(len(test_indices), dtype=int)
+    for start in range(0, len(test_indices), SCORE_BLOCK):
+        block = test_indices[start : start + SCORE_BLOCK]
+        distances = _squared_distances(train_points, [p[:, block] for p in points], weights)
+        np.sqrt(distances, out=distances)
+        for i, row in enumerate(distances, start):
+            predicted[i] = _knn_predict(row, train_labels, k)
+    return predicted
+
+
 def knn_classify(
     model: MultiviewMetricModel,
     train_views,
@@ -105,9 +126,10 @@ def knn_classify(
     """Predict the majority label among the k nearest training samples.
 
     The inputs are checked once per call: one test vector and one
-    ``(D_v, n_train)`` training view per model view, all finite.  Each
-    training column is then scored with the arithmetic of
-    ``multiview_distance``, so the distances are bit-identical to it.
+    ``(D_v, n_train)`` training view per model view, all finite.  Each view's
+    training columns and test vector are then projected in one product, so a
+    test vector equal to a training column is at distance exactly 0.0, and
+    scored with the arithmetic of ``run_benchmark`` and ``multiview_distance``.
     """
     train_labels = np.asarray(train_labels)
     n_train = train_labels.shape[0]
@@ -117,10 +139,9 @@ def knn_classify(
         raise ValueError(f"k must be in [1, {n_train}], got {k}")
     if len(test_sample) != model.num_views or len(train_views) != model.num_views:
         raise ValueError(f"expected {model.num_views} test vectors and training views")
-    xs = []
-    columns = []
+    points = []
     for v, (w, x, view) in enumerate(zip(model.projections, test_sample, train_views), 1):
-        xs.append(_check_vector(x, w.shape[0], f"view {v} test sample"))
+        x = _check_vector(x, w.shape[0], f"view {v} test sample")
         view = np.asarray(view, dtype=float)
         if view.shape != (w.shape[0], n_train):
             raise ValueError(
@@ -128,21 +149,9 @@ def knn_classify(
             )
         if not np.isfinite(view).all():
             raise ValueError(f"view {v} training data: non-finite entries")
-        # row j of view.T is training column j, the same vector as view[:, j]
-        columns.append(view.T)
+        points.append(w.T @ np.column_stack([view, x]))
     powered = model.view_weights**model.hyper.weight_exponent
-    distances = np.array(
-        [_weighted_distance(model.projections, powered, xs, ys) for ys in zip(*columns)]
-    )
-    return _knn_predict(distances, train_labels, k)
-
-
-def _euclidean_knn(train_views, train_labels, test_sample, k: int = 1) -> int:
-    """Identity-metric baseline: unweighted Euclidean over the concatenated views."""
-    squared = sum(
-        np.sum((view - x[:, None]) ** 2, axis=0) for view, x in zip(train_views, test_sample)
-    )
-    return _knn_predict(np.sqrt(squared), train_labels, k)
+    return int(_predict(points, powered, np.arange(n_train), [n_train], train_labels, k)[0])
 
 
 def run_benchmark(
@@ -176,18 +185,19 @@ def run_benchmark(
         sp = split(dataset, train_count, split_seed)
         cons = build_constraints(dataset.labels[sp.train_indices], max_pairs_per_set, constraint_seed)
         model = train(dataset, sp, cons, hyper)
-        train_views = dataset.columns(sp.train_indices)
         train_labels = dataset.labels[sp.train_indices]
-        correct = 0
-        baseline_correct = 0
-        for i in sp.test_indices:
-            xs = dataset.sample(int(i))
-            truth = int(dataset.labels[i])
-            if knn_classify(model, train_views, train_labels, xs, k) == truth:
-                correct += 1
-            if include_baseline and _euclidean_knn(train_views, train_labels, xs, k) == truth:
-                baseline_correct += 1
-        n_test = sp.test_indices.shape[0]
+        truth = dataset.labels[sp.test_indices]
+        n_test = truth.shape[0]
+        # every sample projected by one product per view, so a test sample
+        # equal to a training sample is at distance exactly 0.0
+        points = [w.T @ view.data for w, view in zip(model.projections, dataset.views)]
+        powered = model.view_weights**model.hyper.weight_exponent
+        predicted = _predict(points, powered, sp.train_indices, sp.test_indices, train_labels, k)
+        correct = int(np.count_nonzero(predicted == truth))
+        if include_baseline:
+            raw = [view.data for view in dataset.views]
+            predicted = _predict(raw, np.ones(dataset.m), sp.train_indices, sp.test_indices, train_labels, k)
+            baseline_correct = int(np.count_nonzero(predicted == truth))
         record = {
             "trial": t,
             "split_seed": split_seed,

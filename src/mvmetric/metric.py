@@ -35,14 +35,14 @@ def _check_vector(x, dim: int, what: str) -> np.ndarray:
 def view_distance(model: MultiviewMetricModel, view: int, x, y) -> float:
     """Distance under one view's metric, computed in the projected space.
 
-    Evaluates ``||W_v.T (x - y)||`` rather than the quadratic form, which is
-    cheaper and cannot go negative under rounding.
+    Evaluates ``||W_v.T x - W_v.T y||`` rather than the quadratic form, which
+    cannot go negative under rounding; it is ``multiview_distance`` for one
+    view of weight 1.
     """
     w = _projection(model, view)
     x = _check_vector(x, w.shape[0], f"view {view} x")
     y = _check_vector(y, w.shape[0], f"view {view} y")
-    z = w.T @ (x - y)
-    return float(np.sqrt(np.dot(z, z)))
+    return _pair_distance([w], [1.0], [x], [y])
 
 
 def multiview_distance(model: MultiviewMetricModel, xs, ys) -> float:
@@ -58,21 +58,42 @@ def multiview_distance(model: MultiviewMetricModel, xs, ys) -> float:
         for v, (w, x, y) in enumerate(zip(model.projections, xs, ys), 1)
     ]
     powered = model.view_weights**model.hyper.weight_exponent
-    return _weighted_distance(model.projections, powered, *zip(*checked))
+    return _pair_distance(model.projections, powered, *zip(*checked))
 
 
-def _weighted_distance(projections, powered, xs, ys) -> float:
-    """sqrt(sum_v powered[v] * ||W_v.T (x_v - y_v)||^2) over checked float vectors.
+def _pair_distance(projections, weights, xs, ys) -> float:
+    """Distance between two checked points, each view's pair projected in one product.
 
-    The one copy of the distance arithmetic: ``multiview_distance`` and
-    ``knn_classify`` both score with it, so their distances agree bit for
-    bit.  The views are summed in order, starting from 0.0.
+    The arithmetic of ``knn_classify`` and ``run_benchmark``: ``x`` is scored
+    as a test point against ``y`` by ``_squared_distances``.
     """
-    total = 0.0
-    for w, u, x, y in zip(projections, powered, xs, ys):
-        z = w.T @ (x - y)
-        total += u * np.dot(z, z)
-    return float(np.sqrt(total))
+    points = [w.T @ np.column_stack([x, y]) for w, x, y in zip(projections, xs, ys)]
+    squared = _squared_distances([p[:, 1:] for p in points], [p[:, :1] for p in points], weights)
+    return float(np.sqrt(squared[0, 0]))
+
+
+def _squared_distances(train_points, test_points, weights) -> np.ndarray:
+    """Weighted squared distances: one row per test point, one column per training point.
+
+    ``train_points[v]`` and ``test_points[v]`` hold view v's points as
+    columns (projected by ``W_v``, or raw for the Euclidean baseline).  Entry
+    (i, j) is ``sum_v weights[v] * ||test_v[:, i] - train_v[:, j]||^2``: each
+    view's squared differences are summed over its features in order, then
+    the weighted views in order, starting from 0.0.  The one copy of the
+    distance arithmetic; it works in three ``n_test x n_train`` arrays.
+    """
+    total = np.zeros((test_points[0].shape[1], train_points[0].shape[1]))
+    view = np.empty_like(total)
+    diff = np.empty_like(total)
+    for u, train, test in zip(weights, train_points, test_points):
+        view.fill(0.0)
+        for train_row, test_row in zip(train, test):
+            np.subtract.outer(test_row, train_row, out=diff)
+            diff *= diff
+            view += diff
+        view *= u
+        total += view
+    return total
 
 
 def _row_norms(diff: np.ndarray) -> np.ndarray:

@@ -85,6 +85,18 @@ def test_generate_malformed_dims(tmp_path, capsys):
     assert "at least 2" in capsys.readouterr().err
 
 
+def test_generate_names_a_non_finite_separation(tmp_path, capsys):
+    argv = ["generate", "--classes", "2", "--per-class", "3", "--view-dims", "2,2", "--out", str(tmp_path / "d")]
+    assert run_cli([*argv, "--separation", "nan"]) == 2
+    assert "error: separation must be finite, got nan" in capsys.readouterr().err
+    # json reads NaN as a float, so a config file reaches the same check
+    config = tmp_path / "cfg.json"
+    config.write_text('{"separation": NaN}')
+    assert run_cli([*argv, "--config", str(config)]) == 2
+    assert "error: separation must be finite, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 def test_train_writes_model_and_echoes_weights(dataset_dir, tmp_path, capsys):
     model_path = tmp_path / "model.json"
     code = run_cli(

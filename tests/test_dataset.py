@@ -241,3 +241,9 @@ def test_missing_files(tmp_path):
         load_dataset([tmp_path / "a.csv", tmp_path / "b.csv"], tmp_path / "missing.txt")
     with pytest.raises(FileNotFoundError, match="view file not found"):
         load_dataset([tmp_path / "a.csv", tmp_path / "zzz.csv"], tmp_path / "labels.txt")
+
+
+@pytest.mark.parametrize("separation", [float("nan"), float("inf"), -float("inf")])
+def test_generate_rejects_a_non_finite_separation(separation):
+    with pytest.raises(ValueError, match=f"separation must be finite, got {separation}"):
+        generate_synthetic(2, 3, [2, 2], separation=separation)

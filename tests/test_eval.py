@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from mvmetric import (
     run_benchmark,
     train,
 )
-from mvmetric.eval import _euclidean_knn, _knn_predict
+from mvmetric.eval import SCORE_BLOCK, _knn_predict, _predict
 
 
 def _trained_on(dataset, train_idx, test_idx, hyper):
@@ -79,7 +80,7 @@ def test_knn_matches_brute_force_oracle():
 
 
 def reference_distance(model, xs, ys):
-    """The per-pair loop of ``multiview_distance`` before ``knn_classify`` shared its arithmetic."""
+    """Per-pair reference: each difference projected, ``W_v^T (x - y)``, as distances were once taken."""
     weights = model.view_weights**model.hyper.weight_exponent
     total = 0.0
     for v in range(model.num_views):
@@ -96,12 +97,35 @@ def _random_model(rng, dims, d):
     return MultiviewMetricModel(projections, weights, hyper)
 
 
+def distance_error_bound(model, points, expected):
+    """Rounding budget for ``expected`` (reference distances), set from eps and the projected magnitudes.
+
+    A projected coordinate is a D_v-term dot product, so ``W_v^T x`` is off
+    from exact by at most about D_v * eps * (|W_v|^T |x|), and the reference
+    ``W_v^T (x - y)`` by (D_v + 1) * eps * (|W_v|^T |x| + |W_v|^T |y|).  With
+    ``m_v`` the largest ``|W_v|^T |p|`` entry over ``points``, a coordinate of
+    the two differences disagrees by at most 4 (D_v + 1) eps m_v, a view's norm
+    by sqrt(d) times that, and the weighted distance by the weighted root sum
+    of squares; summing and the square root add a relative (d V + 2) eps.
+    """
+    eps = np.finfo(float).eps
+    weights = model.view_weights**model.hyper.weight_exponent
+    d = model.embed_dim
+    absolute = 0.0
+    for w, u, view_points in zip(model.projections, weights, points):
+        m = float(np.max(np.abs(w).T @ np.abs(view_points)))
+        absolute += u * d * (4 * (w.shape[0] + 1) * eps * m) ** 2
+    return np.sqrt(absolute) + (d * model.num_views + 2) * eps * expected
+
+
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("k", [1, 3])
 def test_knn_scores_exactly_the_per_pair_distances(monkeypatch, seed, k):
     # 2-4 views; the first is narrow (W_v square), the others wider than d, so
     # their metrics are rank-deficient; the training data has rank 2 per view
-    # and repeats a column, so distances tie and vanish
+    # and repeats a column, so distances tie and vanish.  Projecting the points
+    # first moves distances in the last bits, within distance_error_bound; the
+    # zero distances and the predictions stay exact
     rng = np.random.default_rng(40 + seed)
     d = int(rng.integers(2, 4))
     dims = [d, *(int(dim) for dim in rng.integers(d + 1, 12, size=int(rng.integers(1, 4))))]
@@ -124,8 +148,10 @@ def test_knn_scores_exactly_the_per_pair_distances(monkeypatch, seed, k):
         predicted = knn_classify(model, train_views, train_labels, x, k)
         columns = [[view[:, j] for view in train_views] for j in range(n_train)]
         expected = np.array([reference_distance(model, x, ys) for ys in columns])
-        assert np.array_equal(seen[-1], expected)
-        assert np.array_equal([multiview_distance(model, x, ys) for ys in columns], expected)
+        points = [np.column_stack([view, xv]) for view, xv in zip(train_views, x)]
+        bound = distance_error_bound(model, points, expected)
+        assert np.all(np.abs(seen[-1] - expected) <= bound)
+        assert np.all(np.abs([multiview_distance(model, x, ys) for ys in columns] - expected) <= bound)
         assert predicted == _knn_predict(expected, train_labels, k)
     assert np.count_nonzero(seen[-1] == 0.0) == 2
 
@@ -155,7 +181,7 @@ def test_knn_rejects_malformed_input_before_scoring(monkeypatch):
         (x, [train_views[0], nan_train], "view 2 training data: non-finite entries"),
         ([x[0], inf_test], train_views, "view 2 test sample: non-finite entries"),
     ]
-    monkeypatch.setattr(mvmetric.eval, "_weighted_distance", no_distance)
+    monkeypatch.setattr(mvmetric.eval, "_squared_distances", no_distance)
     for test_sample, views, message in cases:
         with pytest.raises(ValueError, match=message):
             knn_classify(model, views, train_labels, test_sample, k=1)
@@ -232,18 +258,30 @@ def test_trial_seeds_reproduce_single_trial():
     assert solo.trials[0]["train_indices"] == report.trials[0]["train_indices"]
 
 
+def brute_force_vote(distances, train_labels, k):
+    """Rank by (distance, index); the nearest member of the tied label set wins."""
+    nearest = [int(train_labels[j]) for _, j in sorted(zip(distances, range(len(distances))))[:k]]
+    counts = {lab: nearest.count(lab) for lab in nearest}
+    return next(lab for lab in nearest if counts[lab] == max(counts.values()))
+
+
 def brute_force_euclidean_knn(train_views, train_labels, x, k):
-    """Per-pair reference: rank by (distance, index), nearest tied label wins."""
+    """Per-pair reference over every feature of every view."""
     distances = []
     for j in range(len(train_labels)):
         total = 0.0
         for view, xv in zip(train_views, x):
             for a, b in zip(xv, view[:, j]):
                 total += (float(a) - float(b)) ** 2
-        distances.append((np.sqrt(total), j))
-    nearest = [int(train_labels[j]) for _, j in sorted(distances)[:k]]
-    counts = {lab: nearest.count(lab) for lab in nearest}
-    return next(lab for lab in nearest if counts[lab] == max(counts.values()))
+        distances.append(np.sqrt(total))
+    return brute_force_vote(distances, train_labels, k)
+
+
+def euclidean_knn(train_views, train_labels, x, k):
+    """The baseline of ``run_benchmark`` for one test sample: raw columns, unit weights."""
+    points = [np.column_stack([view, xv]) for view, xv in zip(train_views, x)]
+    n_train = len(train_labels)
+    return int(_predict(points, np.ones(len(points)), np.arange(n_train), [n_train], train_labels, k)[0])
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
@@ -254,7 +292,7 @@ def test_euclidean_baseline_matches_per_pair_loop(k):
     for _ in range(25):
         x = [rng.standard_normal(view.shape[0]) for view in train_views]
         expected = brute_force_euclidean_knn(train_views, train_labels, x, k)
-        assert _euclidean_knn(train_views, train_labels, x, k) == expected
+        assert euclidean_knn(train_views, train_labels, x, k) == expected
 
 
 def test_euclidean_baseline_distance_tie_goes_to_lower_index():
@@ -262,7 +300,7 @@ def test_euclidean_baseline_distance_tie_goes_to_lower_index():
     train_views = [np.array([[5.0, 1.0, 1.0, 3.0]]), np.array([[0.0, 2.0, 2.0, 0.0]])]
     train_labels = np.array([0, 2, 1, 1])
     x = [np.array([1.0]), np.array([2.0])]
-    assert _euclidean_knn(train_views, train_labels, x, k=1) == 2
+    assert euclidean_knn(train_views, train_labels, x, k=1) == 2
 
 
 def test_euclidean_baseline_vote_tie_goes_to_nearest():
@@ -270,7 +308,7 @@ def test_euclidean_baseline_vote_tie_goes_to_nearest():
     train_views = [np.array([[2.0, 1.0, 9.0]]), np.array([[0.0, 0.0, 0.0]])]
     train_labels = np.array([0, 1, 0])
     x = [np.array([0.0]), np.array([0.0])]
-    assert _euclidean_knn(train_views, train_labels, x, k=2) == 1
+    assert euclidean_knn(train_views, train_labels, x, k=2) == 1
 
 
 @pytest.mark.parametrize("shift", [2.0**10, 2.0**30], ids=["2**10", "2**30"])
@@ -286,8 +324,8 @@ def test_euclidean_baseline_ignores_a_constant_shift(k, shift):
     tests = [[rng.integers(-8, 8, size=view.shape[0]) / 4.0 for view in train_views] for _ in range(40)]
     shifted_views = [view + shift for view in train_views]
     for x in tests:
-        plain = _euclidean_knn(train_views, train_labels, x, k)
-        assert _euclidean_knn(shifted_views, train_labels, [xv + shift for xv in x], k) == plain
+        plain = euclidean_knn(train_views, train_labels, x, k)
+        assert euclidean_knn(shifted_views, train_labels, [xv + shift for xv in x], k) == plain
         assert plain == brute_force_euclidean_knn(train_views, train_labels, x, k)
 
 
@@ -302,6 +340,81 @@ def test_benchmark_baseline_matches_per_pair_loop():
             for i in record["test_indices"]
         )
         assert record["baseline_accuracy"] == correct / len(record["test_indices"])
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_benchmark_votes_like_knn_classify_and_brute_force_under_vote_ties(monkeypatch, k):
+    # overlapping classes, so even-k votes tie; samples 36..41 repeat samples
+    # 0..5, so a test sample whose twin trained is at distance exactly 0.0;
+    # blocks of 5 split the 22 test samples into four full blocks and a short one
+    base = generate_synthetic(3, 12, [3, 5], seed=21, separation=0.5)
+    views = tuple(ViewMatrix(v.view_id, np.hstack([v.data, v.data[:, :6]])) for v in base.views)
+    ds = MultiviewDataset(views, np.concatenate([base.labels, base.labels[:6]]))
+    twin = {**{i: i + 36 for i in range(6)}, **{i + 36: i for i in range(6)}}
+    models, rows = [], []
+
+    def recording_train(*args, **kwargs):
+        models.append(train(*args, **kwargs))
+        return models[-1]
+
+    def recording_vote(distances, labels, k):
+        rows.append(distances)
+        return _knn_predict(distances, labels, k)
+
+    monkeypatch.setattr(mvmetric.eval, "train", recording_train)
+    monkeypatch.setattr(mvmetric.eval, "_knn_predict", recording_vote)
+    monkeypatch.setattr(mvmetric.eval, "SCORE_BLOCK", 5)
+    report = run_benchmark(ds, 20, 4, Hyperparams(embed_dim=2), seed=8, include_baseline=True, k=k)
+    monkeypatch.undo()
+    zeros = deciding_ties = 0
+    for record, model in zip(report.trials, models):
+        train_idx, test_idx = record["train_indices"], record["test_indices"]
+        learned, baseline = rows[: len(test_idx)], rows[len(test_idx) : 2 * len(test_idx)]
+        del rows[: 2 * len(test_idx)]
+        train_views = ds.columns(train_idx)
+        train_labels = ds.labels[train_idx]
+        classified = brute = brute_baseline = 0
+        for row, base_row, i in zip(learned, baseline, test_idx):
+            x = ds.sample(i)
+            if twin.get(i) in train_idx:
+                j = train_idx.index(twin[i])
+                assert row[j] == 0.0 and base_row[j] == 0.0
+                zeros += 1
+            distances = [reference_distance(model, x, [view[:, j] for view in train_views]) for j in range(20)]
+            vote = brute_force_vote(distances, train_labels, k)
+            nearest = sorted(zip(distances, range(20)))[:k]
+            counts = np.bincount([train_labels[j] for _, j in nearest])
+            lowest_tied = int(np.argmax(counts))
+            deciding_ties += vote != lowest_tied
+            classified += knn_classify(model, train_views, train_labels, x, k) == ds.labels[i]
+            brute += vote == ds.labels[i]
+            brute_baseline += brute_force_euclidean_knn(train_views, train_labels, x, k) == ds.labels[i]
+        assert record["accuracy"] == classified / len(test_idx) == brute / len(test_idx)
+        assert record["baseline_accuracy"] == brute_baseline / len(test_idx)
+    assert rows == []
+    # the nearest-member tie rule decides some votes, and some twins are scored
+    assert deciding_ties > 0
+    assert zeros > 0
+
+
+def test_scoring_memory_grows_with_the_block_not_the_test_set():
+    rng = np.random.default_rng(60)
+    n_train, n_test = 40, 4000
+    points = [rng.standard_normal((3, n_train + n_test)) for _ in range(3)]
+    train_labels = rng.integers(0, 3, size=n_train)
+    train_idx, test_idx = np.arange(n_train), np.arange(n_train, n_train + n_test)
+    tracemalloc.start()
+    try:
+        _predict(points, np.ones(3), train_idx, test_idx, train_labels, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # four SCORE_BLOCK x n_train float arrays, the predicted labels and room
+    # for four of numpy's ufunc buffers; one n_test x n_train matrix alone
+    # would not fit
+    bound = 4 * SCORE_BLOCK * n_train * 8 + n_test * 8 + 4 * np.getbufsize() * 8
+    assert bound < n_test * n_train * 8
+    assert peak < bound
 
 
 def test_trials_run_on_the_calling_thread_whatever_the_environment(monkeypatch):
