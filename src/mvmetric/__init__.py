@@ -16,7 +16,6 @@ from .dataset import (
     load_dataset,
     load_manifest,
     split,
-    standardize_views,
     write_dataset,
 )
 from .eval import (
@@ -68,7 +67,6 @@ __all__ = [
     "multiview_distance",
     "run_benchmark",
     "split",
-    "standardize_views",
     "train",
     "update_view_weights",
     "view_distance",

@@ -59,7 +59,10 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         path = Path(config_path)
         if not path.is_file():
             raise FileNotFoundError(f"config file not found: {path}")
-        loaded = json.loads(path.read_text())
+        try:
+            loaded = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config file {path}: invalid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {path}: expected a JSON object")
         unknown = set(loaded) - set(defaults)
@@ -93,6 +96,7 @@ def _hyper_from_config(cfg: dict) -> Hyperparams:
         coupling_eta=cfg["eta"],
         max_iters=cfg["max_iters"],
         tol=cfg["tol"],
+        standardize=cfg["standardize"],
     )
 
 
@@ -112,7 +116,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, defaults)
     _require(cfg, ["manifest", "train_count", "out"])
     hyper = _hyper_from_config(cfg)
-    dataset = load_manifest(cfg["manifest"], standardize=cfg["standardize"])
+    dataset = load_manifest(cfg["manifest"])
     sp = split(dataset, cfg["train_count"], cfg["seed"])
     cons = build_constraints(
         dataset.labels[sp.train_indices], cfg["max_pairs_per_set"], cfg["seed"]
@@ -146,7 +150,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if cfg["baseline"] not in (None, "euclidean"):
         raise ValueError(f"unsupported baseline: {cfg['baseline']!r}")
     hyper = _hyper_from_config(cfg)
-    dataset = load_manifest(cfg["manifest"], standardize=cfg["standardize"])
+    dataset = load_manifest(cfg["manifest"])
     report = run_benchmark(
         dataset,
         train_count=cfg["train_count"],
@@ -198,13 +202,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    defaults = {"model": None, "manifest": None, "trials": 1000, "seed": 0, "out": None, "standardize": False}
+    defaults = {"model": None, "manifest": None, "trials": 1000, "seed": 0, "out": None}
     cfg = _merge_config(args, defaults)
     _require(cfg, ["model", "manifest"])
     if cfg["trials"] < 1:
         raise ValueError("trials must be >= 1")
     model = MultiviewMetricModel.load(cfg["model"])
-    dataset = load_manifest(cfg["manifest"], standardize=cfg["standardize"])
+    dataset = load_manifest(cfg["manifest"])
     if dataset.view_dims != model.view_dims:
         raise ValueError(
             f"model dims {model.view_dims} do not match dataset dims {dataset.view_dims}"
@@ -244,7 +248,8 @@ def _add_common_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--standardize",
         action=argparse.BooleanOptionalAction,
-        help="z-score features per view at load time (default off)",
+        help="centre and scale each view's features by the training split's mean and std; "
+        "the model stores the scales (default off)",
     )
 
 
@@ -294,11 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, help="random triples per view (default 1000)")
     p.add_argument("--seed", type=int, help="triple-sampling seed (default 0)")
     p.add_argument("--out", help="output report JSON path (default: stdout)")
-    p.add_argument(
-        "--standardize",
-        action=argparse.BooleanOptionalAction,
-        help="z-score features per view at load time (default off)",
-    )
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.set_defaults(func=cmd_check, parser=p)
 

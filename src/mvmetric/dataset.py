@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -151,30 +152,19 @@ def _parse_labels_file(path: Path) -> np.ndarray:
         text = line.strip()
         if not text:
             continue
-        try:
-            labels.append(int(text))
-        except ValueError as exc:
-            raise ValueError(f"labels file {path}, line {lineno}: not an integer: {text!r}") from exc
+        # int() would also read "1_0" as 10 and non-ASCII digits
+        if not re.fullmatch(r"[+-]?[0-9]+", text):
+            raise ValueError(f"labels file {path}, line {lineno}: not an integer: {text!r}")
+        labels.append(int(text))
     return np.asarray(labels, dtype=int)
 
 
-def standardize_views(views: list) -> list:
-    """Per-feature z-scoring across samples; constant features are left centered."""
-    out = []
-    for v in views:
-        mean = v.data.mean(axis=1, keepdims=True)
-        std = v.data.std(axis=1, keepdims=True)
-        std[std == 0.0] = 1.0
-        out.append(ViewMatrix(v.view_id, (v.data - mean) / std))
-    return out
-
-
-def load_dataset(view_paths, labels_path, standardize: bool = False) -> MultiviewDataset:
+def load_dataset(view_paths, labels_path) -> MultiviewDataset:
     """Load a dataset from per-view CSV files and a labels file.
 
     Each view file stores one sample per row; labels hold one integer per
-    line.  All views must agree on the sample count.  No normalization is
-    applied unless ``standardize`` is set.
+    line.  All views must agree on the sample count.  The features are
+    loaded as they are; ``Hyperparams.standardize`` scales them in training.
     """
     paths = [Path(p) for p in view_paths]
     if len(paths) < 2:
@@ -189,8 +179,6 @@ def load_dataset(view_paths, labels_path, standardize: bool = False) -> Multivie
     labels = _parse_labels_file(Path(labels_path))
     if labels.shape[0] != n:
         raise ValueError(f"label count {labels.shape[0]} != sample count {n}")
-    if standardize:
-        views = standardize_views(views)
     return MultiviewDataset(tuple(views), labels)
 
 
@@ -220,18 +208,30 @@ def write_dataset(dataset: MultiviewDataset, out_dir, config: dict | None = None
     return manifest_path
 
 
-def load_manifest(manifest_path, standardize: bool = False) -> MultiviewDataset:
-    """Load a dataset through its JSON manifest (paths resolved relative to it)."""
+def load_manifest(manifest_path) -> MultiviewDataset:
+    """Load a dataset through its JSON manifest (paths resolved relative to it).
+
+    ``views`` must list at least two file names and ``labels`` name one file.
+    """
     path = Path(manifest_path)
     if not path.is_file():
         raise FileNotFoundError(f"manifest not found: {path}")
-    doc = json.loads(path.read_text())
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"manifest {path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"manifest {path}: expected a JSON object")
     for key in ("views", "labels"):
         if key not in doc:
             raise ValueError(f"manifest {path}: missing key {key!r}")
+    views = doc["views"]
+    if not isinstance(views, list) or len(views) < 2 or not all(isinstance(p, str) for p in views):
+        raise ValueError(f"manifest {path}: 'views' must be a list of at least 2 file names, got {views!r:.60}")
+    if not isinstance(doc["labels"], str):
+        raise ValueError(f"manifest {path}: 'labels' must be a file name, got {doc['labels']!r:.60}")
     base = path.parent
-    view_paths = [base / p for p in doc["views"]]
-    return load_dataset(view_paths, base / doc["labels"], standardize=standardize)
+    return load_dataset([base / p for p in views], base / doc["labels"])
 
 
 def split(dataset: MultiviewDataset, train_count: int, seed: int, max_retries: int = 100) -> SplitSpec:

@@ -140,18 +140,15 @@ def knn_classify(
     if len(test_sample) != model.num_views or len(train_views) != model.num_views:
         raise ValueError(f"expected {model.num_views} test vectors and training views")
     points = []
-    for v, (w, x, view) in enumerate(zip(model.projections, test_sample, train_views), 1):
-        x = _check_vector(x, w.shape[0], f"view {v} test sample")
+    for v, (dim, x, view) in enumerate(zip(model.view_dims, test_sample, train_views), 1):
+        x = _check_vector(x, dim, f"view {v} test sample")
         view = np.asarray(view, dtype=float)
-        if view.shape != (w.shape[0], n_train):
-            raise ValueError(
-                f"view {v} training data: expected shape {(w.shape[0], n_train)}, got {view.shape}"
-            )
+        if view.shape != (dim, n_train):
+            raise ValueError(f"view {v} training data: expected shape {(dim, n_train)}, got {view.shape}")
         if not np.isfinite(view).all():
             raise ValueError(f"view {v} training data: non-finite entries")
-        points.append(w.T @ np.column_stack([view, x]))
-    powered = model.view_weights**model.hyper.weight_exponent
-    return int(_predict(points, powered, np.arange(n_train), [n_train], train_labels, k)[0])
+        points.append(model.project(v, np.column_stack([view, x])))
+    return int(_predict(points, model.powered_weights, np.arange(n_train), [n_train], train_labels, k)[0])
 
 
 def run_benchmark(
@@ -167,10 +164,11 @@ def run_benchmark(
     """Repeated random-split kNN benchmark of the learned metrics, with ``k`` neighbours.
 
     Each trial derives its own split and constraint seeds from the master
-    seed, trains a model on the train half, and classifies the test half.
-    With ``include_baseline`` the identity-metric Euclidean classifier runs
-    on the identical splits for paired comparison.  Trials run one after
-    another, in trial order.
+    seed, trains a model on the train half (fitting the feature scales there
+    under ``hyper.standardize``), and classifies the test half.  With
+    ``include_baseline`` the identity-metric Euclidean classifier runs on the
+    identical splits, on the same scaled features, for paired comparison.
+    Trials run one after another, in trial order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -190,13 +188,12 @@ def run_benchmark(
         n_test = truth.shape[0]
         # every sample projected by one product per view, so a test sample
         # equal to a training sample is at distance exactly 0.0
-        points = [w.T @ view.data for w, view in zip(model.projections, dataset.views)]
-        powered = model.view_weights**model.hyper.weight_exponent
-        predicted = _predict(points, powered, sp.train_indices, sp.test_indices, train_labels, k)
+        points = [model.project(view.view_id, view.data) for view in dataset.views]
+        predicted = _predict(points, model.powered_weights, sp.train_indices, sp.test_indices, train_labels, k)
         correct = int(np.count_nonzero(predicted == truth))
         if include_baseline:
-            raw = [view.data for view in dataset.views]
-            predicted = _predict(raw, np.ones(dataset.m), sp.train_indices, sp.test_indices, train_labels, k)
+            scaled = [model.scaled(view.view_id, view.data) for view in dataset.views]
+            predicted = _predict(scaled, np.ones(dataset.m), sp.train_indices, sp.test_indices, train_labels, k)
             baseline_correct = int(np.count_nonzero(predicted == truth))
         record = {
             "trial": t,
@@ -227,6 +224,8 @@ def run_benchmark(
         "n_samples": dataset.n,
         "view_dims": dataset.view_dims,
     }
+    if hyper.standardize:
+        config["standardize"] = True
     report = EvalReport(
         per_trial_accuracy=accuracies,
         mean_accuracy=float(np.mean(accuracies)),

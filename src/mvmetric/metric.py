@@ -11,16 +11,22 @@ TRIANGLE_SLACK = 1e-9
 CHECK_BLOCK = 4096
 
 
-def _projection(model: MultiviewMetricModel, view: int) -> np.ndarray:
+def _view_dim(model: MultiviewMetricModel, view: int) -> int:
     if not 1 <= view <= model.num_views:
         raise ValueError(f"view index {view} out of range 1..{model.num_views}")
-    return model.projections[view - 1]
+    return model.view_dims[view - 1]
 
 
 def metric_matrix(model: MultiviewMetricModel, view: int) -> np.ndarray:
-    """The induced metric matrix ``W_v @ W_v.T``: symmetric, PSD, rank <= d."""
-    w = _projection(model, view)
-    return w @ w.T
+    """The induced metric matrix ``A = P.T @ P``, with ``P`` the identity as ``model.project`` maps it.
+
+    ``A`` is ``W_v @ W_v.T`` for a model without feature scales and
+    ``S W_v W_v.T S``, with ``S`` the diagonal of inverse scales, for one
+    with them; ``d(x, y)^2 = (x - y).T @ A @ (x - y)`` on raw samples.
+    Symmetric, PSD, rank <= d.
+    """
+    points = model.project(view, np.eye(_view_dim(model, view)))
+    return points.T @ points
 
 
 def _check_vector(x, dim: int, what: str) -> np.ndarray:
@@ -35,14 +41,15 @@ def _check_vector(x, dim: int, what: str) -> np.ndarray:
 def view_distance(model: MultiviewMetricModel, view: int, x, y) -> float:
     """Distance under one view's metric, computed in the projected space.
 
-    Evaluates ``||W_v.T x - W_v.T y||`` rather than the quadratic form, which
-    cannot go negative under rounding; it is ``multiview_distance`` for one
+    Evaluates ``||P x - P y||``, with ``P`` the model's projection (feature
+    scales, then ``W_v.T``), rather than the quadratic form, which cannot go
+    negative under rounding; it is ``multiview_distance`` for one
     view of weight 1.
     """
-    w = _projection(model, view)
-    x = _check_vector(x, w.shape[0], f"view {view} x")
-    y = _check_vector(y, w.shape[0], f"view {view} y")
-    return _pair_distance([w], [1.0], [x], [y])
+    dim = _view_dim(model, view)
+    x = _check_vector(x, dim, f"view {view} x")
+    y = _check_vector(y, dim, f"view {view} y")
+    return _pair_distance(model, [view], [1.0], [x], [y])
 
 
 def multiview_distance(model: MultiviewMetricModel, xs, ys) -> float:
@@ -54,20 +61,20 @@ def multiview_distance(model: MultiviewMetricModel, xs, ys) -> float:
     if len(xs) != model.num_views or len(ys) != model.num_views:
         raise ValueError(f"expected {model.num_views} per-view vectors")
     checked = [
-        (_check_vector(x, w.shape[0], f"view {v} x"), _check_vector(y, w.shape[0], f"view {v} y"))
-        for v, (w, x, y) in enumerate(zip(model.projections, xs, ys), 1)
+        (_check_vector(x, dim, f"view {v} x"), _check_vector(y, dim, f"view {v} y"))
+        for v, (dim, x, y) in enumerate(zip(model.view_dims, xs, ys), 1)
     ]
-    powered = model.view_weights**model.hyper.weight_exponent
-    return _pair_distance(model.projections, powered, *zip(*checked))
+    views = range(1, model.num_views + 1)
+    return _pair_distance(model, views, model.powered_weights, *zip(*checked))
 
 
-def _pair_distance(projections, weights, xs, ys) -> float:
+def _pair_distance(model: MultiviewMetricModel, views, weights, xs, ys) -> float:
     """Distance between two checked points, each view's pair projected in one product.
 
     The arithmetic of ``knn_classify`` and ``run_benchmark``: ``x`` is scored
     as a test point against ``y`` by ``_squared_distances``.
     """
-    points = [w.T @ np.column_stack([x, y]) for w, x, y in zip(projections, xs, ys)]
+    points = [model.project(v, np.column_stack([x, y])) for v, x, y in zip(views, xs, ys)]
     squared = _squared_distances([p[:, 1:] for p in points], [p[:, :1] for p in points], weights)
     return float(np.sqrt(squared[0, 0]))
 
@@ -117,15 +124,16 @@ def check_metric_axioms(
     pseudometric, with d(x, y) = 0 exactly when x - y lies in the null space
     of W_v.T.
 
-    The samples are projected once and the triples are scored in blocks of
-    ``CHECK_BLOCK``, so memory does not grow with ``trials``.  The triples
-    are the rows of one ``rng.integers(N, size=(trials, 3))`` draw, whatever
-    the block size.
+    The samples are raw view columns, projected once by ``model.project``
+    (feature scales included), so the distances checked are those kNN
+    scores.  The triples are scored in blocks of ``CHECK_BLOCK``, so memory
+    does not grow with ``trials``; they are the rows of one
+    ``rng.integers(N, size=(trials, 3))`` draw, whatever the block size.
     """
-    w = _projection(model, view)
+    dim = _view_dim(model, view)
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[0] != w.shape[0]:
-        raise ValueError(f"samples must have shape ({w.shape[0]}, N)")
+    if samples.ndim != 2 or samples.shape[0] != dim:
+        raise ValueError(f"samples must have shape ({dim}, N)")
     if samples.shape[1] < 3:
         raise ValueError("need at least 3 sample vectors")
     if not np.isfinite(samples).all():
@@ -134,7 +142,7 @@ def check_metric_axioms(
         raise ValueError("trials must be >= 1")
 
     # one projected point per row, so a triple's points are three row gathers
-    points = samples.T @ w
+    points = np.ascontiguousarray(model.project(view, samples).T)
     rng = np.random.default_rng(seed)
     symmetry_mismatches = 0
     negative_distances = 0
@@ -153,11 +161,12 @@ def check_metric_axioms(
         max_triangle_violation = max(max_triangle_violation, float(violation.max()))
         triangle_violations += int(np.count_nonzero(violation > triangle_slack))
 
-    rank = int(np.linalg.matrix_rank(w))
+    # positive feature scales leave the rank of W_v as it is
+    rank = int(np.linalg.matrix_rank(model.projections[view - 1]))
     return {
         "view": view,
-        "dim": int(w.shape[0]),
-        "embed_dim": int(w.shape[1]),
+        "dim": dim,
+        "embed_dim": model.embed_dim,
         "rank": rank,
         "trials": int(trials),
         "seed": int(seed),
@@ -167,5 +176,5 @@ def check_metric_axioms(
         "triangle_slack": triangle_slack,
         "triangle_violations": triangle_violations,
         "max_triangle_violation": max_triangle_violation,
-        "distinguishable": rank == w.shape[0],
+        "distinguishable": rank == dim,
     }

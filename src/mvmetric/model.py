@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -16,6 +15,18 @@ from ._format import FORMAT_VERSION
 ORTHONORMALITY_TOL = 1e-8
 SIMPLEX_TOL = 1e-12
 STOP_REASONS = (None, "tol", "max_iters")
+
+
+def _integer(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -31,6 +42,13 @@ class Hyperparams:
     coupling_eta
         Divisor of the cross-view coupling term (coefficient 1/(2*eta));
         larger values weaken the coupling, ``inf`` disables it.
+    standardize
+        Centre and scale each view's features by the mean and standard
+        deviation of its training columns before fitting; the model keeps
+        the scales and applies them to every sample it projects.
+
+    Integer fields are stored as ``int`` and the others as ``float``, so
+    every instance saves to a model file that loads; a bool is no number.
     """
 
     embed_dim: int | None = None
@@ -38,15 +56,23 @@ class Hyperparams:
     coupling_eta: float = 1.0
     max_iters: int = 50
     tol: float = 1e-6
+    standardize: bool = False
 
     def __post_init__(self):
-        if self.embed_dim is not None and operator.index(self.embed_dim) < 1:
+        if self.embed_dim is not None:
+            object.__setattr__(self, "embed_dim", _integer("embed_dim", self.embed_dim))
+        object.__setattr__(self, "max_iters", _integer("max_iters", self.max_iters))
+        for name in ("weight_exponent", "coupling_eta", "tol"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        if not isinstance(self.standardize, bool):
+            raise TypeError(f"standardize must be true or false, got {self.standardize!r}")
+        if self.embed_dim is not None and self.embed_dim < 1:
             raise ValueError("d must be >= 1")
         if not 1.0 < self.weight_exponent < math.inf:
             raise ValueError("r must be > 1 and finite")
         if not self.coupling_eta > 0.0:
             raise ValueError("eta must be > 0")
-        if operator.index(self.max_iters) < 1:
+        if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be > 0 and finite")
@@ -75,12 +101,16 @@ def _numbers(value, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MultiviewMetricModel:
-    """Learned projections W_v (columns orthonormal) and simplex view weights.
+    """Learned projections W_v (columns orthonormal), simplex view weights and feature scales.
 
-    The induced per-view metric matrix is ``W_v @ W_v.T``.  ``trace`` keeps
-    per-iteration diagnostics from training.  ``stop_reason`` is ``"tol"``
-    when training converged, ``"max_iters"`` when it ran out of iterations,
-    and ``None`` when unknown (models built by hand or saved without it).
+    ``scales`` holds one positive per-feature scale vector per view exactly
+    when ``hyper.standardize`` is set, and is ``None`` otherwise; ``project``
+    divides a view's features by it before applying ``W_v.T``.  The induced
+    per-view metric matrix is ``W_v @ W_v.T`` without scales.  ``trace``
+    keeps per-iteration diagnostics from training.  ``stop_reason`` is
+    ``"tol"`` when training converged, ``"max_iters"`` when it ran out of
+    iterations, and ``None`` when unknown (models built by hand or saved
+    without it).
     """
 
     projections: tuple
@@ -88,6 +118,7 @@ class MultiviewMetricModel:
     hyper: Hyperparams
     trace: tuple = ()
     stop_reason: str | None = None
+    scales: tuple | None = None
 
     def __post_init__(self):
         if self.hyper.embed_dim is None:
@@ -116,6 +147,19 @@ class MultiviewMetricModel:
         weights.setflags(write=False)
         if self.stop_reason not in STOP_REASONS:
             raise ValueError(f"stop_reason must be one of {STOP_REASONS}, got {self.stop_reason!r}")
+        if (self.scales is not None) != self.hyper.standardize:
+            raise ValueError("scales are required exactly when hyper.standardize is set")
+        if self.scales is not None:
+            scales = tuple(np.array(s, dtype=float) for s in self.scales)
+            shapes = [s.shape for s in scales]
+            if shapes != [(w.shape[0],) for w in projections]:
+                raise ValueError(f"scales: expected one vector of D_v entries per view, got shapes {shapes}")
+            # NaN fails every comparison, so finiteness is tested by name
+            if not all(np.isfinite(s).all() and np.all(s > 0.0) for s in scales):
+                raise ValueError("scales: entries must be finite and > 0")
+            for s in scales:
+                s.setflags(write=False)
+            object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "projections", tuple(projections))
         object.__setattr__(self, "view_weights", weights)
         object.__setattr__(self, "trace", tuple(self.trace))
@@ -132,6 +176,24 @@ class MultiviewMetricModel:
     def embed_dim(self) -> int:
         return self.hyper.embed_dim
 
+    @property
+    def powered_weights(self) -> np.ndarray:
+        """``a_v^r``: each view's squared distance is scaled as the objective scales that view."""
+        return self.view_weights**self.hyper.weight_exponent
+
+    def scaled(self, view: int, columns: np.ndarray) -> np.ndarray:
+        """Raw columns (``D_v x n``) of the 1-based ``view``, divided by its feature scales if any."""
+        return columns if self.scales is None else columns / self.scales[view - 1][:, None]
+
+    def project(self, view: int, columns: np.ndarray) -> np.ndarray:
+        """Raw columns (``D_v x n``) of the 1-based ``view`` as its ``d x n`` points.
+
+        The one place the model is applied to data: the columns are scaled,
+        then multiplied by ``W_v.T`` in one product, so equal columns give
+        equal points and a sample equal to another is at distance exactly 0.0.
+        """
+        return self.projections[view - 1].T @ self.scaled(view, columns)
+
     def to_dict(self, config: dict | None = None) -> dict:
         doc = {
             "format_version": FORMAT_VERSION,
@@ -147,6 +209,8 @@ class MultiviewMetricModel:
             "stop_reason": self.stop_reason,
             "trace": list(self.trace),
         }
+        if self.scales is not None:
+            doc["scales"] = [s.tolist() for s in self.scales]
         if config is not None:
             doc["config"] = config
         return doc
@@ -162,19 +226,21 @@ class MultiviewMetricModel:
             # them: 2.5 or "7" is no max_iters, and true is no eta
             values = {key: doc[key] for key in ("embed_dim", "weight_exponent", "coupling_eta")}
             values.update((key, doc[key]) for key in ("max_iters", "tol") if key in doc)
-            for key, value in values.items():
-                if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                    raise TypeError(f"{key} must be a number, got {value!r}")
-            hyper = Hyperparams(**values)
+            if values["embed_dim"] is None:
+                raise TypeError("embed_dim must be an integer, got None")
+            scales = doc.get("scales")
+            if scales is not None:
+                scales = tuple(_numbers(s, "scales") for s in scales)
+            hyper = Hyperparams(**values, standardize=scales is not None)
             projections = [_numbers(w, "projection") for w in doc["projections"]]
             weights = _numbers(doc["view_weights"], "view_weights")
             trace = doc.get("trace", [])
             if not isinstance(trace, list) or not all(isinstance(entry, dict) for entry in trace):
                 raise TypeError(f"trace must be a list of objects, got {trace!r:.40}")
             stop_reason = doc.get("stop_reason")
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"invalid model document: {exc}") from exc
-        return cls(tuple(projections), weights, hyper, tuple(trace), stop_reason)
+        return cls(tuple(projections), weights, hyper, tuple(trace), stop_reason, scales)
 
     @classmethod
     def load(cls, path) -> "MultiviewMetricModel":

@@ -289,6 +289,11 @@ def train(
     of basis, and the projections can differ from a solve in raw coordinates
     by a right rotation, which leaves ``W_v W_v^T`` as it is.  Narrower views
     keep their raw coordinates.
+
+    With ``hyper.standardize``, each view's training columns are first
+    centred and divided by their per-feature standard deviation (1 where it
+    is 0); only training columns set these statistics, and the model keeps
+    the scales.  It keeps no centre, as every distance ignores a shift.
     """
     hyper = (hyper or Hyperparams()).resolved(dataset.view_dims)
     d = hyper.embed_dim
@@ -297,8 +302,14 @@ def train(
     n_train = len(train_idx)
 
     train_views, bases = [], []
+    scales = [] if hyper.standardize else None
     for view in dataset.views:
         tv = view.restrict(train_idx)
+        if hyper.standardize:
+            scale = tv.data.std(axis=1)
+            scale[scale == 0.0] = 1.0
+            tv = ViewMatrix(tv.view_id, (tv.data - tv.data.mean(axis=1, keepdims=True)) / scale[:, None])
+            scales.append(scale)
         basis = None
         if tv.n_features > n_train + d:
             axes = np.eye(tv.n_features, d)
@@ -349,4 +360,4 @@ def train(
             stop_reason = "tol"
             break
     projections = tuple(b if q is None else q @ b for b, q in zip(previous, bases))
-    return MultiviewMetricModel(projections, weights, hyper, tuple(trace), stop_reason)
+    return MultiviewMetricModel(projections, weights, hyper, tuple(trace), stop_reason, scales)

@@ -408,3 +408,51 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert (out / "manifest.json").is_file()
+
+
+def test_standardized_model_checks_on_raw_data_without_a_flag(dataset_dir, tmp_path, capsys):
+    # the scale lives in the model, so check takes no --standardize of its own
+    manifest = str(dataset_dir / "manifest.json")
+    model_path, report_path = tmp_path / "model.json", tmp_path / "report.json"
+    fit = ["--manifest", manifest, "--train-count", "12", "--d", "2", "--standardize"]
+    assert run_cli(["train", *fit, "--out", str(model_path)]) == 0
+    assert len(json.loads(model_path.read_text())["scales"]) == 2
+    assert run_cli(["eval", *fit, "--trials", "2", "--out", str(report_path)]) == 0
+    config = json.loads(report_path.read_text())["config"]
+    assert config["standardize"] is config["cli"]["standardize"] is True
+    check = ["check", "--model", str(model_path), "--manifest", manifest, "--trials", "100"]
+    capsys.readouterr()
+    assert run_cli(check) == 0
+    assert json.loads(capsys.readouterr().out)["violations"] == 0
+    assert run_cli([*check, "--standardize"]) == 2
+    assert "unrecognized arguments: --standardize" in capsys.readouterr().err
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"standardize": True}))
+    assert run_cli([*check, "--config", str(config_path)]) == 2
+    assert "unknown keys ['standardize']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{ nope", "invalid JSON"),
+        ("[1, 2]", "expected a JSON object"),
+        ('{"views": "view1.csv", "labels": "labels.txt"}', "'views' must be a list of at least 2 file names"),
+        ('{"views": [1, 2], "labels": "labels.txt"}', "'views' must be a list of at least 2 file names"),
+        ('{"views": ["view1.csv"], "labels": "labels.txt"}', "'views' must be a list of at least 2 file names"),
+        ('{"views": ["view1.csv", "view2.csv"], "labels": ["labels.txt"]}', "'labels' must be a file name"),
+    ],
+)
+def test_malformed_manifest_names_the_file_and_key(dataset_dir, tmp_path, capsys, text, message):
+    manifest = dataset_dir / "bad.json"
+    manifest.write_text(text)
+    argv = ["train", "--manifest", str(manifest), "--train-count", "12", "--out", str(tmp_path / "m.json")]
+    assert run_cli(argv) == 2
+    assert f"error: manifest {manifest}: {message}" in capsys.readouterr().err
+
+
+def test_invalid_config_json_names_the_file(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"trials": 3,}')
+    assert run_cli(["eval", "--config", str(config)]) == 2
+    assert f"error: config file {config}: invalid JSON: " in capsys.readouterr().err

@@ -1,15 +1,19 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from mvmetric import (
+    Hyperparams,
     MultiviewDataset,
     ViewMatrix,
+    build_constraints,
     generate_synthetic,
     load_dataset,
     load_manifest,
     split,
+    train,
     write_dataset,
 )
 
@@ -216,15 +220,41 @@ def test_generate_validates_inputs():
 
 
 def test_standardize_flag(tmp_path):
+    # the loader returns the features as written; training fits the scale on
+    # the training columns and the model keeps it (std 0 -> 1)
     ds = generate_synthetic(2, 10, [3, 4], seed=0)
+    constant = ds.views[0].data.copy()
+    constant[1] = 7.0
+    ds = MultiviewDataset((ViewMatrix(1, constant), ds.views[1]), ds.labels)
     manifest = write_dataset(ds, tmp_path / "data")
     raw = load_manifest(manifest)
     for a, b in zip(ds.views, raw.views):
         assert np.array_equal(a.data, b.data)
-    scaled = load_manifest(manifest, standardize=True)
-    for view in scaled.views:
-        np.testing.assert_allclose(view.data.mean(axis=1), 0.0, atol=1e-12)
-        np.testing.assert_allclose(view.data.std(axis=1), 1.0, atol=1e-12)
+    with pytest.raises(TypeError, match="standardize"):
+        load_manifest(manifest, standardize=True)
+    sp = split(raw, 12, seed=0)
+    cons = build_constraints(raw.labels[sp.train_indices])
+    model = train(raw, sp, cons, Hyperparams(embed_dim=2, standardize=True))
+    for view, scale in zip(raw.views, model.scales):
+        columns = view.data[:, sp.train_indices]
+        std = columns.std(axis=1)
+        assert np.array_equal(scale, np.where(std == 0.0, 1.0, std))
+        scaled = model.scaled(view.view_id, columns)
+        np.testing.assert_allclose(scaled.std(axis=1), np.where(std == 0.0, 0.0, 1.0), atol=1e-12)
+    assert model.scales[0][1] == 1.0
+    assert train(raw, sp, cons, Hyperparams(embed_dim=2)).scales is None
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0661", "1.0", "0x1"])
+def test_labels_must_be_ascii_decimal_integers(tmp_path, text):
+    _write_csv(tmp_path / "a.csv", [[1.0], [2.0], [3.0]])
+    _write_csv(tmp_path / "b.csv", [[1.0], [2.0], [3.0]])
+    (tmp_path / "labels.txt").write_text(f"+0\n{text}\n-1\n")
+    with pytest.raises(ValueError, match=re.escape(f"labels.txt, line 2: not an integer: {text!r}")):
+        load_dataset([tmp_path / "a.csv", tmp_path / "b.csv"], tmp_path / "labels.txt")
+    (tmp_path / "labels.txt").write_text("+0\n10\n-1\n")
+    ds = load_dataset([tmp_path / "a.csv", tmp_path / "b.csv"], tmp_path / "labels.txt")
+    np.testing.assert_array_equal(ds.labels, [0, 10, -1])
 
 
 def test_view_matrix_rejects_non_finite():

@@ -1,11 +1,13 @@
 """Property tests: a fit must not depend on things that should not matter.
 
-Each property refits on a reordered copy of the data and compares the
+The order properties refit on a reordered copy of the data and compare the
 per-view metrics ``W_v W_v^T`` (the projections themselves are defined only up
-to a rotation of their columns) and the view weights.
+to a rotation of their columns) and the view weights.  The standardisation
+properties compare model files and predictions.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -16,10 +18,14 @@ from mvmetric import (
     ViewMatrix,
     build_constraints,
     generate_synthetic,
+    knn_classify,
     metric_matrix,
+    run_benchmark,
     split,
     train,
+    write_dataset,
 )
+from mvmetric.cli import main
 
 HYPER = Hyperparams(embed_dim=2)
 N_TRAIN = 14
@@ -85,3 +91,48 @@ def test_training_ignores_feature_order(dataset, order):
     moved = _fit(shuffled, sp.train_indices)
     # feature k of a shuffled view is feature p[k] of the original
     _assert_same_fit(model, moved, [a[np.ix_(p, p)] for a, p in zip(_metrics(model), perms)])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_standardized_training_ignores_test_samples(tmp_path, monkeypatch, seed):
+    # the scale is fitted on the training columns only, so changing the test
+    # samples' values leaves the model file as it was, byte for byte
+    dataset = generate_synthetic(2, 20, [5, 40], noise_views={2}, seed=seed)
+    test = split(dataset, 20, seed=5).test_indices
+    moved = []
+    for view in dataset.views:
+        data = view.data.copy()
+        data[:, test] = data[:, test] * 3.0 + 2.0
+        moved.append(ViewMatrix(view.view_id, data))
+    argv = ["train", "--manifest", "data/manifest.json", "--train-count", "20", "--seed", "5",
+            "--d", "3", "--standardize", "--out", "model.json"]
+    models = []
+    for name, views in (("raw", dataset.views), ("moved", moved)):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        write_dataset(MultiviewDataset(tuple(views), dataset.labels), "data")
+        assert main(argv) == 0
+        models.append((tmp_path / name / "model.json").read_bytes())
+    assert models[0] == models[1]
+
+
+@pytest.mark.parametrize("feature, factor", [(0, 1e-3), (3, 7.5), (1, 1e4)])
+def test_standardized_predictions_ignore_a_feature_scale(feature, factor):
+    dataset = generate_synthetic(3, 12, [6, 8], noise_views={2}, seed=4)
+    data = dataset.views[0].data.copy()
+    data[feature] *= factor
+    rescaled = MultiviewDataset((ViewMatrix(1, data), dataset.views[1]), dataset.labels)
+    sp = split(dataset, 18, seed=3)
+    cons = build_constraints(dataset.labels[sp.train_indices])
+    hyper = Hyperparams(embed_dim=2, standardize=True)
+    predictions = []
+    for ds in (dataset, rescaled):
+        model = train(ds, sp, cons, hyper)
+        train_views = ds.columns(sp.train_indices)
+        train_labels = ds.labels[sp.train_indices]
+        predictions.append([knn_classify(model, train_views, train_labels, ds.sample(i), k=3) for i in sp.test_indices])
+    assert predictions[0] == predictions[1]
+    # run_benchmark fits the scale in each trial, and the Euclidean baseline scores the scaled features
+    reports = [run_benchmark(ds, 18, 3, hyper, seed=2, include_baseline=True, k=3) for ds in (dataset, rescaled)]
+    assert reports[0].per_trial_accuracy == reports[1].per_trial_accuracy
+    assert reports[0].baseline_per_trial == reports[1].baseline_per_trial

@@ -3,15 +3,24 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mvmetric.eval
+import mvmetric.metric
 from mvmetric import (
     Hyperparams,
+    MultiviewDataset,
     MultiviewMetricModel,
+    ViewMatrix,
+    build_constraints,
     check_metric_axioms,
+    generate_synthetic,
+    knn_classify,
     metric_matrix,
     multiview_distance,
+    split,
+    train,
     view_distance,
 )
-from mvmetric.metric import CHECK_BLOCK, TRIANGLE_SLACK
+from mvmetric.metric import CHECK_BLOCK, TRIANGLE_SLACK, _row_norms
 
 
 def make_model(projections, weights, r=2.0):
@@ -232,3 +241,38 @@ def test_check_rejects_non_finite_samples(bad):
     samples[2, 999] = bad  # one trial almost surely never draws this column
     with pytest.raises(ValueError, match="non-finite"):
         check_metric_axioms(model, 1, samples, trials=1, seed=0)
+
+
+def test_standardized_check_measures_the_distances_knn_scores(monkeypatch):
+    # a standardised model is checked on raw samples, which it scales as
+    # knn_classify does; features of very different units make the scale matter
+    ds = generate_synthetic(2, 10, [4, 5], seed=15)
+    units = np.array([[1e-2], [1.0], [30.0], [1e3]])
+    ds = MultiviewDataset((ViewMatrix(1, ds.views[0].data * units), ds.views[1]), ds.labels)
+    sp = split(ds, 12, seed=0)
+    cons = build_constraints(ds.labels[sp.train_indices])
+    model = train(ds, sp, cons, Hyperparams(embed_dim=2, standardize=True))
+    samples, trials = ds.views[0].data, 40
+    x, y = np.random.default_rng(3).integers(samples.shape[1], size=(trials, 3)).T[:2]  # the check's draw
+    norms = []
+
+    def recording(diff):
+        norms.append(_row_norms(diff))
+        return norms[-1]
+
+    monkeypatch.setattr(mvmetric.metric, "_row_norms", recording)
+    check_metric_axioms(model, 1, samples, trials, seed=3)
+    checked = norms[0]  # d(x, y) of every triple
+    scored = []
+    monkeypatch.setattr(mvmetric.eval, "_knn_predict", lambda distances, labels, k: scored.append(distances[0]) or 0)
+    # view 2's test vector equals its one training column, so only view 1 adds distance
+    other = ds.views[1].data[:, :1]
+    for i, j in zip(x, y):
+        knn_classify(model, [samples[:, [j]], other], [0], [samples[:, i], other[:, 0]])
+    np.testing.assert_allclose(checked, np.array(scored) / np.sqrt(model.powered_weights[0]), rtol=1e-12, atol=0.0)
+    unscaled = np.linalg.norm(model.projections[0].T @ (samples[:, x] - samples[:, y]), axis=0)
+    assert not np.allclose(checked, unscaled, rtol=0.5)
+    # metric_matrix includes the scale: its quadratic form gives the same distances
+    diffs = samples[:, x] - samples[:, y]
+    quadratic = np.einsum("ij,ik,kj->j", diffs, metric_matrix(model, 1), diffs)
+    np.testing.assert_allclose(quadratic, checked**2, rtol=1e-9, atol=1e-12)

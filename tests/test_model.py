@@ -13,11 +13,11 @@ from mvmetric import (
 )
 
 
-def _trained_model():
+def _trained_model(**hyper):
     ds = generate_synthetic(2, 8, [4, 5], seed=21)
     sp = split(ds, 10, seed=2)
     cs = build_constraints(ds.labels[sp.train_indices])
-    return train(ds, sp, cs, Hyperparams(embed_dim=2))
+    return train(ds, sp, cs, Hyperparams(**{"embed_dim": 2, **hyper}))
 
 
 def test_hyperparams_validation():
@@ -59,7 +59,7 @@ def test_save_load_roundtrip_is_exact(tmp_path):
     assert np.array_equal(model.view_weights, loaded.view_weights)
     assert model.hyper == loaded.hyper
     hyper_types = [type(getattr(loaded.hyper, f)) for f in Hyperparams.__dataclass_fields__]
-    assert hyper_types == [int, float, float, int, float]
+    assert hyper_types == [int, float, float, int, float, bool]
     assert model.trace == loaded.trace
     assert loaded.stop_reason == model.stop_reason == "tol"
     doc = model.to_dict()
@@ -138,6 +138,7 @@ def test_load_rejects_bad_documents(tmp_path):
         ("tol", True),
         ("max_iters", True),
         ("embed_dim", None),
+        ("tol", 10**400),
     ],
 )
 def test_load_passes_hyperparameters_to_validation_unconverted(tmp_path, key, value):
@@ -181,3 +182,77 @@ def test_load_rejects_entries_that_are_not_json_numbers(tmp_path, edit):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="invalid model document"):
         MultiviewMetricModel.load(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_iters", True), ("coupling_eta", True), ("embed_dim", True), ("tol", False), ("standardize", 1),
+     ("standardize", np.True_)],
+)
+def test_hyperparams_reject_bools_as_numbers_and_numbers_as_bools(field, value):
+    with pytest.raises(TypeError, match=f"{field} must be"):
+        Hyperparams(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value, stored",
+    [("max_iters", np.int64(5), 5), ("tol", np.float32(1e-6), float(np.float32(1e-6))),
+     ("embed_dim", np.int32(2), 2), ("weight_exponent", 3, 3.0), ("coupling_eta", np.float64(2.0), 2.0)],
+)
+def test_hyperparams_store_plain_values_that_save_and_load(tmp_path, field, value, stored):
+    model = _trained_model(**{field: value})
+    held = getattr(model.hyper, field)
+    assert type(held) is type(stored) and held == stored
+    path = tmp_path / "model.json"
+    model.save(path)
+    assert MultiviewMetricModel.load(path).hyper == model.hyper
+
+
+def test_feature_scales_round_trip(tmp_path):
+    model = _trained_model(standardize=True)
+    assert [s.shape for s in model.scales] == [(4,), (5,)]
+    path = tmp_path / "model.json"
+    model.save(path)
+    loaded = MultiviewMetricModel.load(path)
+    assert loaded.hyper == model.hyper and loaded.hyper.standardize
+    for a, b in zip(model.scales, loaded.scales):
+        assert np.array_equal(a, b)
+    assert json.loads(path.read_text())["scales"] == [s.tolist() for s in model.scales]
+    # the key is left out when unused, so default model files keep their bytes
+    assert "scales" not in _trained_model().to_dict()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda scales: scales[0].__setitem__(1, "2.0"),
+        lambda scales: scales[0].__setitem__(1, True),
+        lambda scales: scales[1].__setitem__(0, None),
+        lambda scales: scales[1].__setitem__(0, [1.0]),
+        lambda scales: scales[0].__setitem__(2, float("nan")),
+        lambda scales: scales[0].__setitem__(2, float("inf")),
+        lambda scales: scales[1].__setitem__(3, 0.0),
+        lambda scales: scales[1].__setitem__(3, -1.5),
+        lambda scales: scales[0].pop(),
+        lambda scales: scales[1].append(1.0),
+        lambda scales: scales.pop(),
+        lambda scales: scales.__setitem__(0, "1.0,1.0,1.0,1.0"),
+    ],
+    ids=["string", "bool", "null", "nested", "nan", "inf", "zero", "negative", "short", "long",
+         "one-view", "string-view"],
+)
+def test_load_rejects_bad_feature_scales(tmp_path, edit):
+    doc = _trained_model(standardize=True).to_dict()
+    edit(doc["scales"])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="scale"):
+        MultiviewMetricModel.load(path)
+
+
+def test_model_stores_scales_exactly_when_standardized():
+    model = _trained_model(standardize=True)
+    with pytest.raises(ValueError, match="scales are required exactly when"):
+        MultiviewMetricModel(model.projections, model.view_weights, Hyperparams(embed_dim=2), scales=model.scales)
+    with pytest.raises(ValueError, match="scales are required exactly when"):
+        MultiviewMetricModel(model.projections, model.view_weights, model.hyper)

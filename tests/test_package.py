@@ -11,6 +11,7 @@ REMOVED = (
     "update_projections",
     "mahalanobis_distance",
     "distance_weights",
+    "standardize_views",
 )
 
 
