@@ -31,7 +31,7 @@ from .metric import (
     view_distance,
 )
 from .model import Hyperparams, MultiviewMetricModel
-from .scatter import CrossCorrelation, ScatterPair, compute_cross, compute_scatter
+from .scatter import compute_cross, compute_scatter, coupling_matrix
 from .solver import (
     TrainingError,
     assemble_block_matrix,
@@ -43,12 +43,10 @@ from .solver import (
 __all__ = [
     "FORMAT_VERSION",
     "ConstraintSet",
-    "CrossCorrelation",
     "EvalReport",
     "Hyperparams",
     "MultiviewDataset",
     "MultiviewMetricModel",
-    "ScatterPair",
     "SplitSpec",
     "TrainingError",
     "ViewMatrix",
@@ -58,6 +56,7 @@ __all__ = [
     "compute_cross",
     "compute_scatter",
     "compute_view_gains",
+    "coupling_matrix",
     "derive_trial_seed",
     "generate_synthetic",
     "knn_classify",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,14 @@ def build_constraints(labels, max_pairs_per_set: int | None = None, seed: int = 
 
     By default both sets are exhaustive.  When ``max_pairs_per_set`` is given
     and a set exceeds it, the set is subsampled uniformly without replacement,
-    deterministically for a fixed seed.
+    deterministically for a fixed seed.  The cap must be an integer >= 1 (a
+    bool is not one), whether or not it binds.
     """
+    if max_pairs_per_set is not None:
+        if isinstance(max_pairs_per_set, bool) or not isinstance(max_pairs_per_set, numbers.Integral):
+            raise TypeError(f"max_pairs_per_set must be an integer, got {max_pairs_per_set!r}")
+        if max_pairs_per_set < 1:
+            raise ValueError(f"max_pairs_per_set must be >= 1, got {max_pairs_per_set}")
     labels = np.asarray(labels)
     n = labels.shape[0]
     if n < 2:
@@ -58,8 +65,6 @@ def build_constraints(labels, max_pairs_per_set: int | None = None, seed: int = 
     if dissimilar.shape[0] == 0:
         raise ValueError("no dissimilar pairs (only one class present)")
     if max_pairs_per_set is not None:
-        if max_pairs_per_set < 1:
-            raise ValueError("max_pairs_per_set must be >= 1")
         rng = np.random.default_rng(seed)
         similar = _cap(similar, max_pairs_per_set, rng)
         dissimilar = _cap(dissimilar, max_pairs_per_set, rng)

@@ -7,12 +7,21 @@ a_v (exponent r > 1) is
       + sum_{v != w} (a_v^r + a_w^r) / (2 * eta) * tr(W_v.T C_vw W_w)
 
 with B_v/S_v the between/within pair scatters and C_vw the cross-view
-correlation blocks.  Stacking the W_v into one tall matrix turns G into a
-single quadratic form tr(W.T Z W) over a symmetric block matrix Z, which the
-W-step exploits: take the top eigenvectors of Z, restore per-view
+correlation blocks.  A fit stacks these once into the symmetric coupling
+matrix K (B_v - S_v on diagonal block v, C_vw off it), and each iteration
+weights K blockwise into Z: a_v^r on diagonal blocks, (a_v^r + a_w^r) /
+(2 * eta) off them.  With the W_v stacked into one tall W,
+G = tr(W.T Z W) = sum_v a_v^r g_v(W), g_v being the view's gain.
+
+The W-step is a heuristic for maximising tr(W.T Z W) under per-view
+orthonormality: take the top eigenvectors of Z, restore per-view
 orthonormality by polar projection, then run deterministic block-coordinate
-ascent sweeps that never decrease the objective.  The weight step is a
-closed-form simplex update driven by each view's marginal gain.
+ascent sweeps that never decrease the objective.  It does not always reach
+the maximum (README gives an example).  The weight step is exact: with
+b = a^r it sets b proportional to g^(r/(r-1)), which maximises
+sum_v b_v g_v over b >= 0 with ||b||_p = 1, p = (2r-1)/r, for nonnegative
+gains (a gain below 1e-8 is clamped there first); Z depends only on b's
+direction.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ import numpy as np
 from .constraints import ConstraintSet
 from .dataset import MultiviewDataset, SplitSpec, ViewMatrix
 from .model import Hyperparams, MultiviewMetricModel
-from .scatter import compute_cross, compute_scatter
+from .scatter import _block_offsets, coupling_matrix
 
 GAIN_CLAMP_FLOOR = 1e-8
 
@@ -37,48 +46,25 @@ class TrainingError(RuntimeError):
         self.trace = tuple(trace)
 
 
-def _cross_block(crosses, view_a: int, view_b: int) -> np.ndarray:
-    for c in crosses:
-        if (c.view_a, c.view_b) == (view_a, view_b):
-            return c.matrix
-        if (c.view_a, c.view_b) == (view_b, view_a):
-            return c.matrix.T
-    raise ValueError(f"missing cross correlation for views ({view_a}, {view_b})")
+def assemble_block_matrix(K: np.ndarray, dims, weights, hyper: Hyperparams) -> np.ndarray:
+    """Weight the coupling matrix K into Z, whose quadratic form equals the objective.
 
-
-def assemble_block_matrix(scatters, crosses, weights, hyper: Hyperparams) -> np.ndarray:
-    """Build the symmetric block matrix Z whose quadratic form equals the objective.
-
-    Diagonal block v is ``a_v^r (B_v - S_v)``; off-diagonal block (v, w) is
-    ``(a_v^r + a_w^r) / (2 eta) * C_vw``.  The result is symmetric bit-exactly.
+    Z is ``coeff * K`` with ``coeff = a_v^r`` on diagonal block v and
+    ``(a_v^r + a_w^r) / (2 eta)`` on block (v, w), v != w.  The result is
+    symmetric bit-exactly.
     """
     weights = np.asarray(weights, dtype=float)
-    m = len(scatters)
-    if weights.shape != (m,):
+    if weights.shape != (len(dims),):
         raise ValueError("one weight per view is required")
     if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > 1e-8:
         raise ValueError("weights must lie on the simplex")
+    total = sum(dims)
+    if K.shape != (total, total):
+        raise ValueError(f"K has shape {K.shape}, expected {(total, total)} for view dims {list(dims)}")
     powered = weights**hyper.weight_exponent
-    dims = [s.between.shape[0] for s in scatters]
-    offsets = np.concatenate([[0], np.cumsum(dims)])
-    total = offsets[-1]
-    Z = np.zeros((total, total))
-    for v, s in enumerate(scatters):
-        lo, hi = offsets[v], offsets[v + 1]
-        Z[lo:hi, lo:hi] = powered[v] * (s.between - s.within)
-    for v in range(m):
-        for w in range(v + 1, m):
-            block = _cross_block(crosses, scatters[v].view_id, scatters[w].view_id)
-            if block.shape != (dims[v], dims[w]):
-                raise ValueError(
-                    f"cross block for views ({scatters[v].view_id}, {scatters[w].view_id}) "
-                    f"has shape {block.shape}, expected {(dims[v], dims[w])}"
-                )
-            coeff = (powered[v] + powered[w]) / (2.0 * hyper.coupling_eta)
-            scaled = coeff * block
-            Z[offsets[v]:offsets[v + 1], offsets[w]:offsets[w + 1]] = scaled
-            Z[offsets[w]:offsets[w + 1], offsets[v]:offsets[v + 1]] = scaled.T
-    return Z
+    coeff = (powered[:, None] + powered[None, :]) / (2.0 * hyper.coupling_eta)
+    np.fill_diagonal(coeff, powered)
+    return np.repeat(np.repeat(coeff, dims, axis=0), dims, axis=1) * K
 
 
 def top_eigenpairs(Z: np.ndarray, d: int):
@@ -143,10 +129,6 @@ def stacked_objective(Z: np.ndarray, blocks) -> float:
     """tr(W.T Z W) for the row-stacked per-view blocks."""
     W = np.vstack(blocks)
     return float(np.sum((Z @ W) * W))
-
-
-def _block_offsets(dims):
-    return np.concatenate([[0], np.cumsum(dims)])
 
 
 def _refine_blocks(Z, dims, blocks, max_sweeps=30, inner_iters=50):
@@ -214,24 +196,27 @@ def _update_projections(Z, dims, d):
     return blocks, padded, sweeps, len(dims) + svds
 
 
-def compute_view_gains(projections, scatters, crosses, hyper: Hyperparams) -> np.ndarray:
+def compute_view_gains(projections, K: np.ndarray, hyper: Hyperparams) -> np.ndarray:
     """Per-view marginal gain: margin trace plus the view's coupling traces.
 
     g_v = tr(W_v.T (B_v - S_v) W_v) + (1/eta) * sum_{w != v} tr(W_v.T C_vw W_w),
     which is 1/r times the derivative of the objective with respect to the
-    view's weight, evaluated at weight 1.
+    view's weight, evaluated at weight 1.  The blocks come from the coupling
+    matrix K, block (v, w), v > w, as the transpose of block (w, v), and
+    each term is summed on its own.
     """
-    m = len(scatters)
+    m = len(projections)
+    offsets = _block_offsets([p.shape[0] for p in projections])
+    block = [slice(offsets[v], offsets[v + 1]) for v in range(m)]
     gains = np.zeros(m)
     for v in range(m):
         w_v = projections[v]
-        margin = scatters[v].between - scatters[v].within
-        gains[v] = np.sum((margin @ w_v) * w_v)
+        gains[v] = np.sum((K[block[v], block[v]] @ w_v) * w_v)
         for w in range(m):
             if w == v:
                 continue
-            block = _cross_block(crosses, scatters[v].view_id, scatters[w].view_id)
-            gains[v] += np.sum((block @ projections[w]) * w_v) / hyper.coupling_eta
+            cross = K[block[v], block[w]] if v < w else K[block[w], block[v]].T
+            gains[v] += np.sum((cross @ projections[w]) * w_v) / hyper.coupling_eta
     return gains
 
 
@@ -318,22 +303,16 @@ def train(
         train_views.append(tv)
         bases.append(basis)
     dims = [tv.n_features for tv in train_views]
-    scatters = [compute_scatter(tv, constraints) for tv in train_views]
-    columns = np.arange(n_train)
-    crosses = [
-        compute_cross(train_views[a], train_views[b], columns)
-        for a in range(dataset.m)
-        for b in range(a + 1, dataset.m)
-    ]
+    K = coupling_matrix(train_views, constraints)
 
     weights = np.full(dataset.m, 1.0 / dataset.m)
     previous = None
     trace = []
     stop_reason = "max_iters"
     for iteration in range(1, hyper.max_iters + 1):
-        Z = assemble_block_matrix(scatters, crosses, weights, hyper)
+        Z = assemble_block_matrix(K, dims, weights, hyper)
         blocks, padded, sweeps, svds = _update_projections(Z, dims, d)
-        gains = compute_view_gains(blocks, scatters, crosses, hyper)
+        gains = compute_view_gains(blocks, K, hyper)
         objective = float(np.dot(weights**r, gains))
         weights = update_view_weights(gains, r)
         residual = None

@@ -82,17 +82,17 @@ def test_criterion_2_scatter_oracle_equivalence():
         constraints = build_constraints(labels)
         views = [ViewMatrix(v + 1, rng.standard_normal((dim, n))) for v, dim in enumerate(dims)]
         for view in views:
-            pair = compute_scatter(view, constraints)
+            between, within = compute_scatter(view, constraints)
             worst = max(
                 worst,
-                np.abs(pair.between - naive_pair_scatter(view.data, constraints.dissimilar)).max(),
-                np.abs(pair.within - naive_pair_scatter(view.data, constraints.similar)).max(),
+                np.abs(between - naive_pair_scatter(view.data, constraints.dissimilar)).max(),
+                np.abs(within - naive_pair_scatter(view.data, constraints.similar)).max(),
             )
         for a in range(m):
             for b in range(a + 1, m):
                 cross = compute_cross(views[a], views[b], np.arange(n))
                 worst = max(
-                    worst, np.abs(cross.matrix - naive_cross(views[a].data, views[b].data)).max()
+                    worst, np.abs(cross - naive_cross(views[a].data, views[b].data)).max()
                 )
     elapsed = time.perf_counter() - start
     _verdict(2, "scatter oracle equivalence", worst <= 1e-12, f"max abs error {worst:.2e} <= 1e-12")
@@ -103,16 +103,16 @@ def test_criterion_3_objective_consistency():
     rng = np.random.default_rng(30)
     start = time.perf_counter()
     dims = [3, 5, 4]
-    scatters, crosses = random_instance(rng, dims, n_samples=9)
+    K, margins, crosses = random_instance(rng, dims, n_samples=9)
     weights = rng.dirichlet(np.ones(3))
     r, eta = 2.5, 0.8
     hyper = Hyperparams(embed_dim=2, weight_exponent=r, coupling_eta=eta)
-    Z = assemble_block_matrix(scatters, crosses, weights, hyper)
+    Z = assemble_block_matrix(K, dims, weights, hyper)
     worst = 0.0
     for _ in range(20):
         blocks = random_orthonormal_blocks(rng, dims, 2)
         via_z = stacked_objective(Z, blocks)
-        direct = objective_oracle(blocks, weights, scatters, crosses, r, eta)
+        direct = objective_oracle(blocks, weights, margins, crosses, r, eta)
         worst = max(worst, abs(via_z - direct) / max(1.0, abs(direct)))
     elapsed = time.perf_counter() - start
     _verdict(3, "objective consistency", worst <= 1e-10, f"max rel error {worst:.2e} <= 1e-10")
@@ -185,21 +185,21 @@ def test_criterion_6_gain_gradient_check():
     for i in range(10):
         m = int(rng.integers(2, 4))
         dims = [int(rng.integers(2, 5)) for _ in range(m)]
-        scatters, crosses = random_instance(rng, dims, n_samples=8)
+        K, margins, crosses = random_instance(rng, dims, n_samples=8)
         r = (1.5, 2.0, 3.0)[i % 3]
         eta = float(rng.uniform(0.5, 2.0))
         hyper = Hyperparams(embed_dim=1, weight_exponent=r, coupling_eta=eta)
         d = min(dims)
         blocks = random_orthonormal_blocks(rng, dims, d)
-        gains = compute_view_gains(blocks, scatters, crosses, hyper)
+        gains = compute_view_gains(blocks, K, hyper)
         ones = np.ones(m)
         for v in range(m):
             up, down = ones.copy(), ones.copy()
             up[v] += h
             down[v] -= h
             fd = (
-                objective_oracle(blocks, up, scatters, crosses, r, eta)
-                - objective_oracle(blocks, down, scatters, crosses, r, eta)
+                objective_oracle(blocks, up, margins, crosses, r, eta)
+                - objective_oracle(blocks, down, margins, crosses, r, eta)
             ) / (2 * h)
             worst = max(worst, abs(fd - r * gains[v]) / max(1e-12, abs(r * gains[v])))
     elapsed = time.perf_counter() - start

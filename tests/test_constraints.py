@@ -3,7 +3,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mvmetric import ConstraintSet, ViewMatrix, build_constraints, compute_scatter
+from mvmetric import (
+    ConstraintSet,
+    Hyperparams,
+    ViewMatrix,
+    build_constraints,
+    compute_scatter,
+    generate_synthetic,
+    run_benchmark,
+)
 
 
 def _as_pair_set(pairs):
@@ -76,15 +84,15 @@ def test_valid_indices_reach_the_scatter_unchanged():
     cs = ConstraintSet(np.array([[0, 1]], dtype=np.uint8), [[1, 2]])
     assert cs.similar.dtype == int
     view = ViewMatrix(1, np.arange(6.0).reshape(2, 3))
-    scatter = compute_scatter(view, cs)
-    assert np.array_equal(scatter.within, np.ones((2, 2)))
-    assert np.array_equal(scatter.between, np.ones((2, 2)))
+    between, within = compute_scatter(view, cs)
+    assert np.array_equal(within, np.ones((2, 2)))
+    assert np.array_equal(between, np.ones((2, 2)))
 
 
 def test_cap_subsamples_deterministically():
     labels = np.array([0] * 10 + [1] * 10)
     a = build_constraints(labels, max_pairs_per_set=30, seed=5)
-    b = build_constraints(labels, max_pairs_per_set=30, seed=5)
+    b = build_constraints(labels, max_pairs_per_set=np.int64(30), seed=5)  # any integer type
     assert np.array_equal(a.similar, b.similar)
     assert np.array_equal(a.dissimilar, b.dissimilar)
     assert a.n_similar == 30
@@ -100,6 +108,24 @@ def test_cap_leaves_small_sets_alone():
     capped = build_constraints(labels, max_pairs_per_set=100, seed=0)
     assert capped.n_similar == 1
     assert capped.n_dissimilar == 2
+
+
+@pytest.mark.parametrize(
+    "cap, error",
+    [(True, TypeError), (2.5, TypeError), (np.float64(3.0), TypeError), ("3", TypeError), (0, ValueError)],
+)
+@pytest.mark.parametrize("labels", [[0, 0, 1], [0] * 10 + [1] * 10], ids=["cap-not-binding", "cap-binding"])
+def test_cap_must_be_a_positive_integer(cap, error, labels):
+    # [0, 0, 1] has 1 similar and 2 dissimilar pairs, fewer than any valid
+    # cap here; 20 labels have 90 and 100
+    with pytest.raises(error, match="max_pairs_per_set"):
+        build_constraints(labels, cap)
+
+
+def test_cap_is_checked_before_a_benchmark_fits():
+    ds = generate_synthetic(2, 5, [3, 4], seed=0)
+    with pytest.raises(TypeError, match="max_pairs_per_set must be an integer, got True"):
+        run_benchmark(ds, 6, 1, Hyperparams(embed_dim=2), max_pairs_per_set=True)
 
 
 @settings(max_examples=60, deadline=None)

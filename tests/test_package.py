@@ -12,6 +12,8 @@ REMOVED = (
     "mahalanobis_distance",
     "distance_weights",
     "standardize_views",
+    "ScatterPair",
+    "CrossCorrelation",
 )
 
 

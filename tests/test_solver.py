@@ -13,6 +13,7 @@ from mvmetric import (
     compute_cross,
     compute_scatter,
     compute_view_gains,
+    coupling_matrix,
     generate_synthetic,
     split,
     train,
@@ -29,43 +30,41 @@ from mvmetric.solver import (
 
 
 def random_instance(rng, dims, n_samples=8):
-    """Random scatters and cross blocks for the given view dimensions."""
+    """Random views' coupling matrix K and, apart from K, its parts.
+
+    Returns K, each view's margin ``B_v - S_v`` and a dict of the cross
+    blocks ``C_vw`` keyed by view positions (v, w), v < w.
+    """
     labels = rng.integers(0, 2, size=n_samples)
     while np.unique(labels).size < 2 or not np.any(np.bincount(labels) >= 2):
         labels = rng.integers(0, 2, size=n_samples)
     cs = build_constraints(labels)
     views = [ViewMatrix(v + 1, rng.standard_normal((dim, n_samples))) for v, dim in enumerate(dims)]
-    scatters = [compute_scatter(view, cs) for view in views]
-    crosses = [
-        compute_cross(views[a], views[b], np.arange(n_samples))
+    margins = [between - within for between, within in (compute_scatter(view, cs) for view in views)]
+    crosses = {
+        (a, b): compute_cross(views[a], views[b], np.arange(n_samples))
         for a in range(len(dims))
         for b in range(a + 1, len(dims))
-    ]
-    return scatters, crosses
+    }
+    return coupling_matrix(views, cs), margins, crosses
 
 
-def cross_for(crosses, a, b):
-    for c in crosses:
-        if (c.view_a, c.view_b) == (a, b):
-            return c.matrix
-        if (c.view_a, c.view_b) == (b, a):
-            return c.matrix.T
-    raise KeyError((a, b))
+def cross_for(crosses, v, w):
+    return crosses[(v, w)] if v < w else crosses[(w, v)].T
 
 
-def objective_oracle(blocks, weights, scatters, crosses, r, eta):
+def objective_oracle(blocks, weights, margins, crosses, r, eta):
     """Term-by-term evaluation of the weighted margin + coupling objective."""
     m = len(blocks)
     powered = [weights[v] ** r for v in range(m)]
     total = 0.0
     for v in range(m):
-        margin = scatters[v].between - scatters[v].within
-        total += powered[v] * np.trace(blocks[v].T @ margin @ blocks[v])
+        total += powered[v] * np.trace(blocks[v].T @ margins[v] @ blocks[v])
     for v in range(m):
         for w in range(m):
             if v == w:
                 continue
-            block = cross_for(crosses, scatters[v].view_id, scatters[w].view_id)
+            block = cross_for(crosses, v, w)
             total += (powered[v] + powered[w]) / (2.0 * eta) * np.trace(blocks[v].T @ block @ blocks[w])
     return total
 
@@ -80,42 +79,91 @@ def random_orthonormal_blocks(rng, dims, d):
 
 def test_assemble_infinite_eta_decouples_views():
     rng = np.random.default_rng(0)
-    scatters, crosses = random_instance(rng, [3, 4])
+    K, _, _ = random_instance(rng, [3, 4])
     hyper = Hyperparams(embed_dim=2, coupling_eta=np.inf)
-    Z = assemble_block_matrix(scatters, crosses, np.array([0.5, 0.5]), hyper)
+    Z = assemble_block_matrix(K, [3, 4], np.array([0.5, 0.5]), hyper)
     assert np.array_equal(Z[:3, 3:], np.zeros((3, 4)))
     assert np.array_equal(Z[3:, :3], np.zeros((4, 3)))
 
 
 def test_assemble_degenerate_weights():
     rng = np.random.default_rng(1)
-    scatters, crosses = random_instance(rng, [3, 4])
+    K, margins, crosses = random_instance(rng, [3, 4])
     hyper = Hyperparams(embed_dim=2, weight_exponent=2.0, coupling_eta=3.0)
-    Z = assemble_block_matrix(scatters, crosses, np.array([1.0, 0.0]), hyper)
-    np.testing.assert_array_equal(Z[:3, :3], scatters[0].between - scatters[0].within)
+    Z = assemble_block_matrix(K, [3, 4], np.array([1.0, 0.0]), hyper)
+    np.testing.assert_array_equal(Z[:3, :3], margins[0])
     np.testing.assert_array_equal(Z[3:, 3:], np.zeros((4, 4)))
-    np.testing.assert_allclose(Z[:3, 3:], crosses[0].matrix / 6.0, rtol=1e-15)
+    np.testing.assert_allclose(Z[:3, 3:], crosses[(0, 1)] / 6.0, rtol=1e-15)
 
 
 def test_assemble_is_bit_exact_symmetric():
     rng = np.random.default_rng(2)
-    scatters, crosses = random_instance(rng, [3, 4, 2])
+    K, _, _ = random_instance(rng, [3, 4, 2])
     hyper = Hyperparams(embed_dim=2, coupling_eta=0.7)
-    Z = assemble_block_matrix(scatters, crosses, np.array([0.2, 0.5, 0.3]), hyper)
+    Z = assemble_block_matrix(K, [3, 4, 2], np.array([0.2, 0.5, 0.3]), hyper)
     assert np.array_equal(Z, Z.T)
 
 
 def test_quadratic_form_matches_term_by_term_objective():
     rng = np.random.default_rng(3)
-    scatters, crosses = random_instance(rng, [3, 4, 2])
+    K, margins, crosses = random_instance(rng, [3, 4, 2])
     hyper = Hyperparams(embed_dim=2, weight_exponent=2.5, coupling_eta=0.9)
     weights = np.array([0.2, 0.5, 0.3])
-    Z = assemble_block_matrix(scatters, crosses, weights, hyper)
+    Z = assemble_block_matrix(K, [3, 4, 2], weights, hyper)
     for _ in range(20):
         blocks = random_orthonormal_blocks(rng, [3, 4, 2], 2)
         via_z = stacked_objective(Z, blocks)
-        direct = objective_oracle(blocks, weights, scatters, crosses, 2.5, 0.9)
+        direct = objective_oracle(blocks, weights, margins, crosses, 2.5, 0.9)
         np.testing.assert_allclose(via_z, direct, rtol=1e-10)
+
+
+def test_assemble_rejects_a_coupling_matrix_of_the_wrong_shape():
+    K, _, _ = random_instance(np.random.default_rng(18), [3, 4])
+    with pytest.raises(ValueError, match="expected"):
+        assemble_block_matrix(K, [3, 3], np.array([0.5, 0.5]), Hyperparams(embed_dim=2))
+
+
+def _blockwise_block_matrix(margins, crosses, weights, hyper):
+    """Z assembled block by block from the separate margins and cross blocks."""
+    powered = np.asarray(weights, dtype=float) ** hyper.weight_exponent
+    offsets = _block_offsets([len(margin) for margin in margins])
+    block = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
+    Z = np.zeros((offsets[-1], offsets[-1]))
+    for v, margin in enumerate(margins):
+        Z[block[v], block[v]] = powered[v] * margin
+    for (v, w), cross in crosses.items():
+        scaled = (powered[v] + powered[w]) / (2.0 * hyper.coupling_eta) * cross
+        Z[block[v], block[w]] = scaled
+        Z[block[w], block[v]] = scaled.T
+    return Z
+
+
+def _blockwise_view_gains(projections, margins, crosses, hyper):
+    """The gains from the separate margins and cross blocks, one sum per term."""
+    m = len(projections)
+    gains = np.zeros(m)
+    for v in range(m):
+        w_v = projections[v]
+        gains[v] = np.sum((margins[v] @ w_v) * w_v)
+        for w in range(m):
+            if w != v:
+                gains[v] += np.sum((cross_for(crosses, v, w) @ projections[w]) * w_v) / hyper.coupling_eta
+    return gains
+
+
+def test_z_and_gains_from_the_coupling_matrix_equal_the_blockwise_formulas_bit_for_bit():
+    rng = np.random.default_rng(19)
+    for i in range(24):
+        dims = [int(rng.integers(2, 30)) for _ in range(int(rng.integers(2, 5)))]
+        K, margins, crosses = random_instance(rng, dims, n_samples=int(rng.integers(4, 40)))
+        eta = (0.5, 1.0, 10.0, np.inf)[i % 4]
+        hyper = Hyperparams(embed_dim=2, weight_exponent=(1.5, 2.0, 3.0)[i % 3], coupling_eta=eta)
+        weights = rng.dirichlet(np.ones(len(dims)))
+        Z = assemble_block_matrix(K, dims, weights, hyper)
+        assert np.array_equal(Z, _blockwise_block_matrix(margins, crosses, weights, hyper))
+        for blocks in (_update_projections(Z, dims, 2)[0], random_orthonormal_blocks(rng, dims, 2)):
+            gains = compute_view_gains(blocks, K, hyper)
+            assert np.array_equal(gains, _blockwise_view_gains(blocks, margins, crosses, hyper))
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +348,12 @@ def test_refine_sweeps_are_bit_identical_to_the_reference_loop(monkeypatch):
 
 def test_gains_decoupled_equal_top_eigenvalue_sum():
     rng = np.random.default_rng(7)
-    scatters, crosses = random_instance(rng, [4, 3])
+    K, margins, _ = random_instance(rng, [4, 3])
     hyper = Hyperparams(embed_dim=2, coupling_eta=np.inf)
-    Z = assemble_block_matrix(scatters, crosses, np.array([0.5, 0.5]), hyper)
+    Z = assemble_block_matrix(K, [4, 3], np.array([0.5, 0.5]), hyper)
     blocks = _update_projections(Z, [4, 3], 2)[0]
-    gains = compute_view_gains(blocks, scatters, crosses, hyper)
-    for v, s in enumerate(scatters):
-        margin = s.between - s.within
+    gains = compute_view_gains(blocks, K, hyper)
+    for v, margin in enumerate(margins):
         expected = np.sort(np.linalg.eigvalsh(margin))[::-1][:2].sum()
         np.testing.assert_allclose(gains[v], expected, rtol=1e-8)
 
@@ -316,13 +363,11 @@ def test_gains_symmetric_for_identical_views():
     data = rng.standard_normal((3, 8))
     labels = np.array([0, 0, 1, 1, 0, 1, 0, 1])
     cs = build_constraints(labels)
-    views = [ViewMatrix(1, data), ViewMatrix(2, data)]
-    scatters = [compute_scatter(v, cs) for v in views]
-    crosses = [compute_cross(views[0], views[1], np.arange(8))]
+    K = coupling_matrix([ViewMatrix(1, data), ViewMatrix(2, data)], cs)
     hyper = Hyperparams(embed_dim=2, coupling_eta=1.0)
-    Z = assemble_block_matrix(scatters, crosses, np.array([0.5, 0.5]), hyper)
+    Z = assemble_block_matrix(K, [3, 3], np.array([0.5, 0.5]), hyper)
     blocks = _update_projections(Z, [3, 3], 2)[0]
-    gains = compute_view_gains(blocks, scatters, crosses, hyper)
+    gains = compute_view_gains(blocks, K, hyper)
     np.testing.assert_allclose(gains[0], gains[1], atol=1e-9)
 
 
@@ -330,10 +375,10 @@ def test_gains_match_finite_difference_gradient():
     rng = np.random.default_rng(9)
     for _ in range(5):
         dims = [3, 4]
-        scatters, crosses = random_instance(rng, dims)
+        K, margins, crosses = random_instance(rng, dims)
         hyper = Hyperparams(embed_dim=2, weight_exponent=2.5, coupling_eta=1.3)
         blocks = random_orthonormal_blocks(rng, dims, 2)
-        gains = compute_view_gains(blocks, scatters, crosses, hyper)
+        gains = compute_view_gains(blocks, K, hyper)
         h = 1e-5
         r = hyper.weight_exponent
         for v in range(2):
@@ -342,8 +387,8 @@ def test_gains_match_finite_difference_gradient():
                 up[v] += h
                 down[v] -= h
                 fd = (
-                    objective_oracle(blocks, up, scatters, crosses, r, 1.3)
-                    - objective_oracle(blocks, down, scatters, crosses, r, 1.3)
+                    objective_oracle(blocks, up, margins, crosses, r, 1.3)
+                    - objective_oracle(blocks, down, margins, crosses, r, 1.3)
                 ) / (2 * h)
                 np.testing.assert_allclose(fd, factor * gains[v], rtol=1e-6)
 
@@ -441,9 +486,8 @@ def test_single_view_training_reduces_to_margin_eigenproblem():
     model = train(ds, sp, cs, Hyperparams(embed_dim=2))
     assert len(model.trace) <= 2
     np.testing.assert_allclose(model.view_weights, [1.0])
-    scatter = compute_scatter(ds.views[0].restrict(sp.train_indices), cs)
-    margin = scatter.between - scatter.within
-    _, top = top_eigenpairs(margin, 2)
+    between, within = compute_scatter(ds.views[0].restrict(sp.train_indices), cs)
+    _, top = top_eigenpairs(between - within, 2)
     # the learned block spans the top-2 eigenvector subspace
     projector_model = model.projections[0] @ model.projections[0].T
     projector_eig = top @ top.T
@@ -530,19 +574,13 @@ def full_space_train(dataset, split_spec, constraints, hyper):
     """
     hyper = hyper.resolved(dataset.view_dims)
     r = hyper.weight_exponent
-    idx = split_spec.train_indices
-    scatters = [compute_scatter(v.restrict(idx), constraints) for v in dataset.views]
-    crosses = [
-        compute_cross(dataset.views[a], dataset.views[b], idx)
-        for a in range(dataset.m)
-        for b in range(a + 1, dataset.m)
-    ]
+    K = coupling_matrix([v.restrict(split_spec.train_indices) for v in dataset.views], constraints)
     weights = np.full(dataset.m, 1.0 / dataset.m)
     previous, objectives = None, []
     for _ in range(hyper.max_iters):
-        Z = assemble_block_matrix(scatters, crosses, weights, hyper)
+        Z = assemble_block_matrix(K, dataset.view_dims, weights, hyper)
         blocks = _update_projections(Z, dataset.view_dims, hyper.embed_dim)[0]
-        gains = compute_view_gains(blocks, scatters, crosses, hyper)
+        gains = compute_view_gains(blocks, K, hyper)
         objectives.append(float(np.dot(weights**r, gains)))
         weights = update_view_weights(gains, r)
         done = previous is not None and (
@@ -625,8 +663,8 @@ def test_wide_view_can_use_directions_outside_its_training_span():
     ds = _dataset_from_views([rng.standard_normal((30, 10))], labels)
     sp = SplitSpec(np.arange(6), np.arange(6, 10), seed=0)
     cs = build_constraints(labels[:6])
-    scatter = compute_scatter(ds.views[0].restrict(sp.train_indices), cs)
-    eigvals = np.linalg.eigvalsh(scatter.between - scatter.within)
+    between, within = compute_scatter(ds.views[0].restrict(sp.train_indices), cs)
+    eigvals = np.linalg.eigvalsh(between - within)
     assert np.sum(eigvals > 1e-9) < 4
     model = train(ds, sp, cs, Hyperparams(embed_dim=4))
     best = eigvals[eigvals > 0].sum()
