@@ -106,7 +106,6 @@ _HYPER_DEFAULTS = {
     "eta": 1.0,
     "max_iters": 50,
     "tol": 1e-6,
-    "max_pairs_per_set": None,
     "standardize": False,
 }
 
@@ -118,10 +117,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     hyper = _hyper_from_config(cfg)
     dataset = load_manifest(cfg["manifest"])
     sp = split(dataset, cfg["train_count"], cfg["seed"])
-    cons = build_constraints(
-        dataset.labels[sp.train_indices], cfg["max_pairs_per_set"], cfg["seed"]
-    )
-    model = train(dataset, sp, cons, hyper)
+    model = train(dataset, sp, build_constraints(dataset.labels[sp.train_indices]), hyper)
     model.save(cfg["out"], config=cfg)
     weights = ", ".join(f"{w:.6f}" for w in model.view_weights)
     stopped = "converged below tol" if model.stop_reason == "tol" else "stopped at max_iters"
@@ -157,7 +153,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         trials=cfg["trials"],
         hyper=hyper,
         seed=cfg["seed"],
-        max_pairs_per_set=cfg["max_pairs_per_set"],
         include_baseline=cfg["baseline"] == "euclidean",
         k=cfg["k"],
     )
@@ -244,7 +239,6 @@ def _add_common_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eta", type=float, help="cross-view coupling divisor, must be > 0 (default 1)")
     p.add_argument("--max-iters", dest="max_iters", type=int, help="maximum alternating iterations (default 50)")
     p.add_argument("--tol", type=float, help="stopping tolerance on the relative change of W_v W_v^T (default 1e-6)")
-    p.add_argument("--max-pairs-per-set", dest="max_pairs_per_set", type=int, help="cap on constraint pairs per set")
     p.add_argument(
         "--standardize",
         action=argparse.BooleanOptionalAction,
@@ -263,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train per-view metrics on one split and write a model file")
     p.add_argument("--manifest", help="dataset manifest JSON")
     p.add_argument("--train-count", dest="train_count", type=int, help="number of training samples")
-    p.add_argument("--seed", type=int, help="split/constraint seed (default 0)")
+    p.add_argument("--seed", type=int, help="split seed (default 0)")
     p.add_argument("--out", help="output model JSON path")
     p.add_argument("--config", help="JSON config file; flags override its values")
     _add_common_hyper_flags(p)

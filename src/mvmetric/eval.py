@@ -12,7 +12,7 @@ from ._format import FORMAT_VERSION
 from .constraints import build_constraints
 from .dataset import MultiviewDataset, split
 from .metric import _check_vector, _squared_distances
-from .model import Hyperparams, MultiviewMetricModel
+from .model import Hyperparams, MultiviewMetricModel, _integer
 from .solver import train
 
 # unused by the package; perfbench/harness.py reads the name to clear the variable
@@ -157,19 +157,24 @@ def run_benchmark(
     trials: int,
     hyper: Hyperparams | None = None,
     seed: int = 0,
-    max_pairs_per_set: int | None = None,
     include_baseline: bool = False,
     k: int = 1,
 ) -> EvalReport:
     """Repeated random-split kNN benchmark of the learned metrics, with ``k`` neighbours.
 
-    Each trial derives its own split and constraint seeds from the master
-    seed, trains a model on the train half (fitting the feature scales there
-    under ``hyper.standardize``), and classifies the test half.  With
+    Each trial derives its own split seed from the master seed, trains a
+    model on the train half (fitting the feature scales there under
+    ``hyper.standardize``), and classifies the test half.  With
     ``include_baseline`` the identity-metric Euclidean classifier runs on the
     identical splits, on the same scaled features, for paired comparison.
-    Trials run one after another, in trial order.
+    Trials run one after another, in trial order.  ``train_count``,
+    ``trials``, ``seed`` and ``k`` must be integers (not bools); the report
+    stores them as ``int``.
     """
+    train_count = _integer("train_count", train_count)
+    trials = _integer("trials", trials)
+    seed = _integer("seed", seed)
+    k = _integer("k", k)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 1 <= k <= train_count:
@@ -179,11 +184,9 @@ def run_benchmark(
     records = []
     for t in range(trials):
         split_seed = derive_trial_seed(seed, t, 0)
-        constraint_seed = derive_trial_seed(seed, t, 1)
         sp = split(dataset, train_count, split_seed)
-        cons = build_constraints(dataset.labels[sp.train_indices], max_pairs_per_set, constraint_seed)
-        model = train(dataset, sp, cons, hyper)
         train_labels = dataset.labels[sp.train_indices]
+        model = train(dataset, sp, build_constraints(train_labels), hyper)
         truth = dataset.labels[sp.test_indices]
         n_test = truth.shape[0]
         # every sample projected by one product per view, so a test sample
@@ -198,7 +201,6 @@ def run_benchmark(
         record = {
             "trial": t,
             "split_seed": split_seed,
-            "constraint_seed": constraint_seed,
             "train_indices": sp.train_indices.tolist(),
             "test_indices": sp.test_indices.tolist(),
             "accuracy": correct / n_test,
@@ -214,7 +216,6 @@ def run_benchmark(
         "trials": trials,
         "seed": seed,
         "k": k,
-        "max_pairs_per_set": max_pairs_per_set,
         "include_baseline": include_baseline,
         "embed_dim": hyper.embed_dim,
         "weight_exponent": hyper.weight_exponent,

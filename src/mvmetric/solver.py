@@ -6,12 +6,14 @@ a_v (exponent r > 1) is
     G = sum_v a_v^r * tr(W_v.T (B_v - S_v) W_v)
       + sum_{v != w} (a_v^r + a_w^r) / (2 * eta) * tr(W_v.T C_vw W_w)
 
-with B_v/S_v the between/within pair scatters and C_vw the cross-view
-correlation blocks.  A fit stacks these once into the symmetric coupling
-matrix K (B_v - S_v on diagonal block v, C_vw off it), and each iteration
-weights K blockwise into Z: a_v^r on diagonal blocks, (a_v^r + a_w^r) /
-(2 * eta) off them.  With the W_v stacked into one tall W,
-G = tr(W.T Z W) = sum_v a_v^r g_v(W), g_v being the view's gain.
+with B_v/S_v the mean outer product of the differences of all
+different-class/same-class training pairs, which ``compute_scatter`` takes
+exactly from class means and class-centred columns without forming a pair,
+and C_vw the cross-view correlation blocks.  A fit stacks these once into
+the symmetric coupling matrix K (B_v - S_v on diagonal block v, C_vw off
+it), and each iteration weights K blockwise into Z: a_v^r on diagonal
+blocks, (a_v^r + a_w^r) / (2 * eta) off them.  With the W_v stacked into
+one tall W, G = tr(W.T Z W) = sum_v a_v^r g_v(W), g_v being the view's gain.
 
 The W-step is a heuristic for maximising tr(W.T Z W) under per-view
 orthonormality: take the top eigenvectors of Z, restore per-view

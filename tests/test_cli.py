@@ -222,6 +222,19 @@ def test_config_file_unknown_key(dataset_dir, tmp_path, capsys):
     assert "unrecognized arguments: --distance-weights" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_pair_cap_is_gone(dataset_dir, tmp_path, capsys, command):
+    argv = [command, "--manifest", str(dataset_dir / "manifest.json"), "--train-count", "12",
+            "--out", str(tmp_path / "out.json")]
+    assert run_cli([*argv, "--max-pairs-per-set", "30"]) == 2
+    assert "unrecognized arguments: --max-pairs-per-set" in capsys.readouterr().err
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"max_pairs_per_set": 30}))
+    assert run_cli([*argv, "--config", str(config)]) == 2
+    assert "unknown keys ['max_pairs_per_set']" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize(
     "command, config, message",
     [

@@ -14,14 +14,16 @@ from mvmetric import (
 )
 
 
-def _as_pair_set(pairs):
-    return {(int(i), int(j)) for i, j in pairs}
+def pair_counts(labels):
+    """Brute-force double loop over every pair i < j: (same-class, different-class)."""
+    n = len(labels)
+    same = sum(labels[i] == labels[j] for i in range(n) for j in range(i + 1, n))
+    return same, n * (n - 1) // 2 - same
 
 
-def test_three_sample_enumeration():
+def test_three_sample_counts():
     cs = build_constraints(np.array(["a", "a", "b"]))
-    assert _as_pair_set(cs.similar) == {(0, 1)}
-    assert _as_pair_set(cs.dissimilar) == {(0, 2), (1, 2)}
+    assert cs.labels.tolist() == [0, 0, 1]
     assert cs.n_similar == 1
     assert cs.n_dissimilar == 2
 
@@ -36,96 +38,61 @@ def test_all_distinct_classes_fails():
         build_constraints(np.array([1, 2, 3]))
 
 
+def test_fewer_than_two_samples_fail():
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        build_constraints(np.array([4]))
+
+
 def test_two_balanced_classes_counts():
     labels = np.array([0] * 10 + [1] * 10)
     cs = build_constraints(labels)
-    # brute-force double loop as the oracle
-    n_sim = sum(
-        labels[i] == labels[j] for i in range(20) for j in range(i + 1, 20)
-    )
-    n_dis = sum(
-        labels[i] != labels[j] for i in range(20) for j in range(i + 1, 20)
-    )
-    assert (n_sim, n_dis) == (90, 100)
-    assert cs.n_similar == 90
-    assert cs.n_dissimilar == 100
+    assert pair_counts(labels) == (90, 100)
+    assert (cs.n_similar, cs.n_dissimilar) == (90, 100)
+    assert isinstance(cs.n_similar, int) and isinstance(cs.n_dissimilar, int)
 
 
-def test_pairs_are_ordered_and_disjoint():
-    labels = np.array([0, 1, 0, 1, 2, 2, 0])
+@settings(max_examples=60, deadline=None)
+@given(labels=st.lists(st.integers(-2, 3), min_size=2, max_size=15))
+def test_counts_match_a_double_loop(labels):
+    labels = np.array(labels)
+    assume(0 < pair_counts(labels)[0] < len(labels) * (len(labels) - 1) // 2)
     cs = build_constraints(labels)
-    assert np.all(cs.similar[:, 0] < cs.similar[:, 1])
-    assert np.all(cs.dissimilar[:, 0] < cs.dissimilar[:, 1])
-    assert _as_pair_set(cs.similar).isdisjoint(_as_pair_set(cs.dissimilar))
-    for i, j in cs.similar:
-        assert labels[i] == labels[j]
-    for i, j in cs.dissimilar:
-        assert labels[i] != labels[j]
+    assert (cs.n_similar, cs.n_dissimilar) == pair_counts(labels)
 
 
-def test_negative_indices_are_rejected():
-    # (-1, 0) satisfies i < j, and numpy would read -1 as the last sample
-    with pytest.raises(ValueError, match="similar pairs must have non-negative indices"):
-        ConstraintSet([[-1, 0]], [[0, 1]])
-    with pytest.raises(ValueError, match="dissimilar pairs must have non-negative indices"):
-        ConstraintSet([[0, 1]], [[0, 2], [-3, -2]])
+def test_labels_become_a_read_only_class_index_vector():
+    cs = ConstraintSet(np.array([7, -2, 7, 30, -2], dtype=np.int16))
+    assert cs.labels.tolist() == [1, 0, 1, 2, 0]
+    assert cs.labels.dtype.kind == "i"
+    with pytest.raises(ValueError, match="read-only"):
+        cs.labels[0] = 5
 
 
-def test_non_integer_indices_are_rejected():
-    with pytest.raises(ValueError, match="similar pairs must be integer indices"):
-        ConstraintSet([[0.5, 1]], [[0, 1]])
-    with pytest.raises(ValueError, match="dissimilar pairs must be integer indices"):
-        ConstraintSet([[0, 1]], np.array([[0.0, 2.0]]))
-    with pytest.raises(ValueError, match="integer indices"):
-        ConstraintSet([[True, True]], [[0, 1]])
+def test_labels_must_be_a_vector():
+    with pytest.raises(ValueError, match="must be a vector"):
+        ConstraintSet(np.array([[0, 0], [1, 1]]))
 
 
-def test_valid_indices_reach_the_scatter_unchanged():
-    cs = ConstraintSet(np.array([[0, 1]], dtype=np.uint8), [[1, 2]])
-    assert cs.similar.dtype == int
-    view = ViewMatrix(1, np.arange(6.0).reshape(2, 3))
-    between, within = compute_scatter(view, cs)
-    assert np.array_equal(within, np.ones((2, 2)))
-    assert np.array_equal(between, np.ones((2, 2)))
+def test_any_label_type_reaches_the_scatter_as_the_same_partition():
+    view = ViewMatrix(1, np.arange(12.0).reshape(3, 4))
+    expected = compute_scatter(view, build_constraints([0, 0, 1, 1]))
+    for labels in (np.array([2, 2, 9, 9], dtype=np.uint8), ["a", "a", "b", "b"], [-1.0, -1.0, 2.0, 2.0]):
+        cs = build_constraints(labels)
+        assert cs.labels.tolist() == [0, 0, 1, 1]
+        for a, b in zip(compute_scatter(view, cs), expected):
+            assert np.array_equal(a, b)
 
 
-def test_cap_subsamples_deterministically():
-    labels = np.array([0] * 10 + [1] * 10)
-    a = build_constraints(labels, max_pairs_per_set=30, seed=5)
-    b = build_constraints(labels, max_pairs_per_set=np.int64(30), seed=5)  # any integer type
-    assert np.array_equal(a.similar, b.similar)
-    assert np.array_equal(a.dissimilar, b.dissimilar)
-    assert a.n_similar == 30
-    assert a.n_dissimilar == 30
-    full = build_constraints(labels)
-    assert _as_pair_set(a.similar) <= _as_pair_set(full.similar)
-    c = build_constraints(labels, max_pairs_per_set=30, seed=6)
-    assert not np.array_equal(a.similar, c.similar)
+@pytest.mark.parametrize("cap", [1, 30, np.int64(30), 0, True, 2.5])
+def test_any_pair_cap_is_rejected(cap):
+    with pytest.raises(ValueError, match="max_pairs_per_set is no longer supported"):
+        build_constraints([0, 0, 1], cap)
 
 
-def test_cap_leaves_small_sets_alone():
-    labels = np.array([0, 0, 1])
-    capped = build_constraints(labels, max_pairs_per_set=100, seed=0)
-    assert capped.n_similar == 1
-    assert capped.n_dissimilar == 2
-
-
-@pytest.mark.parametrize(
-    "cap, error",
-    [(True, TypeError), (2.5, TypeError), (np.float64(3.0), TypeError), ("3", TypeError), (0, ValueError)],
-)
-@pytest.mark.parametrize("labels", [[0, 0, 1], [0] * 10 + [1] * 10], ids=["cap-not-binding", "cap-binding"])
-def test_cap_must_be_a_positive_integer(cap, error, labels):
-    # [0, 0, 1] has 1 similar and 2 dissimilar pairs, fewer than any valid
-    # cap here; 20 labels have 90 and 100
-    with pytest.raises(error, match="max_pairs_per_set"):
-        build_constraints(labels, cap)
-
-
-def test_cap_is_checked_before_a_benchmark_fits():
+def test_benchmark_takes_no_pair_cap():
     ds = generate_synthetic(2, 5, [3, 4], seed=0)
-    with pytest.raises(TypeError, match="max_pairs_per_set must be an integer, got True"):
-        run_benchmark(ds, 6, 1, Hyperparams(embed_dim=2), max_pairs_per_set=True)
+    with pytest.raises(TypeError, match="max_pairs_per_set"):
+        run_benchmark(ds, 6, 1, Hyperparams(embed_dim=2), max_pairs_per_set=30)
 
 
 @settings(max_examples=60, deadline=None)
@@ -133,14 +100,13 @@ def test_cap_is_checked_before_a_benchmark_fits():
     labels=st.lists(st.integers(0, 3), min_size=3, max_size=12),
     mapping=st.permutations(list(range(4))),
 )
-def test_relabeling_bijection_leaves_pairs_unchanged(labels, mapping):
+def test_relabeling_bijection_leaves_the_partition_unchanged(labels, mapping):
     labels = np.array(labels)
     assume(np.unique(labels).size >= 2 and np.any(np.bincount(labels) >= 2))
     relabeled = np.array([mapping[c] for c in labels])
-    a = build_constraints(labels)
-    b = build_constraints(relabeled)
-    assert _as_pair_set(a.similar) == _as_pair_set(b.similar)
-    assert _as_pair_set(a.dissimilar) == _as_pair_set(b.dissimilar)
+    a, b = build_constraints(labels), build_constraints(relabeled)
+    assert np.array_equal(a.labels[:, None] == a.labels, b.labels[:, None] == b.labels)
+    assert (a.n_similar, a.n_dissimilar) == (b.n_similar, b.n_dissimilar)
 
 
 @settings(max_examples=40, deadline=None)
@@ -149,8 +115,5 @@ def test_sample_permutation_consistency(data, n):
     labels = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
     assume(np.unique(labels).size >= 2 and np.any(np.bincount(labels) >= 2))
     perm = np.array(data.draw(st.permutations(list(range(n)))))
-    a = build_constraints(labels)
-    b = build_constraints(labels[perm])
     # position p in the permuted labels corresponds to original index perm[p]
-    mapped = {tuple(sorted((perm[i], perm[j]))) for i, j in b.similar}
-    assert mapped == _as_pair_set(a.similar)
+    assert np.array_equal(build_constraints(labels[perm]).labels, build_constraints(labels).labels[perm])

@@ -1,3 +1,4 @@
+import json
 import threading
 import tracemalloc
 
@@ -447,15 +448,39 @@ def test_k_is_checked_before_the_first_fit(monkeypatch):
         run_benchmark(ds, 12, 2, Hyperparams(embed_dim=2), k=0)
 
 
-def test_benchmark_with_cap_and_larger_k():
+def test_benchmark_with_larger_k():
     ds = generate_synthetic(3, 8, [4, 4], seed=13)
-    report = run_benchmark(
-        ds, 15, 2, Hyperparams(embed_dim=2), seed=6, max_pairs_per_set=20, k=3
-    )
-    assert report.config["max_pairs_per_set"] == 20
+    report = run_benchmark(ds, 15, 2, Hyperparams(embed_dim=2), seed=6, k=3)
     assert report.config["k"] == 3
+    assert "max_pairs_per_set" not in report.config
+    assert all("constraint_seed" not in record for record in report.trials)
     assert len(report.per_trial_accuracy) == 2
     assert all(0.0 <= a <= 1.0 for a in report.per_trial_accuracy)
+
+
+def test_benchmark_integer_arguments_save_as_plain_integers(tmp_path):
+    ds = generate_synthetic(2, 6, [3, 4], seed=14)
+    hyper = Hyperparams(embed_dim=2)
+    numpy_ints = run_benchmark(ds, np.int64(8), np.int32(2), hyper, seed=np.int64(3), k=np.uint8(3))
+    plain = run_benchmark(ds, 8, 2, hyper, seed=3, k=3)
+    numpy_ints.save(tmp_path / "numpy.json")
+    plain.save(tmp_path / "plain.json")
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+    config = json.loads((tmp_path / "numpy.json").read_text())["config"]
+    assert [config[key] for key in ("train_count", "trials", "seed", "k")] == [8, 2, 3, 3]
+    assert all(type(numpy_ints.config[key]) is int for key in ("train_count", "trials", "seed", "k"))
+
+
+@pytest.mark.parametrize("name", ["train_count", "trials", "seed", "k"])
+def test_benchmark_rejects_a_bool_before_the_first_fit(monkeypatch, name):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("train must not run when an argument is malformed")
+
+    monkeypatch.setattr(mvmetric.eval, "train", no_fit)
+    ds = generate_synthetic(2, 6, [3, 4], seed=14)
+    args = {"train_count": 8, "trials": 2, "seed": 3, "k": 1, name: True}
+    with pytest.raises(TypeError, match=f"{name} must be an integer, got True"):
+        run_benchmark(ds, hyper=Hyperparams(embed_dim=2), **args)
 
 
 def test_trials_must_be_positive():

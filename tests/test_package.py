@@ -1,8 +1,10 @@
+import argparse
 import ast
 import re
 from pathlib import Path
 
 import mvmetric
+from mvmetric.cli import build_parser
 
 REMOVED = (
     "euclidean_multiview_distance",
@@ -29,13 +31,40 @@ def test_test_only_helpers_are_not_exported():
         assert not hasattr(mvmetric, name)
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# flags README may name that no mvmetric subcommand defines: pip's, and
+# removed ones that README records as gone
+README_ONLY_FLAGS = {"--no-build-isolation", "--distance-weights", "--max-pairs-per-set"}
+
+
 def test_readme_library_example_runs(capsys):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
     weights, accuracies = capsys.readouterr().out.splitlines()
     assert weights.startswith("[") and len(accuracies.split()) == 2
+
+
+def _subcommand_flags():
+    """Each subcommand's option strings, argparse's ``--help`` left out."""
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {flag for action in sub._actions if not isinstance(action, argparse._HelpAction)
+               for flag in action.option_strings}
+        for name, sub in subparsers.choices.items()
+    }
+
+
+def test_readme_names_every_flag_and_no_other():
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", README.read_text()))
+    flags = _subcommand_flags()
+    assert set(flags) == {"generate", "train", "eval", "check"}
+    for command, defined in flags.items():
+        assert defined - named == set(), f"README does not name these {command} flags"
+    assert named - set().union(*flags.values()) == README_ONLY_FLAGS
 
 
 def _unused_imports(path):

@@ -42,7 +42,7 @@ def random_instance(rng, dims, n_samples=8):
     views = [ViewMatrix(v + 1, rng.standard_normal((dim, n_samples))) for v, dim in enumerate(dims)]
     margins = [between - within for between, within in (compute_scatter(view, cs) for view in views)]
     crosses = {
-        (a, b): compute_cross(views[a], views[b], np.arange(n_samples))
+        (a, b): compute_cross(views[a], views[b])
         for a in range(len(dims))
         for b in range(a + 1, len(dims))
     }
