@@ -6,14 +6,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _integer
+
 
 @dataclass(frozen=True)
 class ConstraintSet:
     """Every same-class pair is similar and every different-class pair dissimilar.
 
-    The set holds the training labels, not the pairs: ``labels`` becomes a
-    read-only integer vector of class indices 0..c-1 (in sorted label
-    order), and the pair counts follow from the class sizes.
+    The set holds the training labels, not the pairs: ``labels``, a vector of
+    non-negative integer class indices (``build_constraints`` maps any label
+    type to them), is stored read-only and renumbered 0..c-1 in order, and
+    the pair counts follow from the class sizes.
     """
 
     labels: np.ndarray
@@ -24,6 +27,8 @@ class ConstraintSet:
             raise ValueError(f"labels must be a vector, got shape {raw.shape}")
         if raw.shape[0] < 2:
             raise ValueError("need at least 2 samples to build constraints")
+        if raw.dtype.kind not in "iu" or raw.min() < 0:
+            raise ValueError(f"labels must be non-negative integer class indices, got dtype {raw.dtype}")
         labels = np.unique(raw, return_inverse=True)[1]
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
@@ -49,8 +54,10 @@ def build_constraints(labels, max_pairs_per_set=None, seed=0) -> ConstraintSet:
     The second and third parameters are kept only because
     ``perfbench/harness.py`` passes a cap of ``None`` and a seed
     positionally; remove them with ROADMAP item 1.  Any cap other than
-    ``None`` is an error, and the seed is unused.
+    ``None`` is an error (``TypeError`` if not an integer); the seed is unused.
     """
     if max_pairs_per_set is not None:
+        _integer("max_pairs_per_set", max_pairs_per_set)
         raise ValueError(f"max_pairs_per_set is no longer supported, got {max_pairs_per_set!r}")
-    return ConstraintSet(labels)
+    raw = np.asarray(labels)
+    return ConstraintSet(np.unique(raw, return_inverse=True)[1].reshape(raw.shape))

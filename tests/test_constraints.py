@@ -21,9 +21,10 @@ def pair_counts(labels):
     return same, n * (n - 1) // 2 - same
 
 
-def test_three_sample_counts():
+def test_three_sample_enumeration():
     cs = build_constraints(np.array(["a", "a", "b"]))
     assert cs.labels.tolist() == [0, 0, 1]
+    assert pair_counts(cs.labels) == (1, 2)
     assert cs.n_similar == 1
     assert cs.n_dissimilar == 2
 
@@ -60,8 +61,43 @@ def test_counts_match_a_double_loop(labels):
     assert (cs.n_similar, cs.n_dissimilar) == pair_counts(labels)
 
 
+def test_pairs_are_ordered_and_disjoint():
+    # each unordered pair i < j is counted once, in exactly one of the sets
+    labels = np.array([0, 1, 0, 1, 2, 2, 0])
+    cs = build_constraints(labels)
+    assert (cs.n_similar, cs.n_dissimilar) == pair_counts(labels) == (5, 16)
+    assert cs.n_similar + cs.n_dissimilar == 7 * 6 // 2
+
+
+def test_negative_indices_are_rejected():
+    with pytest.raises(ValueError, match="labels must be non-negative integer class indices, got dtype int"):
+        ConstraintSet(np.array([-1, 0, 0, 1]))
+    # build_constraints maps any label, negative ones too, to class indices
+    assert build_constraints([-1, 0, 0, -1]).labels.tolist() == [0, 1, 1, 0]
+
+
+def test_non_integer_indices_are_rejected():
+    with pytest.raises(ValueError, match="labels must be non-negative integer class indices, got dtype float64"):
+        ConstraintSet(np.array([0.5, 1.0, 1.0, 0.0]))
+    with pytest.raises(ValueError, match="integer class indices"):
+        ConstraintSet(np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="integer class indices"):
+        ConstraintSet(np.array([True, True, False]))
+
+
+def test_valid_indices_reach_the_scatter_unchanged():
+    cs = ConstraintSet(np.array([0, 0, 1], dtype=np.uint8))
+    assert cs.labels.dtype == np.intp
+    # columns (0, 3), (1, 4), (2, 5): the same-class pair differs by (1, 1),
+    # the different-class pairs by (2, 2) and (1, 1)
+    view = ViewMatrix(1, np.arange(6.0).reshape(2, 3))
+    between, within = compute_scatter(view, cs)
+    np.testing.assert_allclose(within, np.ones((2, 2)), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(between, np.full((2, 2), 2.5), rtol=0, atol=1e-15)
+
+
 def test_labels_become_a_read_only_class_index_vector():
-    cs = ConstraintSet(np.array([7, -2, 7, 30, -2], dtype=np.int16))
+    cs = ConstraintSet(np.array([7, 2, 7, 30, 2], dtype=np.int16))
     assert cs.labels.tolist() == [1, 0, 1, 2, 0]
     assert cs.labels.dtype.kind == "i"
     with pytest.raises(ValueError, match="read-only"):
@@ -83,15 +119,36 @@ def test_any_label_type_reaches_the_scatter_as_the_same_partition():
             assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("cap", [1, 30, np.int64(30), 0, True, 2.5])
+@pytest.mark.parametrize("cap", [1, 30, np.int64(30), 0])
 def test_any_pair_cap_is_rejected(cap):
     with pytest.raises(ValueError, match="max_pairs_per_set is no longer supported"):
         build_constraints([0, 0, 1], cap)
 
 
-def test_benchmark_takes_no_pair_cap():
+def test_cap_leaves_small_sets_alone():
+    # None, the only cap left, keeps every pair, and the seed changes nothing
+    labels = np.array([0, 0, 1])
+    capped = build_constraints(labels, None, seed=5)
+    assert capped.n_similar == 1
+    assert capped.n_dissimilar == 2
+    assert np.array_equal(capped.labels, build_constraints(labels).labels)
+
+
+@pytest.mark.parametrize(
+    "cap, error",
+    [(True, TypeError), (2.5, TypeError), (np.float64(3.0), TypeError), ("3", TypeError), (0, ValueError)],
+)
+@pytest.mark.parametrize("labels", [[0, 0, 1], [0] * 10 + [1] * 10], ids=["cap-not-binding", "cap-binding"])
+def test_cap_must_be_a_positive_integer(cap, error, labels):
+    # no cap is accepted any more, whatever the set's size: a cap that is not
+    # an integer is still a TypeError, an integer one a ValueError
+    with pytest.raises(error, match="max_pairs_per_set"):
+        build_constraints(labels, cap)
+
+
+def test_cap_is_checked_before_a_benchmark_fits():
     ds = generate_synthetic(2, 5, [3, 4], seed=0)
-    with pytest.raises(TypeError, match="max_pairs_per_set"):
+    with pytest.raises(TypeError, match="unexpected keyword argument 'max_pairs_per_set'"):
         run_benchmark(ds, 6, 1, Hyperparams(embed_dim=2), max_pairs_per_set=30)
 
 
@@ -100,7 +157,7 @@ def test_benchmark_takes_no_pair_cap():
     labels=st.lists(st.integers(0, 3), min_size=3, max_size=12),
     mapping=st.permutations(list(range(4))),
 )
-def test_relabeling_bijection_leaves_the_partition_unchanged(labels, mapping):
+def test_relabeling_bijection_leaves_pairs_unchanged(labels, mapping):
     labels = np.array(labels)
     assume(np.unique(labels).size >= 2 and np.any(np.bincount(labels) >= 2))
     relabeled = np.array([mapping[c] for c in labels])

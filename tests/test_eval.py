@@ -448,7 +448,8 @@ def test_k_is_checked_before_the_first_fit(monkeypatch):
         run_benchmark(ds, 12, 2, Hyperparams(embed_dim=2), k=0)
 
 
-def test_benchmark_with_larger_k():
+def test_benchmark_with_cap_and_larger_k():
+    # the pair cap is gone: the report keeps no cap and no constraint seed
     ds = generate_synthetic(3, 8, [4, 4], seed=13)
     report = run_benchmark(ds, 15, 2, Hyperparams(embed_dim=2), seed=6, k=3)
     assert report.config["k"] == 3

@@ -56,9 +56,10 @@ def random_labels(rng, n, classes):
     return labels
 
 
-def test_between_of_two_classes_is_their_separation():
-    # labels [0, 0, 1]: the one same-class pair has difference 0, both
-    # different-class pairs have difference (1, 0)
+def test_single_dissimilar_pair():
+    # labels [0, 0, 1]: the one same-class pair has difference 0, and both
+    # different-class pairs share one difference (1, 0), so the between
+    # scatter is that of a single dissimilar pair
     view = ViewMatrix(1, np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))
     between, within = compute_scatter(view, build_constraints([0, 0, 1]))
     np.testing.assert_allclose(between, np.array([[1.0, 0.0], [0.0, 0.0]]), rtol=0, atol=4 * EPS)
@@ -94,7 +95,8 @@ def test_scatter_matrices_are_symmetric_psd():
         assert np.linalg.eigvalsh(mat).min() >= -1e-10
 
 
-def test_scatter_label_count_must_match_the_view():
+def test_scatter_index_out_of_range():
+    # the labels address the view's columns in order, so their count must match
     view = ViewMatrix(1, np.zeros((2, 3)))
     with pytest.raises(ValueError, match="4 constraint labels for 3 samples"):
         compute_scatter(view, build_constraints([0, 0, 1, 1]))
@@ -140,7 +142,7 @@ def test_an_exact_offset_costs_no_accuracy(seed, n, dim, shift):
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), n=st.integers(3, 20), dim=st.integers(1, 5))
-def test_scatter_ignores_the_sample_order(data, n, dim):
+def test_column_permutation_invariance(data, n, dim):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     labels = random_labels(rng, n, 3)
     values = rng.standard_normal((dim, n))
@@ -174,10 +176,15 @@ def test_cross_duplicated_view_is_gram():
     assert np.linalg.eigvalsh((c + c.T) / 2).min() >= -1e-10
 
 
-def test_cross_of_a_repeated_sample_is_its_outer_product_twice():
-    a = ViewMatrix(1, np.array([[1.0, 1.0], [2.0, 2.0]]))
-    b = ViewMatrix(2, np.array([[3.0, 3.0]]))
-    np.testing.assert_array_equal(compute_cross(a, b), np.array([[6.0], [12.0]]))
+def test_cross_single_sample_outer_product():
+    # a view needs two samples; a zero second sample adds nothing
+    a = ViewMatrix(1, np.array([[1.0, 0.0], [2.0, 0.0]]))
+    b = ViewMatrix(2, np.array([[3.0, 0.0]]))
+    np.testing.assert_array_equal(compute_cross(a, b), np.array([[3.0], [6.0]]))
+    # two copies of the sample add its outer product twice
+    a2 = ViewMatrix(1, np.array([[1.0, 1.0], [2.0, 2.0]]))
+    b2 = ViewMatrix(2, np.array([[3.0, 3.0]]))
+    np.testing.assert_array_equal(compute_cross(a2, b2), np.array([[6.0], [12.0]]))
 
 
 def test_cross_matches_naive_accumulation():
@@ -216,7 +223,7 @@ def test_cross_same_view_rejected():
         compute_cross(view, view)
 
 
-def test_cross_of_restricted_views_uses_only_their_columns():
+def test_cross_uses_only_training_columns():
     rng = np.random.default_rng(17)
     a = rng.standard_normal((2, 8))
     b = rng.standard_normal((3, 8))
