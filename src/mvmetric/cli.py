@@ -28,12 +28,12 @@ def _parse_int_list(text: str, what: str) -> list:
 
 
 def _config_value(action: argparse.Action, value):
-    """A config-file value as its flag would parse it, or ``TypeError``.
+    """A config-file value as its flag would parse it, or ``ValueError``.
 
     The flag's action fixes the type: an integer for ``type=int``, a number
     for ``type=float`` (a bool is neither), a bool for
-    ``BooleanOptionalAction`` and a string otherwise.  ``null`` keeps the
-    default.
+    ``BooleanOptionalAction`` and a string otherwise; a flag with ``choices``
+    takes only those.  ``null`` keeps the default.
     """
     if value is None:
         return None
@@ -45,42 +45,43 @@ def _config_value(action: argparse.Action, value):
         expected, ok = "a number", isinstance(value, (int, float)) and not isinstance(value, bool)
     else:
         expected, ok = "a string", isinstance(value, str)
+    if ok and action.choices is not None:
+        expected, ok = f"one of {json.dumps(list(action.choices))}", value in action.choices
     if not ok:
-        raise TypeError(f"must be {expected}, got {json.dumps(value)}")
+        raise ValueError(f"must be {expected}, got {json.dumps(value)}")
     return action.type(value) if action.type in (int, float) else value
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags; unknown config keys and
-    values of the wrong type are errors."""
-    merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        path = Path(config_path)
-        if not path.is_file():
-            raise FileNotFoundError(f"config file not found: {path}")
+def _settings(parser: argparse.ArgumentParser) -> list:
+    """The actions of a subcommand's settings, in declaration order."""
+    return [action for action in parser._actions if action.dest not in ("help", "config")]
+
+
+def _read_config(path, parser: argparse.ArgumentParser) -> dict:
+    """The non-null values of a JSON config file for ``parser``'s settings;
+    unknown keys and values their flag would not take are errors."""
+    path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"config file not found: {path}")
+    try:
+        loaded = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config file {path}: invalid JSON: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise ValueError(f"config file {path}: expected a JSON object")
+    actions = {action.dest: action for action in _settings(parser)}
+    unknown = set(loaded) - set(actions)
+    if unknown:
+        raise ValueError(f"config file {path}: unknown keys {sorted(unknown)}")
+    values = {}
+    for key, value in loaded.items():
         try:
-            loaded = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"config file {path}: invalid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ValueError(f"config file {path}: expected a JSON object")
-        unknown = set(loaded) - set(defaults)
-        if unknown:
-            raise ValueError(f"config file {path}: unknown keys {sorted(unknown)}")
-        actions = {action.dest: action for action in args.parser._actions}
-        for key, value in loaded.items():
-            try:
-                value = _config_value(actions[key], value)
-            except TypeError as exc:
-                raise ValueError(f"config file {path}: {key} {exc}") from exc
-            if value is not None:
-                merged[key] = value
-    for key in defaults:
-        value = getattr(args, key, None)
+            value = _config_value(actions[key], value)
+        except ValueError as exc:
+            raise ValueError(f"config file {path}: {key} {exc}") from exc
         if value is not None:
-            merged[key] = value
-    return merged
+            values[key] = value
+    return values
 
 
 def _require(cfg: dict, keys) -> None:
@@ -91,7 +92,7 @@ def _require(cfg: dict, keys) -> None:
 
 def _hyper_from_config(cfg: dict) -> Hyperparams:
     return Hyperparams(
-        embed_dim=cfg.get("d"),
+        embed_dim=cfg["d"],
         weight_exponent=cfg["r"],
         coupling_eta=cfg["eta"],
         max_iters=cfg["max_iters"],
@@ -100,19 +101,7 @@ def _hyper_from_config(cfg: dict) -> Hyperparams:
     )
 
 
-_HYPER_DEFAULTS = {
-    "d": None,
-    "r": 2.0,
-    "eta": 1.0,
-    "max_iters": 50,
-    "tol": 1e-6,
-    "standardize": False,
-}
-
-
-def cmd_train(args: argparse.Namespace) -> int:
-    defaults = {"manifest": None, "train_count": None, "seed": 0, "out": None, **_HYPER_DEFAULTS}
-    cfg = _merge_config(args, defaults)
+def cmd_train(cfg: dict) -> int:
     _require(cfg, ["manifest", "train_count", "out"])
     hyper = _hyper_from_config(cfg)
     dataset = load_manifest(cfg["manifest"])
@@ -129,22 +118,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    defaults = {
-        "manifest": None,
-        "train_count": None,
-        "trials": 10,
-        "seed": 0,
-        "out": None,
-        "csv": None,
-        "baseline": None,
-        "k": 1,
-        **_HYPER_DEFAULTS,
-    }
-    cfg = _merge_config(args, defaults)
+def cmd_eval(cfg: dict) -> int:
     _require(cfg, ["manifest", "train_count", "out"])
-    if cfg["baseline"] not in (None, "euclidean"):
-        raise ValueError(f"unsupported baseline: {cfg['baseline']!r}")
     hyper = _hyper_from_config(cfg)
     dataset = load_manifest(cfg["manifest"])
     report = run_benchmark(
@@ -167,17 +142,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    defaults = {
-        "classes": None,
-        "per_class": None,
-        "view_dims": None,
-        "noise_views": "",
-        "seed": 0,
-        "separation": 4.0,
-        "out": None,
-    }
-    cfg = _merge_config(args, defaults)
+def cmd_generate(cfg: dict) -> int:
     _require(cfg, ["classes", "per_class", "view_dims", "out"])
     view_dims = _parse_int_list(cfg["view_dims"], "view-dims")
     if len(view_dims) < 2:
@@ -196,12 +161,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    defaults = {"model": None, "manifest": None, "trials": 1000, "seed": 0, "out": None}
-    cfg = _merge_config(args, defaults)
+def cmd_check(cfg: dict) -> int:
     _require(cfg, ["model", "manifest"])
-    if cfg["trials"] < 1:
-        raise ValueError("trials must be >= 1")
     model = MultiviewMetricModel.load(cfg["model"])
     dataset = load_manifest(cfg["manifest"])
     if dataset.view_dims != model.view_dims:
@@ -235,16 +196,17 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def _add_common_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=int, help="shared embedding dimension per view (default: min(10, smallest view dim))")
-    p.add_argument("--r", type=float, help="view weight exponent, finite and > 1 (default 2)")
-    p.add_argument("--eta", type=float, help="cross-view coupling divisor, must be > 0 (default 1)")
-    p.add_argument("--max-iters", dest="max_iters", type=int, help="maximum alternating iterations (default 50)")
-    p.add_argument("--tol", type=float, help="stopping tolerance on the relative change of W_v W_v^T (default 1e-6)")
-    p.add_argument(
-        "--standardize",
-        action=argparse.BooleanOptionalAction,
-        help="centre and scale each view's features by the training split's mean and std; "
-        "the model stores the scales (default off)",
-    )
+    p.add_argument("--r", type=float, default=Hyperparams.weight_exponent,
+                   help="view weight exponent, finite and > 1 (default: %(default)s)")
+    p.add_argument("--eta", type=float, default=Hyperparams.coupling_eta,
+                   help="cross-view coupling divisor, must be > 0 (default: %(default)s)")
+    p.add_argument("--max-iters", dest="max_iters", type=int, default=Hyperparams.max_iters,
+                   help="maximum alternating iterations (default: %(default)s)")
+    p.add_argument("--tol", type=float, default=Hyperparams.tol,
+                   help="stopping tolerance on the relative change of W_v W_v^T (default: %(default)s)")
+    p.add_argument("--standardize", action=argparse.BooleanOptionalAction, default=Hyperparams.standardize,
+                   help="centre and scale each view's features by the training split's mean and std; "
+                   "the model stores the scales (default: %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train per-view metrics on one split and write a model file")
     p.add_argument("--manifest", help="dataset manifest JSON")
     p.add_argument("--train-count", dest="train_count", type=int, help="number of training samples")
-    p.add_argument("--seed", type=int, help="split seed (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="split seed (default: %(default)s)")
     p.add_argument("--out", help="output model JSON path")
     p.add_argument("--config", help="JSON config file; flags override its values")
     _add_common_hyper_flags(p)
@@ -266,12 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="repeated-split kNN benchmark (k=1 by default); writes a report file")
     p.add_argument("--manifest", help="dataset manifest JSON")
     p.add_argument("--train-count", dest="train_count", type=int, help="training samples per trial")
-    p.add_argument("--trials", type=int, help="number of random-split trials (default 10)")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
+    p.add_argument("--trials", type=int, default=10, help="number of random-split trials (default: %(default)s)")
+    p.add_argument("--seed", type=int, default=0, help="master seed (default: %(default)s)")
     p.add_argument("--out", help="output report JSON path")
     p.add_argument("--csv", help="also write a CSV summary table here")
     p.add_argument("--baseline", choices=["euclidean"], help="run the identity-metric baseline on identical splits")
-    p.add_argument("--k", type=int, help="neighbors for classification (default 1)")
+    p.add_argument("--k", type=int, default=1, help="neighbors for classification (default: %(default)s)")
     p.add_argument("--config", help="JSON config file; flags override its values")
     _add_common_hyper_flags(p)
     p.set_defaults(func=cmd_eval, parser=p)
@@ -280,9 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int, help="number of classes (>= 2)")
     p.add_argument("--per-class", dest="per_class", type=int, help="samples per class (>= 2)")
     p.add_argument("--view-dims", dest="view_dims", help="comma-separated view dimensions, e.g. 5,5")
-    p.add_argument("--noise-views", dest="noise_views", help="comma-separated 1-based ids of pure-noise views")
-    p.add_argument("--seed", type=int, help="generator seed (default 0)")
-    p.add_argument("--separation", type=float, help="minimum class-mean separation (default 4)")
+    p.add_argument("--noise-views", dest="noise_views", default="",
+                   help="comma-separated 1-based ids of pure-noise views (default: none)")
+    p.add_argument("--seed", type=int, default=0, help="generator seed (default: %(default)s)")
+    p.add_argument("--separation", type=float, default=4.0,
+                   help="minimum class-mean separation (default: %(default)s)")
     p.add_argument("--out", help="output directory")
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.set_defaults(func=cmd_generate, parser=p)
@@ -290,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="verify metric axioms of a saved model against a dataset")
     p.add_argument("--model", help="model JSON path")
     p.add_argument("--manifest", help="dataset manifest JSON")
-    p.add_argument("--trials", type=int, help="random triples per view (default 1000)")
-    p.add_argument("--seed", type=int, help="triple-sampling seed (default 0)")
+    p.add_argument("--trials", type=int, default=1000, help="random triples per view (default: %(default)s)")
+    p.add_argument("--seed", type=int, default=0, help="triple-sampling seed (default: %(default)s)")
     p.add_argument("--out", help="output report JSON path (default: stdout)")
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.set_defaults(func=cmd_check, parser=p)
@@ -300,9 +264,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one subcommand: flag defaults < config file < explicit flags."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if args.config:
+            # the file's values become the flags' defaults, so a flag given
+            # explicitly, --no-standardize included, still wins
+            args.parser.set_defaults(**_read_config(args.config, args.parser))
+            args = parser.parse_args(argv)
+        return args.func({action.dest: getattr(args, action.dest) for action in _settings(args.parser)})
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -246,6 +246,7 @@ def test_pair_cap_is_gone(dataset_dir, tmp_path, capsys, command):
         ("train", {"seed": [3]}, "seed must be an integer, got [3]"),
         ("check", {"out": 7}, "out must be a string, got 7"),
         ("generate", {"view_dims": [4, 6]}, "view_dims must be a string, got [4, 6]"),
+        ("eval", {"baseline": "cosine"}, "baseline must be one of [\"euclidean\"], got \"cosine\""),
     ],
 )
 def test_config_values_must_have_their_flag_type(tmp_path, capsys, command, config, message):
@@ -265,6 +266,100 @@ def test_config_file_values_parse_like_their_flags(dataset_dir, tmp_path):
     assert run_cli([*argv, "--train-count", "12", "--r", "2", "--out", str(tmp_path / "b.json")]) == 0
     a, b = ((tmp_path / name).read_text() for name in ("a.json", "b.json"))
     assert a.replace("a.json", "b.json") == b
+
+
+def _as_flags(settings):
+    """Command-line flags for a dict of config-file settings."""
+    argv = []
+    for key, value in settings.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool):
+            argv.append(flag if value else "--no-" + flag[2:])
+        else:
+            argv += [flag, str(value)]
+    return argv
+
+
+def _every_setting(command, manifest, out_dir):
+    """Every config key of ``command`` in the order its flags are declared,
+    each set away from its default where it has one."""
+    fit = {"d": 2, "r": 3.0, "eta": 2.0, "max_iters": 20, "tol": 1e-4, "standardize": True}
+    return {
+        "train": {"manifest": manifest, "train_count": 12, "seed": 3, "out": f"{out_dir}/model.json", **fit},
+        "eval": {"manifest": manifest, "train_count": 12, "trials": 2, "seed": 3, "out": f"{out_dir}/report.json",
+                 "csv": f"{out_dir}/report.csv", "baseline": "euclidean", "k": 3, **fit},
+        "generate": {"classes": 3, "per_class": 5, "view_dims": "3,4", "noise_views": "2", "seed": 4,
+                     "separation": 5.0, "out": f"{out_dir}/data"},
+        "check": {"model": f"{out_dir}/model.json", "manifest": manifest, "trials": 50, "seed": 5,
+                  "out": f"{out_dir}/axioms.json"},
+    }[command]
+
+
+# where each command saves its resolved settings
+SAVED_SETTINGS = {
+    "train": ("model.json", ["config"]),
+    "eval": ("report.json", ["config", "cli"]),
+    "generate": ("data/manifest.json", ["config"]),
+    "check": ("axioms.json", ["config"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SAVED_SETTINGS))
+def test_a_config_with_every_key_writes_what_its_flags_write(dataset_dir, tmp_path, command):
+    # config values reach the parser as its defaults: a file holding every key
+    # (in reverse order) writes the bytes its flags write, with the settings
+    # saved in declaration order, and an explicit flag overrides the file
+    manifest = str(dataset_dir / "manifest.json")
+    written = {}
+    for way in ("flags", "config", "override"):
+        out_dir = tmp_path / way
+        out_dir.mkdir()
+        if command == "check":
+            fit = ["--manifest", manifest, "--train-count", "12", "--d", "2", "--out", f"{out_dir}/model.json"]
+            assert run_cli(["train", *fit]) == 0
+        settings = _every_setting(command, manifest, out_dir)
+        argv = _as_flags(settings)
+        if way != "flags":
+            config = tmp_path / f"{way}.json"
+            config.write_text(json.dumps(dict(reversed(settings.items()))))
+            argv = ["--config", str(config), *(["--seed", "9"] if way == "override" else [])]
+        assert run_cli([command, *argv]) == 0
+        written[way] = {
+            str(path.relative_to(out_dir)): path.read_bytes().replace(str(out_dir).encode(), b"OUT")
+            for path in sorted(out_dir.rglob("*")) if path.is_file()
+        }
+    assert written["config"] == written["flags"]
+    name, keys = SAVED_SETTINGS[command]
+    saved = {way: json.loads(written[way][name]) for way in ("flags", "override")}
+    for key in keys:
+        saved = {way: doc[key] for way, doc in saved.items()}
+    assert list(saved["flags"]) == list(settings)
+    assert list(saved["override"]) == list(settings)
+    assert saved["override"] == {**saved["flags"], "seed": 9}
+
+
+FIT_HELP = ["--d D shared embedding dimension per view (default: min(10, smallest view dim))",
+            "--r R view weight exponent, finite and > 1 (default: 2.0)", "(default: 1.0)",
+            "--max-iters MAX_ITERS maximum alternating iterations (default: 50)", "(default: 1e-06)",
+            "the model stores the scales (default: False)"]
+
+
+@pytest.mark.parametrize(
+    "command, shown",
+    [
+        ("train", ["--seed SEED split seed (default: 0)", *FIT_HELP]),
+        ("eval", ["(default: 10)", "master seed (default: 0)", "--k K neighbors for classification (default: 1)",
+                  *FIT_HELP]),
+        ("generate", ["pure-noise views (default: none)", "(default: 0)", "(default: 4.0)"]),
+        ("check", ["(default: 1000)", "(default: 0)", "(default: stdout)"]),
+    ],
+)
+def test_help_prints_each_default(capsys, command, shown):
+    assert run_cli([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for part in shown:
+        assert part in text
+    assert text.count("(default: ") == len(shown)
 
 
 def test_eval_report_and_repeatability(dataset_dir, tmp_path, capsys):

@@ -1,6 +1,8 @@
 import argparse
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import mvmetric
@@ -134,3 +136,33 @@ def test_no_skipped_or_xfailed_tests():
     tests = sorted(TESTS.glob("*.py"))
     skipped = {path.name: found for path in tests if (found := _skips(ast.parse(path.read_text())))}
     assert skipped == {}
+
+
+PYPROJECT = TESTS.parent / "pyproject.toml"
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_a_property_that_fails(x):
+    assert x < 5
+
+
+def test_the_next_test():
+    pass
+"""
+
+
+def test_a_failing_property_is_reported_and_the_run_goes_on(tmp_path):
+    # hypothesis imports libcst to report a failing example; under
+    # filterwarnings = ["error"] that import's DeprecationWarning must not
+    # turn the report into an INTERNALERROR that drops the tests after it
+    (tmp_path / "test_probe.py").write_text(FAILING_PROPERTY)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "--rootdir", str(tmp_path),
+         "-q", "-p", "no:cacheprovider", "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
