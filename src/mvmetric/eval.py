@@ -168,9 +168,11 @@ def run_benchmark(
     ``include_baseline`` the identity-metric Euclidean classifier runs on the
     identical splits, on the same scaled features, for paired comparison.
     Trials run one after another, in trial order.  ``train_count``,
-    ``trials``, ``seed`` and ``k`` must be integers (not bools); the report
-    stores them as ``int``.
+    ``trials``, ``seed`` and ``k`` must be integers (not bools), stored in
+    the report as ``int``, and ``include_baseline`` must be a bool.
     """
+    if not isinstance(include_baseline, bool):
+        raise TypeError(f"include_baseline must be true or false, got {include_baseline!r}")
     train_count = _integer("train_count", train_count)
     trials = _integer("trials", trials)
     seed = _integer("seed", seed)

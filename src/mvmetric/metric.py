@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .model import MultiviewMetricModel
+from .model import MultiviewMetricModel, _integer, _real
 
 TRIANGLE_SLACK = 1e-9
 # triples scored per array pass in check_metric_axioms; bounds its memory
@@ -12,6 +14,7 @@ CHECK_BLOCK = 4096
 
 
 def _view_dim(model: MultiviewMetricModel, view: int) -> int:
+    view = _integer("view", view)
     if not 1 <= view <= model.num_views:
         raise ValueError(f"view index {view} out of range 1..{model.num_views}")
     return model.view_dims[view - 1]
@@ -103,8 +106,19 @@ def _squared_distances(train_points, test_points, weights) -> np.ndarray:
     return total
 
 
-def _row_norms(diff: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+def _column_distances(a: np.ndarray, b: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Euclidean distance between matching columns of ``a`` and ``b`` (points as columns).
+
+    The squared differences go into ``diff`` and are summed over its rows
+    in order, in place into its first row, as ``_squared_distances`` sums
+    a view's features.
+    """
+    np.subtract(a, b, out=diff)
+    diff *= diff
+    total = diff[0]
+    for row in diff[1:]:
+        total += row
+    return np.sqrt(total)
 
 
 def check_metric_axioms(
@@ -129,8 +143,16 @@ def check_metric_axioms(
     scores.  The triples are scored in blocks of ``CHECK_BLOCK``, so memory
     does not grow with ``trials``; they are the rows of one
     ``rng.integers(N, size=(trials, 3))`` draw, whatever the block size.
+    ``view``, ``trials`` and ``seed`` must be integers and
+    ``triangle_slack`` a finite number (none of them a bool); the report
+    stores them as ``int`` and ``float``.
     """
     dim = _view_dim(model, view)
+    trials = _integer("trials", trials)
+    seed = _integer("seed", seed)
+    triangle_slack = _real("triangle_slack", triangle_slack)
+    if not math.isfinite(triangle_slack):
+        raise ValueError(f"triangle_slack must be finite, got {triangle_slack!r}")
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] != dim:
         raise ValueError(f"samples must have shape ({dim}, N)")
@@ -141,8 +163,8 @@ def check_metric_axioms(
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
-    # one projected point per row, so a triple's points are three row gathers
-    points = np.ascontiguousarray(model.project(view, samples).T)
+    # one projected point per column, so a triple's points are three column gathers
+    points = np.ascontiguousarray(model.project(view, samples))
     rng = np.random.default_rng(seed)
     symmetry_mismatches = 0
     negative_distances = 0
@@ -150,26 +172,28 @@ def check_metric_axioms(
     triangle_violations = 0
     for start in range(0, trials, CHECK_BLOCK):
         i, j, k = rng.integers(samples.shape[1], size=(min(CHECK_BLOCK, trials - start), 3)).T
-        x, y, z = points[i], points[j], points[k]
-        d_xy = _row_norms(x - y)
-        d_yx = _row_norms(y - x)
-        d_yz = _row_norms(y - z)
-        d_xz = _row_norms(x - z)
+        x, y, z = (np.take(points, idx, axis=1) for idx in (i, j, k))
+        diff = np.empty_like(x)
+        d_xy = _column_distances(x, y, diff)
+        d_yx = _column_distances(y, x, diff)
+        d_yz = _column_distances(y, z, diff)
+        d_xz = _column_distances(x, z, diff)
         symmetry_mismatches += int(np.count_nonzero(d_xy != d_yx))
         negative_distances += int(np.count_nonzero(np.minimum(np.minimum(d_xy, d_yz), d_xz) < 0.0))
         violation = d_xz - (d_xy + d_yz)
         max_triangle_violation = max(max_triangle_violation, float(violation.max()))
         triangle_violations += int(np.count_nonzero(violation > triangle_slack))
 
-    # positive feature scales leave the rank of W_v as it is
-    rank = int(np.linalg.matrix_rank(model.projections[view - 1]))
+    # the model rejects projections whose columns are not orthonormal, so
+    # W_v has full column rank, and positive feature scales keep it so
+    rank = model.embed_dim
     return {
-        "view": view,
+        "view": int(view),
         "dim": dim,
         "embed_dim": model.embed_dim,
         "rank": rank,
-        "trials": int(trials),
-        "seed": int(seed),
+        "trials": trials,
+        "seed": seed,
         "symmetry_exact": symmetry_mismatches == 0,
         "symmetry_mismatches": symmetry_mismatches,
         "nonnegative": negative_distances == 0,

@@ -484,6 +484,17 @@ def test_benchmark_rejects_a_bool_before_the_first_fit(monkeypatch, name):
         run_benchmark(ds, hyper=Hyperparams(embed_dim=2), **args)
 
 
+@pytest.mark.parametrize("flag", ["no", 0, 1, None, np.True_])
+def test_benchmark_rejects_a_baseline_flag_that_is_not_a_bool(monkeypatch, flag):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("train must not run when an argument is malformed")
+
+    monkeypatch.setattr(mvmetric.eval, "train", no_fit)
+    ds = generate_synthetic(2, 10, [5, 6], seed=1)
+    with pytest.raises(TypeError, match=f"include_baseline must be true or false, got {flag!r}"):
+        run_benchmark(ds, 12, 1, Hyperparams(embed_dim=2), include_baseline=flag)
+
+
 def test_trials_must_be_positive():
     ds = generate_synthetic(2, 6, [3, 3], seed=11)
     with pytest.raises(ValueError, match="trials"):

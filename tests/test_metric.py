@@ -1,3 +1,5 @@
+import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,7 +22,7 @@ from mvmetric import (
     train,
     view_distance,
 )
-from mvmetric.metric import CHECK_BLOCK, TRIANGLE_SLACK, _row_norms
+from mvmetric.metric import CHECK_BLOCK, TRIANGLE_SLACK, _column_distances
 
 
 def make_model(projections, weights, r=2.0):
@@ -75,6 +77,12 @@ def test_view_distance_validates_input():
         view_distance(model, 3, np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError, match="shape"):
         view_distance(model, 1, np.zeros(3), np.zeros(2))
+    for view in (True, 1.0):
+        with pytest.raises(TypeError, match="view must be an integer"):
+            view_distance(model, view, np.zeros(2), np.zeros(2))
+        with pytest.raises(TypeError, match="view must be an integer"):
+            metric_matrix(model, view)
+    assert view_distance(model, np.int64(1), np.ones(2), np.zeros(2)) == view_distance(model, 1, np.ones(2), np.zeros(2))
 
 
 def test_multiview_distance_weighted_combination():
@@ -171,6 +179,35 @@ def test_axiom_checker_validates_inputs():
     with pytest.raises(ValueError, match="trials"):
         check_metric_axioms(model, 1, rng.standard_normal((4, 5)), trials=0, seed=0)
 
+    ds = generate_synthetic(2, 10, [5, 6], seed=1)
+    sp = split(ds, 12, seed=1)
+    model = train(ds, sp, build_constraints(ds.labels[sp.train_indices]), Hyperparams(embed_dim=2))
+    samples = ds.views[0].data
+    # a NaN or infinite slack would turn the triangle test off, and a bool
+    # would be written back into the report as true
+    for argument, value, error in [
+        ("view", True, TypeError),
+        ("view", 1.0, TypeError),
+        ("trials", True, TypeError),
+        ("trials", 2.5, TypeError),
+        ("seed", True, TypeError),
+        ("seed", "1", TypeError),
+        ("triangle_slack", True, TypeError),
+        ("triangle_slack", "1e-9", TypeError),
+        ("triangle_slack", np.nan, ValueError),
+        ("triangle_slack", np.inf, ValueError),
+        ("triangle_slack", -np.inf, ValueError),
+    ]:
+        args = {"view": 1, "trials": 200, "seed": 0, "triangle_slack": TRIANGLE_SLACK, argument: value}
+        with pytest.raises(error, match=argument):
+            check_metric_axioms(model, samples=samples, **args)
+    # numpy scalars and an integer slack are stored as plain int and float
+    numpy_scalars = check_metric_axioms(model, np.int64(1), samples, np.int32(200), np.uint8(3), np.float64(-0.5))
+    assert json.dumps(numpy_scalars) == json.dumps(check_metric_axioms(model, 1, samples, 200, 3, -0.5))
+    assert numpy_scalars["triangle_violations"] > 0
+    assert [type(numpy_scalars[key]) for key in ("view", "trials", "seed", "triangle_slack")] == [int, int, int, float]
+    assert type(check_metric_axioms(model, 1, samples, 10, 0, 0)["triangle_slack"]) is float
+
 
 def reference_distances(model, view, samples, trials, seed):
     """Per-triple loop over ``view_distance``: the reference for the batched check.
@@ -186,7 +223,8 @@ def reference_distances(model, view, samples, trials, seed):
 
 
 @pytest.mark.parametrize("trials", [100, CHECK_BLOCK, 2 * CHECK_BLOCK + 37])
-@pytest.mark.parametrize("dims, d", [([6, 9], 2), ([3, 4], 3)])
+# d = 10 sums enough feature rows for a changed summation order to show; d = 1 sums one
+@pytest.mark.parametrize("dims, d", [([6, 9], 2), ([3, 4], 3), ([12, 20], 10), ([1, 5], 1)])
 def test_batched_check_matches_per_triple_loop(trials, dims, d):
     rng = np.random.default_rng(trials + d)
     model = random_model(rng, dims, d)  # d < dim: rank-deficient metric; d == dim: full rank
@@ -205,6 +243,37 @@ def test_batched_check_matches_per_triple_loop(trials, dims, d):
             assert type(report["triangle_violations"]) is int  # JSON-serialisable
             assert type(report["max_triangle_violation"]) is float
         assert report["triangle_violations"] > 0  # the negative slack did count something
+
+
+@pytest.mark.parametrize("d", [1, 2, 10, 16])
+def test_check_sums_each_distance_over_the_feature_rows_in_order(monkeypatch, d):
+    # the reference adds one squared coordinate difference at a time, in
+    # feature order, on the points the check projects; the gathers and the
+    # summation order must reproduce it to the last bit
+    rng = np.random.default_rng(200 + d)
+    model = random_model(rng, [d + 3], d)
+    samples = rng.standard_normal((d + 3, 50)) + 5.0
+    trials = 2 * CHECK_BLOCK + 37
+    distances = []
+
+    def recording(a, b, diff):
+        distances.append(_column_distances(a, b, diff))
+        return distances[-1]
+
+    monkeypatch.setattr(mvmetric.metric, "_column_distances", recording)
+    check_metric_axioms(model, 1, samples, trials, seed=5)
+    checked = np.concatenate([np.stack(distances[n : n + 4], axis=1) for n in range(0, len(distances), 4)])
+    points = model.project(1, samples).T.tolist()
+    expected = []
+    for i, j, k in np.random.default_rng(5).integers(samples.shape[1], size=(trials, 3)).tolist():
+        row = []
+        for a, b in ((i, j), (j, i), (j, k), (i, k)):
+            total = 0.0
+            for p, q in zip(points[a], points[b]):
+                total += (p - q) * (p - q)
+            row.append(math.sqrt(total))
+        expected.append(row)
+    np.testing.assert_array_equal(checked, np.array(expected))
 
 
 @pytest.mark.parametrize("shift", [1e4, 1e6])
@@ -254,15 +323,15 @@ def test_standardized_check_measures_the_distances_knn_scores(monkeypatch):
     model = train(ds, sp, cons, Hyperparams(embed_dim=2, standardize=True))
     samples, trials = ds.views[0].data, 40
     x, y = np.random.default_rng(3).integers(samples.shape[1], size=(trials, 3)).T[:2]  # the check's draw
-    norms = []
+    distances = []
 
-    def recording(diff):
-        norms.append(_row_norms(diff))
-        return norms[-1]
+    def recording(a, b, diff):
+        distances.append(_column_distances(a, b, diff))
+        return distances[-1]
 
-    monkeypatch.setattr(mvmetric.metric, "_row_norms", recording)
+    monkeypatch.setattr(mvmetric.metric, "_column_distances", recording)
     check_metric_axioms(model, 1, samples, trials, seed=3)
-    checked = norms[0]  # d(x, y) of every triple
+    checked = distances[0]  # d(x, y) of every triple
     scored = []
     monkeypatch.setattr(mvmetric.eval, "_knn_predict", lambda distances, labels, k: scored.append(distances[0]) or 0)
     # view 2's test vector equals its one training column, so only view 1 adds distance
@@ -276,3 +345,26 @@ def test_standardized_check_measures_the_distances_knn_scores(monkeypatch):
     diffs = samples[:, x] - samples[:, y]
     quadratic = np.einsum("ij,ik,kj->j", diffs, metric_matrix(model, 1), diffs)
     np.testing.assert_allclose(quadratic, checked**2, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reported_rank_is_the_projection_rank(seed):
+    # d < D_v gives a rank-deficient metric, d == D_v a full-rank one
+    rng = np.random.default_rng(100 + seed)
+    dims = [int(n) for n in rng.integers(1, 9, size=3)]
+    d = int(rng.integers(1, min(dims) + 1))
+    model = random_model(rng, dims, d)
+    for v, dim in enumerate(dims, start=1):
+        report = check_metric_axioms(model, v, rng.standard_normal((dim, 5)), trials=10, seed=0)
+        assert report["rank"] == np.linalg.matrix_rank(model.projections[v - 1]) == d
+        assert report["distinguishable"] is bool(np.linalg.matrix_rank(metric_matrix(model, v)) == dim)
+
+
+def test_reported_rank_is_the_projection_rank_of_a_standardized_model():
+    ds = generate_synthetic(2, 10, [4, 7], seed=16)
+    sp = split(ds, 12, seed=0)
+    model = train(ds, sp, build_constraints(ds.labels[sp.train_indices]), Hyperparams(embed_dim=3, standardize=True))
+    for v, dim in enumerate(ds.view_dims, start=1):
+        report = check_metric_axioms(model, v, ds.views[v - 1].data, trials=10, seed=0)
+        # the projection as applied to raw samples: feature scales, then W_v.T
+        assert report["rank"] == np.linalg.matrix_rank(model.project(v, np.eye(dim))) == 3
