@@ -1,3 +1,20 @@
-"""Shared constants for on-disk artifacts."""
+"""Shared constants and reading for on-disk artifacts."""
+
+import json
+from pathlib import Path
 
 FORMAT_VERSION = "1"
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object stored at ``path``; errors name the file as ``what``."""
+    path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"{what} not found: {path}")
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} {path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} {path}: expected a JSON object")
+    return doc

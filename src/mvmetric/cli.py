@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from ._format import FORMAT_VERSION
+from ._format import FORMAT_VERSION, read_json_object
 from .constraints import build_constraints
 from .dataset import generate_synthetic, load_manifest, split, write_dataset
 from .eval import run_benchmark
@@ -61,14 +61,7 @@ def _read_config(path, parser: argparse.ArgumentParser) -> dict:
     """The non-null values of a JSON config file for ``parser``'s settings;
     unknown keys and values their flag would not take are errors."""
     path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"config file not found: {path}")
-    try:
-        loaded = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file {path}: invalid JSON: {exc}") from exc
-    if not isinstance(loaded, dict):
-        raise ValueError(f"config file {path}: expected a JSON object")
+    loaded = read_json_object(path, "config file")
     actions = {action.dest: action for action in _settings(parser)}
     unknown = set(loaded) - set(actions)
     if unknown:

@@ -16,7 +16,16 @@ from pathlib import Path
 
 import numpy as np
 
-from ._format import FORMAT_VERSION
+from ._format import FORMAT_VERSION, read_json_object
+from .model import _integer, _seed
+
+
+def _integer_labels(values, what: str) -> np.ndarray:
+    """Class labels as an int array; float labels must be integral (``1.0`` is 1, ``0.5`` an error)."""
+    values = np.asarray(values)
+    if values.dtype.kind == "f" and not ((np.abs(values) < 2.0**63) & (values == np.trunc(values))).all():
+        raise ValueError(f"{what} must be integers, got non-integral or out-of-range values")
+    return values.astype(int)
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -82,10 +91,7 @@ class MultiviewDataset:
         for v in views:
             if v.n_samples != n:
                 raise ValueError("sample count mismatch across views")
-        values = np.asarray(self.labels)
-        if values.dtype.kind == "f" and not ((np.abs(values) < 2.0**63) & (values == np.trunc(values))).all():
-            raise ValueError("labels must be integers, got non-integral or out-of-range values")
-        labels = _frozen_array(values, dtype=int)
+        labels = _frozen_array(_integer_labels(self.labels, "labels"), dtype=int)
         if labels.ndim != 1 or labels.shape[0] != n:
             raise ValueError(f"label count {labels.shape} != sample count {n}")
         if np.unique(labels).size < 2:
@@ -214,14 +220,7 @@ def load_manifest(manifest_path) -> MultiviewDataset:
     ``views`` must list at least two file names and ``labels`` name one file.
     """
     path = Path(manifest_path)
-    if not path.is_file():
-        raise FileNotFoundError(f"manifest not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"manifest {path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"manifest {path}: expected a JSON object")
+    doc = read_json_object(path, "manifest")
     for key in ("views", "labels"):
         if key not in doc:
             raise ValueError(f"manifest {path}: missing key {key!r}")
@@ -238,8 +237,11 @@ def split(dataset: MultiviewDataset, train_count: int, seed: int, max_retries: i
     """Uniform random train/test split, deterministic given the seed.
 
     Redraws (up to ``max_retries``) when the sampled train set covers fewer
-    than two classes, then fails.
+    than two classes, then fails.  ``train_count`` and ``seed`` (>= 0) must
+    be integers, not bools.
     """
+    train_count = _integer("train_count", train_count)
+    seed = _seed(seed)
     n = dataset.n
     if not 2 <= train_count <= n - 1:
         raise ValueError(f"train_count must be in [2, {n - 1}], got {train_count}")
@@ -267,6 +269,7 @@ def generate_synthetic(
     ``separation`` apart.  Views listed in ``noise_views`` (1-based ids)
     contain pure standard-Gaussian noise independent of the class labels.
     """
+    seed = _seed(seed)
     view_dims = list(view_dims)
     if classes < 2:
         raise ValueError("classes must be >= 2")

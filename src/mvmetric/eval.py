@@ -10,9 +10,9 @@ import numpy as np
 
 from ._format import FORMAT_VERSION
 from .constraints import build_constraints
-from .dataset import MultiviewDataset, split
-from .metric import _check_vector, _squared_distances
-from .model import Hyperparams, MultiviewMetricModel, _integer
+from .dataset import MultiviewDataset, _integer_labels, split
+from .metric import _check_array, _squared_distances
+from .model import Hyperparams, MultiviewMetricModel, _integer, _seed
 from .solver import train
 
 # unused by the package; perfbench/harness.py reads the name to clear the variable
@@ -79,40 +79,27 @@ def derive_trial_seed(seed: int, trial: int, stream: int = 0) -> int:
     return int(np.random.SeedSequence((seed, trial, stream)).generate_state(1)[0])
 
 
-def _knn_predict(distance_to_train, train_labels, k: int):
-    """k-NN vote over precomputed distances.
-
-    Distance ties resolve to the lower training index (stable sort); vote
-    ties resolve to the label of the nearest member of the tied label set.
-    """
-    order = np.argsort(distance_to_train, kind="stable")[:k]
-    neighbor_labels = train_labels[order]
-    counts = {}
-    for lab in neighbor_labels:
-        counts[int(lab)] = counts.get(int(lab), 0) + 1
-    best = max(counts.values())
-    tied = {lab for lab, c in counts.items() if c == best}
-    for lab in neighbor_labels:
-        if int(lab) in tied:
-            return int(lab)
-    raise AssertionError("unreachable: some neighbor label must be in the tied set")
-
-
 def _predict(points, weights, train_indices, test_indices, train_labels, k: int) -> np.ndarray:
     """k-NN labels of the ``test_indices`` columns of ``points`` among its ``train_indices`` ones.
 
     ``points[v]`` holds view v's points as columns.  The test samples are
-    scored ``SCORE_BLOCK`` at a time with ``_squared_distances`` and each row
-    is voted by ``_knn_predict``, so both tie rules hold.
+    scored ``SCORE_BLOCK`` at a time with ``_squared_distances``, and each
+    block is voted at once: a stable sort sends a distance tie to the lower
+    training index, and ``argmax`` over the neighbours' vote counts sends a
+    vote tie to the first, i.e. nearest, member of the tied labels.
     """
+    labels, classes = np.unique(train_labels, return_inverse=True)
     train_points = [p[:, train_indices] for p in points]
     predicted = np.empty(len(test_indices), dtype=int)
     for start in range(0, len(test_indices), SCORE_BLOCK):
         block = test_indices[start : start + SCORE_BLOCK]
         distances = _squared_distances(train_points, [p[:, block] for p in points], weights)
         np.sqrt(distances, out=distances)
-        for i, row in enumerate(distances, start):
-            predicted[i] = _knn_predict(row, train_labels, k)
+        nearest = classes[np.argsort(distances, axis=1, kind="stable")[:, :k]]
+        rows = np.arange(len(block))
+        cells = nearest + rows[:, None] * len(labels)  # one bincount bin per (row, class)
+        votes = np.bincount(cells.ravel())[cells]
+        predicted[start : start + len(block)] = labels[nearest[rows, np.argmax(votes, axis=1)]]
     return predicted
 
 
@@ -125,28 +112,29 @@ def knn_classify(
 ) -> int:
     """Predict the majority label among the k nearest training samples.
 
-    The inputs are checked once per call: one test vector and one
-    ``(D_v, n_train)`` training view per model view, all finite.  Each view's
-    training columns and test vector are then projected in one product, so a
-    test vector equal to a training column is at distance exactly 0.0, and
-    scored with the arithmetic of ``run_benchmark`` and ``multiview_distance``.
+    The inputs are checked once per call, before any distance is scored: an
+    integer ``k``, one integral label per training sample and, per model
+    view, one test vector and one ``(D_v, n_train)`` training view, all
+    finite.  Each view's training columns and test vector are then projected
+    in one product, so a test vector equal to a training column is at
+    distance exactly 0.0, and scored with the arithmetic of ``run_benchmark``
+    and ``multiview_distance``.
     """
-    train_labels = np.asarray(train_labels)
+    train_labels = _integer_labels(train_labels, "train_labels")
+    if train_labels.ndim != 1:
+        raise ValueError(f"train_labels: expected shape (n_train,), got {train_labels.shape}")
     n_train = train_labels.shape[0]
     if n_train == 0:
         raise ValueError("empty training set")
+    k = _integer("k", k)
     if not 1 <= k <= n_train:
         raise ValueError(f"k must be in [1, {n_train}], got {k}")
     if len(test_sample) != model.num_views or len(train_views) != model.num_views:
         raise ValueError(f"expected {model.num_views} test vectors and training views")
     points = []
     for v, (dim, x, view) in enumerate(zip(model.view_dims, test_sample, train_views), 1):
-        x = _check_vector(x, dim, f"view {v} test sample")
-        view = np.asarray(view, dtype=float)
-        if view.shape != (dim, n_train):
-            raise ValueError(f"view {v} training data: expected shape {(dim, n_train)}, got {view.shape}")
-        if not np.isfinite(view).all():
-            raise ValueError(f"view {v} training data: non-finite entries")
+        x = _check_array(x, (dim,), f"view {v} test sample")
+        view = _check_array(view, (dim, n_train), f"view {v} training data")
         points.append(model.project(v, np.column_stack([view, x])))
     return int(_predict(points, model.powered_weights, np.arange(n_train), [n_train], train_labels, k)[0])
 
@@ -168,14 +156,14 @@ def run_benchmark(
     ``include_baseline`` the identity-metric Euclidean classifier runs on the
     identical splits, on the same scaled features, for paired comparison.
     Trials run one after another, in trial order.  ``train_count``,
-    ``trials``, ``seed`` and ``k`` must be integers (not bools), stored in
-    the report as ``int``, and ``include_baseline`` must be a bool.
+    ``trials``, ``seed`` (>= 0) and ``k`` must be integers (not bools),
+    stored in the report as ``int``, and ``include_baseline`` a bool.
     """
     if not isinstance(include_baseline, bool):
         raise TypeError(f"include_baseline must be true or false, got {include_baseline!r}")
     train_count = _integer("train_count", train_count)
     trials = _integer("trials", trials)
-    seed = _integer("seed", seed)
+    seed = _seed(seed)
     k = _integer("k", k)
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .model import MultiviewMetricModel, _integer, _real
+from .model import MultiviewMetricModel, _integer, _real, _seed
 
 TRIANGLE_SLACK = 1e-9
 # triples scored per array pass in check_metric_axioms; bounds its memory
@@ -32,10 +32,10 @@ def metric_matrix(model: MultiviewMetricModel, view: int) -> np.ndarray:
     return points.T @ points
 
 
-def _check_vector(x, dim: int, what: str) -> np.ndarray:
+def _check_array(x, shape: tuple, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape != (dim,):
-        raise ValueError(f"{what}: expected shape ({dim},), got {x.shape}")
+    if x.shape != shape:
+        raise ValueError(f"{what}: expected shape {shape}, got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError(f"{what}: non-finite entries")
     return x
@@ -50,8 +50,8 @@ def view_distance(model: MultiviewMetricModel, view: int, x, y) -> float:
     view of weight 1.
     """
     dim = _view_dim(model, view)
-    x = _check_vector(x, dim, f"view {view} x")
-    y = _check_vector(y, dim, f"view {view} y")
+    x = _check_array(x, (dim,), f"view {view} x")
+    y = _check_array(y, (dim,), f"view {view} y")
     return _pair_distance(model, [view], [1.0], [x], [y])
 
 
@@ -64,7 +64,7 @@ def multiview_distance(model: MultiviewMetricModel, xs, ys) -> float:
     if len(xs) != model.num_views or len(ys) != model.num_views:
         raise ValueError(f"expected {model.num_views} per-view vectors")
     checked = [
-        (_check_vector(x, dim, f"view {v} x"), _check_vector(y, dim, f"view {v} y"))
+        (_check_array(x, (dim,), f"view {v} x"), _check_array(y, (dim,), f"view {v} y"))
         for v, (dim, x, y) in enumerate(zip(model.view_dims, xs, ys), 1)
     ]
     views = range(1, model.num_views + 1)
@@ -143,13 +143,13 @@ def check_metric_axioms(
     scores.  The triples are scored in blocks of ``CHECK_BLOCK``, so memory
     does not grow with ``trials``; they are the rows of one
     ``rng.integers(N, size=(trials, 3))`` draw, whatever the block size.
-    ``view``, ``trials`` and ``seed`` must be integers and
+    ``view``, ``trials`` and ``seed`` (>= 0) must be integers and
     ``triangle_slack`` a finite number (none of them a bool); the report
     stores them as ``int`` and ``float``.
     """
     dim = _view_dim(model, view)
     trials = _integer("trials", trials)
-    seed = _integer("seed", seed)
+    seed = _seed(seed)
     triangle_slack = _real("triangle_slack", triangle_slack)
     if not math.isfinite(triangle_slack):
         raise ValueError(f"triangle_slack must be finite, got {triangle_slack!r}")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._format import FORMAT_VERSION
+from ._format import FORMAT_VERSION, read_json_object
 
 ORTHONORMALITY_TOL = 1e-8
 SIMPLEX_TOL = 1e-12
@@ -21,6 +21,13 @@ def _integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _seed(value) -> int:
+    seed = _integer("seed", value)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _real(name: str, value) -> float:
@@ -244,13 +251,4 @@ class MultiviewMetricModel:
 
     @classmethod
     def load(cls, path) -> "MultiviewMetricModel":
-        p = Path(path)
-        if not p.is_file():
-            raise FileNotFoundError(f"model file not found: {p}")
-        try:
-            doc = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"model file {p}: invalid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ValueError(f"model file {p}: expected a JSON object")
-        return cls.from_dict(doc)
+        return cls.from_dict(read_json_object(path, "model file"))

@@ -479,6 +479,22 @@ def test_check_prints_to_stdout_without_out(dataset_dir, tmp_path, capsys):
     assert doc["violations"] == 0
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "generate", "check"])
+def test_a_negative_seed_is_a_usage_error_naming_seed(dataset_dir, tmp_path, capsys, command):
+    manifest, model = str(dataset_dir / "manifest.json"), str(tmp_path / "model.json")
+    assert run_cli(["train", "--manifest", manifest, "--train-count", "12", "--d", "2", "--out", model]) == 0
+    argv = {
+        "train": ["--manifest", manifest, "--train-count", "12", "--out", str(tmp_path / "m.json")],
+        "eval": ["--manifest", manifest, "--train-count", "12", "--out", str(tmp_path / "r.json")],
+        "generate": ["--classes", "2", "--per-class", "3", "--view-dims", "2,2", "--out", str(tmp_path / "d")],
+        "check": ["--model", model, "--manifest", manifest, "--out", str(tmp_path / "a.json")],
+    }[command]
+    capsys.readouterr()
+    assert run_cli([command, *argv, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["data", "model.json"]
+
+
 def test_check_rejects_corrupted_model(dataset_dir, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

@@ -138,6 +138,23 @@ def test_split_train_count_out_of_range():
         split(ds, 1, seed=0)
 
 
+def test_split_checks_its_count_and_seed_by_name():
+    ds = generate_synthetic(2, 10, [3, 3], seed=0)
+    for train_count, seed, error, message in [
+        (12, True, TypeError, "seed must be an integer, got True"),
+        (12, 1.0, TypeError, "seed must be an integer, got 1.0"),
+        (12, -1, ValueError, "seed must be >= 0, got -1"),
+        (2.5, 1, TypeError, "train_count must be an integer, got 2.5"),
+        (True, 1, TypeError, "train_count must be an integer, got True"),
+    ]:
+        with pytest.raises(error, match=message):
+            split(ds, train_count, seed)
+    # numpy integers are stored as the plain int seed
+    sp = split(ds, np.int64(12), np.uint32(4))
+    assert type(sp.seed) is int
+    assert np.array_equal(sp.train_indices, split(ds, 12, 4).train_indices)
+
+
 def test_split_retries_until_two_classes():
     # 18 samples of class 0 and 2 of class 1: small train draws often miss class 1
     rng = np.random.default_rng(1)
@@ -217,6 +234,10 @@ def test_generate_validates_inputs():
         generate_synthetic(2, 5, [3, 1], seed=0)
     with pytest.raises(ValueError, match="noise_views"):
         generate_synthetic(2, 5, [3, 3], noise_views={3}, seed=0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        generate_synthetic(2, 5, [3, 3], seed=-1)
+    with pytest.raises(TypeError, match="seed must be an integer, got True"):
+        generate_synthetic(2, 5, [3, 3], seed=True)
 
 
 def test_standardize_flag(tmp_path):

@@ -20,7 +20,8 @@ from mvmetric import (
     run_benchmark,
     train,
 )
-from mvmetric.eval import SCORE_BLOCK, _knn_predict, _predict
+from mvmetric.eval import SCORE_BLOCK, _predict
+from mvmetric.metric import _squared_distances
 
 
 def _trained_on(dataset, train_idx, test_idx, hyper):
@@ -138,11 +139,12 @@ def test_knn_scores_exactly_the_per_pair_distances(monkeypatch, seed, k):
     train_labels = rng.integers(0, 3, size=n_train)
     seen = []
 
-    def recording(distances, labels, k):
-        seen.append(distances)
-        return _knn_predict(distances, labels, k)
+    def recording(*args):
+        squared = _squared_distances(*args)
+        seen.append(np.sqrt(squared)[0])
+        return squared
 
-    monkeypatch.setattr(mvmetric.eval, "_knn_predict", recording)
+    monkeypatch.setattr(mvmetric.eval, "_squared_distances", recording)
     tests = [[rng.standard_normal(dim) * 3.0 + 5.0 for dim in dims] for _ in range(12)]
     tests.append([view[:, 3].copy() for view in train_views])
     for x in tests:
@@ -153,7 +155,7 @@ def test_knn_scores_exactly_the_per_pair_distances(monkeypatch, seed, k):
         bound = distance_error_bound(model, points, expected)
         assert np.all(np.abs(seen[-1] - expected) <= bound)
         assert np.all(np.abs([multiview_distance(model, x, ys) for ys in columns] - expected) <= bound)
-        assert predicted == _knn_predict(expected, train_labels, k)
+        assert predicted == brute_force_vote(expected, train_labels, k)
     assert np.count_nonzero(seen[-1] == 0.0) == 2
 
 
@@ -186,16 +188,31 @@ def test_knn_rejects_malformed_input_before_scoring(monkeypatch):
     for test_sample, views, message in cases:
         with pytest.raises(ValueError, match=message):
             knn_classify(model, views, train_labels, test_sample, k=1)
+    # a fractional label is no training label, and a label column is no label vector
+    for labels, message in [
+        (train_labels + 0.5, "train_labels must be integers"),
+        (train_labels[:, None], r"train_labels: expected shape \(n_train,\), got \(6, 1\)"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            knn_classify(model, train_views, labels, x, k=1)
+    # a bool or a float is no neighbour count, even one that equals an integer
+    for k in (True, 2.0):
+        with pytest.raises(TypeError, match=f"k must be an integer, got {k!r}"):
+            knn_classify(model, train_views, train_labels, x, k=k)
 
 
 def test_knn_vote_and_tie_breaking():
-    labels = np.array([0, 1, 1, 0])
+    def vote(positions, k):
+        # 1-feature training points at ``positions``, one test point at 0.0
+        points = [np.array([[*positions, 0.0]])]
+        return _predict(points, np.ones(1), np.arange(4), [4], np.array([0, 1, 1, 0]), k)[0]
+
     # k=3 with two 1s beats one 0
-    assert _knn_predict(np.array([0.1, 0.2, 0.3, 0.9]), labels, k=3) == 1
+    assert vote([0.1, 0.2, 0.3, 0.9], k=3) == 1
     # k=2 is a 1-1 vote: the nearest member of the tied set wins
-    assert _knn_predict(np.array([0.1, 0.2, 0.3, 0.9]), labels, k=2) == 0
+    assert vote([0.1, 0.2, 0.3, 0.9], k=2) == 0
     # exact distance ties resolve to the lower training index
-    assert _knn_predict(np.array([0.5, 0.5, 0.9, 0.9]), labels, k=1) == 0
+    assert vote([0.5, 0.5, 0.9, 0.9], k=1) == 0
 
 
 def test_knn_validates_inputs():
@@ -264,6 +281,30 @@ def brute_force_vote(distances, train_labels, k):
     nearest = [int(train_labels[j]) for _, j in sorted(zip(distances, range(len(distances))))[:k]]
     counts = {lab: nearest.count(lab) for lab in nearest}
     return next(lab for lab in nearest if counts[lab] == max(counts.values()))
+
+
+def test_block_vote_matches_brute_force_row_for_row(monkeypatch):
+    # points on a coarse integer grid, so distances tie, and few labels, so
+    # votes tie; the labels include a negative one and one past 2**32, every
+    # k from 1 to n_train is voted, and blocks of 5 split the test samples
+    monkeypatch.setattr(mvmetric.eval, "SCORE_BLOCK", 5)
+    rng = np.random.default_rng(70)
+    pool = np.array([-7, 10**12, 0, 3, 1])
+    rows = 0
+    for _ in range(60):
+        n_train, n_test = int(rng.integers(1, 16)), int(rng.integers(1, 23))
+        points = [rng.integers(-2, 3, size=(int(rng.integers(1, 3)), n_train + n_test)).astype(float) for _ in range(2)]
+        train_labels = rng.choice(pool[: int(rng.integers(1, 6))], size=n_train)
+        train_idx, test_idx = np.arange(n_train), np.arange(n_train, n_train + n_test)
+        # integer coordinates and unit weights: every squared distance is exact
+        stacked = np.vstack(points)
+        distances = np.sqrt(((stacked[:, test_idx, None] - stacked[:, None, train_idx]) ** 2).sum(axis=0))
+        for k in range(1, n_train + 1):
+            predicted = _predict(points, np.ones(2), train_idx, test_idx, train_labels, k)
+            assert predicted.dtype == int
+            assert predicted.tolist() == [brute_force_vote(row, train_labels, k) for row in distances]
+            rows += n_test
+    assert rows > 5000
 
 
 def brute_force_euclidean_knn(train_views, train_labels, x, k):
@@ -358,12 +399,13 @@ def test_benchmark_votes_like_knn_classify_and_brute_force_under_vote_ties(monke
         models.append(train(*args, **kwargs))
         return models[-1]
 
-    def recording_vote(distances, labels, k):
-        rows.append(distances)
-        return _knn_predict(distances, labels, k)
+    def recording_distances(*args):
+        squared = _squared_distances(*args)
+        rows.extend(np.sqrt(squared))
+        return squared
 
     monkeypatch.setattr(mvmetric.eval, "train", recording_train)
-    monkeypatch.setattr(mvmetric.eval, "_knn_predict", recording_vote)
+    monkeypatch.setattr(mvmetric.eval, "_squared_distances", recording_distances)
     monkeypatch.setattr(mvmetric.eval, "SCORE_BLOCK", 5)
     report = run_benchmark(ds, 20, 4, Hyperparams(embed_dim=2), seed=8, include_baseline=True, k=k)
     monkeypatch.undo()
@@ -482,6 +524,16 @@ def test_benchmark_rejects_a_bool_before_the_first_fit(monkeypatch, name):
     args = {"train_count": 8, "trials": 2, "seed": 3, "k": 1, name: True}
     with pytest.raises(TypeError, match=f"{name} must be an integer, got True"):
         run_benchmark(ds, hyper=Hyperparams(embed_dim=2), **args)
+
+
+def test_benchmark_rejects_a_negative_seed_before_the_first_fit(monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("train must not run when an argument is malformed")
+
+    monkeypatch.setattr(mvmetric.eval, "train", no_fit)
+    ds = generate_synthetic(2, 6, [3, 4], seed=14)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        run_benchmark(ds, 8, 2, Hyperparams(embed_dim=2), seed=-1)
 
 
 @pytest.mark.parametrize("flag", ["no", 0, 1, None, np.True_])

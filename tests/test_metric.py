@@ -22,7 +22,7 @@ from mvmetric import (
     train,
     view_distance,
 )
-from mvmetric.metric import CHECK_BLOCK, TRIANGLE_SLACK, _column_distances
+from mvmetric.metric import CHECK_BLOCK, TRIANGLE_SLACK, _column_distances, _squared_distances
 
 
 def make_model(projections, weights, r=2.0):
@@ -192,6 +192,7 @@ def test_axiom_checker_validates_inputs():
         ("trials", 2.5, TypeError),
         ("seed", True, TypeError),
         ("seed", "1", TypeError),
+        ("seed", -1, ValueError),
         ("triangle_slack", True, TypeError),
         ("triangle_slack", "1e-9", TypeError),
         ("triangle_slack", np.nan, ValueError),
@@ -210,16 +211,24 @@ def test_axiom_checker_validates_inputs():
 
 
 def reference_distances(model, view, samples, trials, seed):
-    """Per-triple loop over ``view_distance``: the reference for the batched check.
+    """Per-triple reference for the batched check, from the samples projected once.
 
-    Returns one row ``(d_xy, d_yx, d_yz, d_xz)`` per triple of the seed's draw.
+    Returns one row ``(d_xy, d_yx, d_yz, d_xz)`` per triple of the seed's
+    draw.  The first 50 triples and the 50 on each side of every block
+    boundary are cross-checked pair by pair against ``view_distance``.
     """
     triples = np.random.default_rng(seed).integers(samples.shape[1], size=(trials, 3))
-    rows = []
-    for i, j, k in triples:
-        x, y, z = samples[:, i], samples[:, j], samples[:, k]
-        rows.append([view_distance(model, view, a, b) for a, b in ((x, y), (y, x), (y, z), (x, z))])
-    return np.array(rows)
+    points = model.project(view, samples)
+    i, j, k = triples.T
+    pairs = ((i, j), (j, i), (j, k), (i, k))
+    rows = np.stack([np.sqrt(((points[:, a] - points[:, b]) ** 2).sum(axis=0)) for a, b in pairs], axis=1)
+    edges = range(CHECK_BLOCK, trials + 1, CHECK_BLOCK)
+    near_edges = [t for edge in edges for t in range(edge - 50, min(edge + 50, trials))]
+    for t in sorted({*range(min(50, trials)), *near_edges}):
+        x, y, z = (samples[:, c] for c in triples[t])
+        expected = [view_distance(model, view, a, b) for a, b in ((x, y), (y, x), (y, z), (x, z))]
+        np.testing.assert_allclose(rows[t], expected, rtol=0.0, atol=1e-12)
+    return rows
 
 
 @pytest.mark.parametrize("trials", [100, CHECK_BLOCK, 2 * CHECK_BLOCK + 37])
@@ -333,7 +342,13 @@ def test_standardized_check_measures_the_distances_knn_scores(monkeypatch):
     check_metric_axioms(model, 1, samples, trials, seed=3)
     checked = distances[0]  # d(x, y) of every triple
     scored = []
-    monkeypatch.setattr(mvmetric.eval, "_knn_predict", lambda distances, labels, k: scored.append(distances[0]) or 0)
+
+    def recording_distances(*args):
+        squared = _squared_distances(*args)
+        scored.append(np.sqrt(squared[0, 0]))
+        return squared
+
+    monkeypatch.setattr(mvmetric.eval, "_squared_distances", recording_distances)
     # view 2's test vector equals its one training column, so only view 1 adds distance
     other = ds.views[1].data[:, :1]
     for i, j in zip(x, y):
