@@ -21,9 +21,21 @@ from .model import _integer, _seed
 
 
 def _integer_labels(values, what: str) -> np.ndarray:
-    """Class labels as an int array; float labels must be integral (``1.0`` is 1, ``0.5`` an error)."""
+    """Class labels as an int array.
+
+    Signed integers pass, unsigned ones must be below 2**63 and floats
+    integral (``1.0`` is 1, ``0.5`` an error); bool, complex, string and
+    object labels are errors.
+    """
     values = np.asarray(values)
-    if values.dtype.kind == "f" and not ((np.abs(values) < 2.0**63) & (values == np.trunc(values))).all():
+    kind = values.dtype.kind
+    if kind not in "iuf":
+        raise ValueError(f"{what} must be integers, got non-integral dtype {values.dtype}")
+    if kind == "u":
+        valid = values <= np.uint64(2**63 - 1)
+    else:
+        valid = kind == "i" or ((np.abs(values) < 2.0**63) & (values == np.trunc(values)))
+    if not np.all(valid):
         raise ValueError(f"{what} must be integers, got non-integral or out-of-range values")
     return values.astype(int)
 
@@ -199,7 +211,10 @@ def write_dataset(dataset: MultiviewDataset, out_dir, config: dict | None = None
     view_files = []
     for v in dataset.views:
         filename = f"view{v.view_id}.csv"
-        np.savetxt(out / filename, v.data.T, fmt="%.17g", delimiter=",")
+        # the bytes of np.savetxt(fmt="%.17g", delimiter=","), one row in memory at a time
+        fmt = ",".join(["%.17g"] * v.n_features) + "\n"
+        with open(out / filename, "w") as f:
+            f.writelines(fmt % tuple(sample.tolist()) for sample in v.data.T)
         view_files.append(filename)
     (out / "labels.txt").write_text("\n".join(str(int(c)) for c in dataset.labels) + "\n")
     manifest = {
@@ -270,7 +285,9 @@ def generate_synthetic(
     contain pure standard-Gaussian noise independent of the class labels.
     """
     seed = _seed(seed)
-    view_dims = list(view_dims)
+    classes = _integer("classes", classes)
+    per_class = _integer("per_class", per_class)
+    view_dims = [_integer("view_dims entry", d) for d in view_dims]
     if classes < 2:
         raise ValueError("classes must be >= 2")
     if per_class < 2:
@@ -279,7 +296,7 @@ def generate_synthetic(
         raise ValueError("all view dims must be >= 2")
     if not math.isfinite(separation):
         raise ValueError(f"separation must be finite, got {separation}")
-    noise_views = set(int(v) for v in noise_views)
+    noise_views = {_integer("noise_views entry", v) for v in noise_views}
     if not noise_views <= set(range(1, len(view_dims) + 1)):
         raise ValueError(f"noise_views out of range 1..{len(view_dims)}: {sorted(noise_views)}")
 
@@ -292,7 +309,11 @@ def generate_synthetic(
         if view_id in noise_views:
             data = rng.standard_normal((dim, n))
         else:
-            directions, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+            # the full square is drawn to keep the random stream, but only the
+            # columns used are factorized: their Q is the full factor's leading
+            # columns, at O(dim * classes^2) instead of O(dim^3)
+            draw = rng.standard_normal((dim, dim))
+            directions, _ = np.linalg.qr(draw[:, : min(classes, dim)])
             means = np.empty((dim, classes))
             for c in range(classes):
                 # same direction reused at growing radius once classes exceed dim;

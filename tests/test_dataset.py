@@ -55,13 +55,34 @@ def test_load_dataset_single_class(tmp_path):
         load_dataset([tmp_path / "a.csv", tmp_path / "b.csv"], tmp_path / "labels.txt")
 
 
-@pytest.mark.parametrize("bad", [[0.5, 1.5, 1.0], [0.0, np.nan, 1.0], [0.0, np.inf, 1.0], [0.0, 1e20, 1.0]])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [0.5, 1.5, 1.0],
+        [0.0, np.nan, 1.0],
+        [0.0, np.inf, 1.0],
+        [0.0, 1e20, 1.0],
+        # an int cast would make these a negative label, 1/0, a ComplexWarning
+        # and numpy's own message, which names no argument
+        np.array([2**63 + 5, 1, 1], dtype=np.uint64),
+        [True, False, False],
+        [0j, 1, 1],
+        ["0", "1", "1"],
+        np.array([0, 1, 1], dtype=object),
+    ],
+)
 def test_non_integral_labels_are_rejected(bad):
     view = ViewMatrix(1, np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="non-integral"):
+    with pytest.raises(ValueError, match="labels must be integers, got non-integral"):
         MultiviewDataset((view,), np.array(bad))
-    for labels in ([0, 1, 1], np.array([0, 1, 1], dtype=np.uint8), np.array([0.0, 1.0, 1.0])):
-        np.testing.assert_array_equal(MultiviewDataset((view,), labels).labels, [0, 1, 1])
+    for labels in (
+        [0, 1, 1],
+        np.array([0, 1, 1], dtype=np.uint8),
+        np.array([0.0, 1.0, 1.0]),
+        np.array([0, 2**63 - 1, 1], dtype=np.uint64),
+    ):
+        ds = MultiviewDataset((view,), labels)
+        np.testing.assert_array_equal(ds.labels, np.asarray(labels).astype(np.int64))
 
 
 def test_load_dataset_non_numeric(tmp_path):
@@ -89,6 +110,88 @@ def test_roundtrip_is_bit_exact(tmp_path):
     for a, b in zip(ds.views, reloaded.views):
         assert np.array_equal(a.data, b.data)
     assert np.array_equal(ds.labels, reloaded.labels)
+
+
+def _bits(a):
+    # bit patterns, so that -0.0 differs from 0.0
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def test_writer_bytes_match_savetxt(tmp_path):
+    extremes = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 3.0, -7.0, 0.0]
+    wide = np.resize(np.array(extremes), (300, 2))
+    wide[10:] += np.random.default_rng(0).standard_normal((290, 2))
+    datasets = [
+        # 2 samples: a 1-feature view and a 300-feature view of extreme values
+        MultiviewDataset((ViewMatrix(1, [[-0.0, 5e-324]]), ViewMatrix(2, wide)), [0, 1]),
+        # integral floats and +5-shifted Gaussian data
+        MultiviewDataset(
+            (
+                ViewMatrix(1, np.arange(-12.0, 12.0).reshape(2, 12)),
+                ViewMatrix(2, generate_synthetic(2, 6, [7, 3], seed=3).views[0].data + 5.0),
+            ),
+            np.repeat([0, 1], 6),
+        ),
+    ]
+    for i, ds in enumerate(datasets):
+        reloaded = load_manifest(write_dataset(ds, tmp_path / f"data{i}"))
+        for v, back in zip(ds.views, reloaded.views):
+            expected = tmp_path / f"expected{i}-{v.view_id}.csv"
+            np.savetxt(expected, v.data.T, fmt="%.17g", delimiter=",")
+            assert (tmp_path / f"data{i}" / f"view{v.view_id}.csv").read_bytes() == expected.read_bytes()
+            assert back.data.shape == v.data.shape
+            assert np.array_equal(_bits(back.data), _bits(v.data))
+        assert np.array_equal(reloaded.labels, ds.labels)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_generate_keeps_the_random_stream(seed):
+    # view 1 draws a 6 x 6 square for its directions and 6 x 12 noise; the
+    # noise view 2 then takes the next 5 x 12 draws of the same stream
+    ds = generate_synthetic(3, 4, [6, 5], noise_views={2}, seed=seed)
+    rng = np.random.default_rng(seed)
+    rng.standard_normal((6, 6))
+    rng.standard_normal((6, 12))
+    assert np.array_equal(_bits(ds.views[1].data), _bits(rng.standard_normal((5, 12))))
+
+
+def _full_square_qr_reference(classes, per_class, view_dims, noise_views, seed, separation=4.0):
+    # the construction that factorized the whole dim x dim draw
+    n = classes * per_class
+    labels = np.repeat(np.arange(classes), per_class)
+    rng = np.random.default_rng(seed)
+    views = []
+    for i, dim in enumerate(view_dims):
+        if i + 1 in noise_views:
+            views.append(rng.standard_normal((dim, n)))
+            continue
+        directions, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        means = np.empty((dim, classes))
+        for c in range(classes):
+            means[:, c] = separation * (1 + c // dim) * directions[:, c % dim]
+        views.append(means[:, labels] + rng.standard_normal((dim, n)))
+    return views, labels
+
+
+@pytest.mark.parametrize(
+    "classes, per_class, view_dims, noise_views",
+    [
+        (3, 4, [6, 5], {2}),  # classes < dim
+        (3, 60, [300, 200, 100], {3}),
+        (4, 3, [4, 4, 9], set()),  # classes = dim
+        (5, 3, [3, 2], {1}),  # classes > dim
+    ],
+)
+def test_generate_matches_the_full_square_qr(classes, per_class, view_dims, noise_views):
+    for seed in range(3):
+        ds = generate_synthetic(classes, per_class, view_dims, noise_views=noise_views, seed=seed)
+        views, labels = _full_square_qr_reference(classes, per_class, view_dims, noise_views, seed)
+        assert np.array_equal(ds.labels, labels)
+        for view, expected in zip(ds.views, views):
+            if view.view_id in noise_views:
+                assert np.array_equal(_bits(view.data), _bits(expected))
+            else:
+                np.testing.assert_allclose(view.data, expected, rtol=0, atol=1e-13)
 
 
 def test_manifest_carries_format_version(tmp_path):
@@ -238,6 +341,23 @@ def test_generate_validates_inputs():
         generate_synthetic(2, 5, [3, 3], seed=-1)
     with pytest.raises(TypeError, match="seed must be an integer, got True"):
         generate_synthetic(2, 5, [3, 3], seed=True)
+    # counts, dims and view ids are checked by name before any draw: no
+    # int() truncation, no numpy message, no bool taken for 1
+    for args, kwargs, message in [
+        ((2.5, 5, [3, 3]), {}, "classes must be an integer, got 2.5"),
+        ((True, 5, [3, 3]), {}, "classes must be an integer, got True"),
+        ((2, 3.0, [3, 3]), {}, "per_class must be an integer, got 3.0"),
+        ((2, 5, [2.7, 2]), {}, "view_dims entry must be an integer, got 2.7"),
+        ((2, 5, [3, 3]), {"noise_views": {2.5}}, "noise_views entry must be an integer, got 2.5"),
+        ((2, 5, [3, 3]), {"noise_views": {True}}, "noise_views entry must be an integer, got True"),
+    ]:
+        with pytest.raises(TypeError, match=re.escape(message)):
+            generate_synthetic(*args, seed=0, **kwargs)
+    # numpy integers are integers
+    ds = generate_synthetic(np.int64(2), np.int32(3), [np.int64(2), 3], noise_views={np.int64(2)}, seed=0)
+    same = generate_synthetic(2, 3, [2, 3], noise_views={2}, seed=0)
+    for a, b in zip(ds.views, same.views):
+        assert np.array_equal(a.data, b.data)
 
 
 def test_standardize_flag(tmp_path):

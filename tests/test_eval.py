@@ -191,6 +191,11 @@ def test_knn_rejects_malformed_input_before_scoring(monkeypatch):
     # a fractional label is no training label, and a label column is no label vector
     for labels, message in [
         (train_labels + 0.5, "train_labels must be integers"),
+        (train_labels.astype(bool), "train_labels must be integers, got non-integral dtype bool"),
+        (train_labels + 0j, "train_labels must be integers, got non-integral dtype complex128"),
+        (train_labels.astype(str), "train_labels must be integers, got non-integral dtype <U"),
+        (train_labels.astype(object), "train_labels must be integers, got non-integral dtype object"),
+        (train_labels.astype(np.uint64) + np.uint64(2**63), "train_labels must be integers, got non-integral or out"),
         (train_labels[:, None], r"train_labels: expected shape \(n_train,\), got \(6, 1\)"),
     ]:
         with pytest.raises(ValueError, match=message):
