@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ._format import FORMAT_VERSION, read_json_object
-from .model import _integer, _seed
+from .model import _integer, _real, _seed
 
 
 def _integer_labels(values, what: str) -> np.ndarray:
@@ -288,6 +288,7 @@ def generate_synthetic(
     classes = _integer("classes", classes)
     per_class = _integer("per_class", per_class)
     view_dims = [_integer("view_dims entry", d) for d in view_dims]
+    separation = _real("separation", separation)
     if classes < 2:
         raise ValueError("classes must be >= 2")
     if per_class < 2:

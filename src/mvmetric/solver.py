@@ -264,18 +264,18 @@ def train(
     SVDs of the W-step.  The model's ``stop_reason`` says whether the
     residual fell below ``tol`` or ``max_iters`` ran out.
 
-    A view with more than ``n_train + d`` features is solved in ``n_train + d``
-    coordinates: an orthonormal basis ``Q_v`` (from a thin QR) of its first
-    ``d`` feature axes and its training columns, mapped back once with
-    ``W_v = Q_v V_v``.  Every block of Z is built from the training columns,
-    so the objective sees ``W_v`` only through its part in their span, and
-    the ``d`` axes leave room for any part outside it; those axes come first
-    in ``Q_v`` because rank padding tries standard basis vectors in index
-    order, so padding picks the same vectors as in raw coordinates.  Gains,
-    objective, residual and weights are unchanged by this orthonormal change
-    of basis, and the projections can differ from a solve in raw coordinates
-    by a right rotation, which leaves ``W_v W_v^T`` as it is.  Narrower views
-    keep their raw coordinates.
+    Every view is solved in ``min(D_v, n_train + d)`` coordinates: an
+    orthonormal basis ``Q_v`` (from a thin QR) of its first ``d`` feature
+    axes and its training columns, mapped back once with ``W_v = Q_v V_v``.
+    Every block of Z is built from the training columns, so the objective
+    sees ``W_v`` only through its part in their span, and the ``d`` axes
+    leave room for any part outside it; those axes come first in ``Q_v``
+    because rank padding tries standard basis vectors in index order, so
+    padding picks the same vectors as in raw coordinates.  Gains, objective,
+    residual and weights are unchanged by this orthonormal change of basis,
+    and the projections can differ from a solve in raw coordinates by a
+    right rotation, which leaves ``W_v W_v^T`` as it is.  ``constraints``
+    must hold the split's training labels in order, else a ``ValueError``.
 
     With ``hyper.standardize``, each view's training columns are first
     centred and divided by their per-feature standard deviation (1 where it
@@ -286,23 +286,21 @@ def train(
     d = hyper.embed_dim
     r = hyper.weight_exponent
     train_idx = split_spec.train_indices
-    n_train = len(train_idx)
+    train_labels = np.unique(dataset.labels[train_idx], return_inverse=True)[1]
+    if not np.array_equal(constraints.labels, train_labels):
+        raise ValueError("constraints must be built from the labels of the split's training samples, in order")
 
     train_views, bases = [], []
     scales = [] if hyper.standardize else None
     for view in dataset.views:
-        tv = view.restrict(train_idx)
+        block = view.data[:, train_idx]
         if hyper.standardize:
-            scale = tv.data.std(axis=1)
+            scale = block.std(axis=1)
             scale[scale == 0.0] = 1.0
-            tv = ViewMatrix(tv.view_id, (tv.data - tv.data.mean(axis=1, keepdims=True)) / scale[:, None])
+            block = (block - block.mean(axis=1, keepdims=True)) / scale[:, None]
             scales.append(scale)
-        basis = None
-        if tv.n_features > n_train + d:
-            axes = np.eye(tv.n_features, d)
-            basis, reduced = np.linalg.qr(np.hstack([axes, tv.data]))
-            tv = ViewMatrix(tv.view_id, reduced[:, d:])
-        train_views.append(tv)
+        basis, reduced = np.linalg.qr(np.hstack([np.eye(len(block), d), block]))
+        train_views.append(ViewMatrix(view.view_id, reduced[:, d:]))
         bases.append(basis)
     dims = [tv.n_features for tv in train_views]
     K = coupling_matrix(train_views, constraints)
@@ -340,5 +338,5 @@ def train(
         if residual is not None and residual < hyper.tol:
             stop_reason = "tol"
             break
-    projections = tuple(b if q is None else q @ b for b, q in zip(previous, bases))
+    projections = tuple(q @ b for b, q in zip(previous, bases))
     return MultiviewMetricModel(projections, weights, hyper, tuple(trace), stop_reason, scales)

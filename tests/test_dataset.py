@@ -341,8 +341,8 @@ def test_generate_validates_inputs():
         generate_synthetic(2, 5, [3, 3], seed=-1)
     with pytest.raises(TypeError, match="seed must be an integer, got True"):
         generate_synthetic(2, 5, [3, 3], seed=True)
-    # counts, dims and view ids are checked by name before any draw: no
-    # int() truncation, no numpy message, no bool taken for 1
+    # counts, dims, view ids and the separation are checked by name before
+    # any draw: no int() truncation, no numpy message, no bool taken for 1
     for args, kwargs, message in [
         ((2.5, 5, [3, 3]), {}, "classes must be an integer, got 2.5"),
         ((True, 5, [3, 3]), {}, "classes must be an integer, got True"),
@@ -350,6 +350,8 @@ def test_generate_validates_inputs():
         ((2, 5, [2.7, 2]), {}, "view_dims entry must be an integer, got 2.7"),
         ((2, 5, [3, 3]), {"noise_views": {2.5}}, "noise_views entry must be an integer, got 2.5"),
         ((2, 5, [3, 3]), {"noise_views": {True}}, "noise_views entry must be an integer, got True"),
+        ((2, 5, [3, 3]), {"separation": "4"}, "separation must be a number, got '4'"),
+        ((2, 5, [3, 3]), {"separation": True}, "separation must be a number, got True"),
     ]:
         with pytest.raises(TypeError, match=re.escape(message)):
             generate_synthetic(*args, seed=0, **kwargs)
@@ -358,6 +360,11 @@ def test_generate_validates_inputs():
     same = generate_synthetic(2, 3, [2, 3], noise_views={2}, seed=0)
     for a, b in zip(ds.views, same.views):
         assert np.array_equal(a.data, b.data)
+    # and an integer or numpy separation is the same real number
+    for separation in (4, np.float32(4.0), np.int64(4)):
+        other = generate_synthetic(2, 3, [2, 3], noise_views={2}, seed=0, separation=separation)
+        for a, b in zip(other.views, same.views):
+            assert np.array_equal(a.data, b.data)
 
 
 def test_standardize_flag(tmp_path):

@@ -34,7 +34,8 @@ N_TRAIN = 14
 # data changes only rounding, so a wider gap means the fit depends on order.
 BOUND = HYPER.tol
 
-# views of at most N_TRAIN + d features keep their raw coordinates (no span solve)
+# views of at most N_TRAIN + d features, so each view's basis in train is a
+# full rotation of its feature space
 datasets = st.builds(
     lambda seed, dims, noise: generate_synthetic(2, 10, dims, {2} if noise else set(), seed),
     seed=st.integers(0, 2**32 - 1),

@@ -552,6 +552,25 @@ def test_training_invariants_every_iteration():
     assert residuals[-1] < 1e-6 or len(model.trace) == model.hyper.max_iters
 
 
+def test_constraints_must_hold_the_split_training_labels():
+    ds = generate_synthetic(3, 10, [6, 5], noise_views={2}, seed=1)
+    sp = split(ds, 15, seed=1)
+    labels = ds.labels[sp.train_indices]
+    hyper = Hyperparams(embed_dim=2)
+    model = train(ds, sp, build_constraints(labels), hyper)
+    # any label values name the same classes once renumbered
+    renamed = train(ds, sp, build_constraints(labels + 100), hyper)
+    for a, b in zip(model.projections, renamed.projections):
+        assert np.array_equal(a, b)
+    assert np.array_equal(model.view_weights, renamed.view_weights)
+    assert model.trace == renamed.trace
+    shuffled = np.random.default_rng(0).permutation(labels)
+    assert not np.array_equal(shuffled, labels)
+    for other in (shuffled, ds.labels[sp.test_indices]):
+        with pytest.raises(ValueError, match="constraints"):
+            train(ds, sp, build_constraints(other), hyper)
+
+
 def test_default_embed_dim_resolution():
     ds = generate_synthetic(2, 6, [4, 12], seed=0)
     sp = split(ds, 8, seed=0)
@@ -563,7 +582,7 @@ def test_default_embed_dim_resolution():
 
 
 # ---------------------------------------------------------------------------
-# wide views are solved in the span of their training columns
+# every view is solved in the basis of its first d axes and training columns
 
 
 def full_space_train(dataset, split_spec, constraints, hyper):
@@ -635,23 +654,22 @@ def test_uncoupled_wide_views_match_the_full_space_solve_despite_padding(seed):
     _assert_same_fit(model, reference, same_iterations=False)
 
 
-def test_narrow_views_are_solved_in_raw_coordinates_exactly():
+def test_narrow_views_match_the_full_space_solve():
+    # every view is narrower than n_train + d = 27, so its basis is a full
+    # rotation of its feature space
     ds = generate_synthetic(3, 12, [6, 11, 9], noise_views={2}, seed=4)
-    model, (projections, weights, objectives) = _fit_both(ds, 24, 7, 3)
-    for w, ref in zip(model.projections, projections):
-        assert np.array_equal(w, ref)
-    assert np.array_equal(model.view_weights, weights)
-    assert [e["objective"] for e in model.trace] == objectives
+    model, reference = _fit_both(ds, 24, 7, 3)
+    _assert_same_fit(model, reference)
 
 
-def test_views_no_wider_than_n_train_plus_d_keep_raw_coordinates():
-    # n_train + d = 12: view 1 sits on the boundary, view 2 below it
-    ds = generate_synthetic(2, 6, [12, 10], seed=5)
-    model, (projections, weights, objectives) = _fit_both(ds, 8, 3, 4)
-    for w, ref in zip(model.projections, projections):
-        assert np.array_equal(w, ref)
-    assert np.array_equal(model.view_weights, weights)
-    assert [e["objective"] for e in model.trace] == objectives
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_views_no_wider_than_n_train_plus_d_match_the_full_space_solve(offset, seed):
+    # n_train + d = 12: view 1 sits just below, on or just above the
+    # boundary, view 2 below it
+    ds = generate_synthetic(2, 6, [12 + offset, 10], seed=seed)
+    model, reference = _fit_both(ds, 8, 3, 4)
+    _assert_same_fit(model, reference)
 
 
 def test_wide_view_can_use_directions_outside_its_training_span():
