@@ -18,3 +18,10 @@ def read_json_object(path, what: str) -> dict:
     if not isinstance(doc, dict):
         raise ValueError(f"{what} {path}: expected a JSON object")
     return doc
+
+
+def check_format_version(doc: dict, what: str) -> None:
+    """Reject a ``format_version`` other than ``FORMAT_VERSION``; a document without one passes."""
+    version = doc.get("format_version", FORMAT_VERSION)
+    if version != FORMAT_VERSION:
+        raise ValueError(f"{what}: format_version {version!r:.40} is not the supported {FORMAT_VERSION!r}")

@@ -16,8 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ._format import FORMAT_VERSION, read_json_object
+from ._format import FORMAT_VERSION, check_format_version, read_json_object
 from .model import _integer, _real, _seed
+
+SPLIT_RETRIES = 100  # draws ``split`` makes before giving up on two classes
 
 
 def _integer_labels(values, what: str) -> np.ndarray:
@@ -73,10 +75,6 @@ class ViewMatrix:
     def n_samples(self) -> int:
         return self.data.shape[1]
 
-    def restrict(self, indices) -> "ViewMatrix":
-        """Same view over a subset of sample columns."""
-        return ViewMatrix(self.view_id, self.data[:, np.asarray(indices, dtype=int)])
-
 
 @dataclass(frozen=True)
 class MultiviewDataset:
@@ -102,7 +100,7 @@ class MultiviewDataset:
         n = views[0].n_samples
         for v in views:
             if v.n_samples != n:
-                raise ValueError("sample count mismatch across views")
+                raise ValueError(f"sample count mismatch: view 1 has {n} samples, view {v.view_id} has {v.n_samples}")
         labels = _frozen_array(_integer_labels(self.labels, "labels"), dtype=int)
         if labels.ndim != 1 or labels.shape[0] != n:
             raise ValueError(f"label count {labels.shape} != sample count {n}")
@@ -188,16 +186,7 @@ def load_dataset(view_paths, labels_path) -> MultiviewDataset:
     if len(paths) < 2:
         raise ValueError("expected at least 2 view files")
     views = [ViewMatrix(i + 1, _parse_view_file(p)) for i, p in enumerate(paths)]
-    n = views[0].n_samples
-    for v in views:
-        if v.n_samples != n:
-            raise ValueError(
-                f"sample count mismatch: view 1 has {n} samples, view {v.view_id} has {v.n_samples}"
-            )
-    labels = _parse_labels_file(Path(labels_path))
-    if labels.shape[0] != n:
-        raise ValueError(f"label count {labels.shape[0]} != sample count {n}")
-    return MultiviewDataset(tuple(views), labels)
+    return MultiviewDataset(tuple(views), _parse_labels_file(Path(labels_path)))
 
 
 def write_dataset(dataset: MultiviewDataset, out_dir, config: dict | None = None) -> Path:
@@ -236,6 +225,7 @@ def load_manifest(manifest_path) -> MultiviewDataset:
     """
     path = Path(manifest_path)
     doc = read_json_object(path, "manifest")
+    check_format_version(doc, f"manifest {path}")
     for key in ("views", "labels"):
         if key not in doc:
             raise ValueError(f"manifest {path}: missing key {key!r}")
@@ -248,12 +238,12 @@ def load_manifest(manifest_path) -> MultiviewDataset:
     return load_dataset([base / p for p in views], base / doc["labels"])
 
 
-def split(dataset: MultiviewDataset, train_count: int, seed: int, max_retries: int = 100) -> SplitSpec:
+def split(dataset: MultiviewDataset, train_count: int, seed: int) -> SplitSpec:
     """Uniform random train/test split, deterministic given the seed.
 
-    Redraws (up to ``max_retries``) when the sampled train set covers fewer
-    than two classes, then fails.  ``train_count`` and ``seed`` (>= 0) must
-    be integers, not bools.
+    Redraws (up to ``SPLIT_RETRIES`` times) when the sampled train set
+    covers fewer than two classes, then fails.  ``train_count`` and ``seed``
+    (>= 0) must be integers, not bools.
     """
     train_count = _integer("train_count", train_count)
     seed = _seed(seed)
@@ -261,12 +251,12 @@ def split(dataset: MultiviewDataset, train_count: int, seed: int, max_retries: i
     if not 2 <= train_count <= n - 1:
         raise ValueError(f"train_count must be in [2, {n - 1}], got {train_count}")
     rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(SPLIT_RETRIES):
         train = np.sort(rng.choice(n, size=train_count, replace=False))
         if np.unique(dataset.labels[train]).size >= 2:
             test = np.setdiff1d(np.arange(n), train)
             return SplitSpec(train, test, seed)
-    raise ValueError(f"could not obtain >= 2 classes in train set after {max_retries} retries")
+    raise ValueError(f"could not obtain >= 2 classes in train set after {SPLIT_RETRIES} retries")
 
 
 def generate_synthetic(

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._format import FORMAT_VERSION, read_json_object
+from ._format import FORMAT_VERSION, check_format_version, read_json_object
 
 ORTHONORMALITY_TOL = 1e-8
 SIMPLEX_TOL = 1e-12
@@ -228,6 +228,8 @@ class MultiviewMetricModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MultiviewMetricModel":
+        """Inverse of ``to_dict``; a given ``format_version``, ``num_views`` or ``view_dims`` must match."""
+        check_format_version(doc, "model document")
         try:
             # the JSON values go to Hyperparams as they are, so its checks see
             # them: 2.5 or "7" is no max_iters, and true is no eta
@@ -247,7 +249,11 @@ class MultiviewMetricModel:
             stop_reason = doc.get("stop_reason")
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"invalid model document: {exc}") from exc
-        return cls(tuple(projections), weights, hyper, tuple(trace), stop_reason, scales)
+        model = cls(tuple(projections), weights, hyper, tuple(trace), stop_reason, scales)
+        for key, value in (("num_views", model.num_views), ("view_dims", model.view_dims)):
+            if key in doc and doc[key] != value:
+                raise ValueError(f"model document: {key} {doc[key]!r:.40} does not match the projections' {value}")
+        return model
 
     @classmethod
     def load(cls, path) -> "MultiviewMetricModel":

@@ -53,8 +53,8 @@ def compute_cross(view_a: ViewMatrix, view_b: ViewMatrix) -> np.ndarray:
     """The D_a x D_b cross-view correlation block over all columns of both views."""
     if view_a.view_id == view_b.view_id:
         raise ValueError("cross correlation requires two distinct views")
-    # both in the column-major layout that ``restrict`` leaves, so the bits of
-    # the block do not depend on how a caller laid out a view
+    # both in the column-major layout of fancy-indexed sample columns, so the
+    # bits of the block do not depend on how a caller laid out a view
     return np.asfortranarray(view_a.data) @ np.asfortranarray(view_b.data).T
 
 

@@ -38,6 +38,8 @@ from .model import Hyperparams, MultiviewMetricModel
 from .scatter import _block_offsets, coupling_matrix
 
 GAIN_CLAMP_FLOOR = 1e-8
+REFINE_SWEEPS = 30  # block-coordinate sweeps per W-step at most
+MM_STEPS = 50  # majorize-maximize steps per block and sweep at most
 
 
 class TrainingError(RuntimeError):
@@ -133,7 +135,7 @@ def stacked_objective(Z: np.ndarray, blocks) -> float:
     return float(np.sum((Z @ W) * W))
 
 
-def _refine_blocks(Z, dims, blocks, max_sweeps=30, inner_iters=50):
+def _refine_blocks(Z, dims, blocks):
     """Block-coordinate ascent on tr(W.T Z W) with per-view orthonormality.
 
     Each block update is a monotone majorize-maximize step: with the diagonal
@@ -150,7 +152,7 @@ def _refine_blocks(Z, dims, blocks, max_sweeps=30, inner_iters=50):
     blocks = [b.copy() for b in blocks]
     obj = stacked_objective(Z, blocks)
     sweeps = svds = 0
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, REFINE_SWEEPS + 1):
         for v in range(m):
             lo, hi = offsets[v], offsets[v + 1]
             coupling = np.zeros_like(blocks[v])
@@ -158,7 +160,7 @@ def _refine_blocks(Z, dims, blocks, max_sweeps=30, inner_iters=50):
                 if w != v:
                     coupling += Z[lo:hi, offsets[w]:offsets[w + 1]] @ blocks[w]
             current = blocks[v]
-            for _ in range(inner_iters):
+            for _ in range(MM_STEPS):
                 updated, _ = _orthonormal_polar(shifted[v] @ current + coupling)
                 svds += 1
                 # the Frobenius norm of the step, as np.linalg.norm computes it
@@ -167,11 +169,9 @@ def _refine_blocks(Z, dims, blocks, max_sweeps=30, inner_iters=50):
                 if math.sqrt(step.dot(step)) <= 1e-12:
                     break
             blocks[v] = current
-        new_obj = stacked_objective(Z, blocks)
-        if new_obj - obj <= 1e-12 * (1.0 + abs(obj)):
-            obj = new_obj
+        obj, previous = stacked_objective(Z, blocks), obj
+        if obj - previous <= 1e-12 * (1.0 + abs(previous)):
             break
-        obj = new_obj
     return blocks, sweeps, svds
 
 
@@ -180,12 +180,8 @@ def _update_projections(Z, dims, d):
     its nearest column-orthonormal matrix (rank-deficient slices are padded
     deterministically), then improved by monotone block-coordinate sweeps.
     Returns the blocks, the padded views (1-based), the refine sweeps run and
-    the polar SVDs made (one per view, then the sweeps')."""
-    atol = 1e-10 * max(1.0, float(np.abs(Z).max()))
-    if np.abs(Z - Z.T).max() > atol:
-        raise ValueError("Z must be symmetric")
-    if d > min(dims):
-        raise ValueError(f"d={d} exceeds the smallest view dimension {min(dims)}")
+    the polar SVDs made (one per view, then the sweeps').  Z must be exactly
+    symmetric and d <= min(dims), as ``train`` ensures."""
     _, vecs = top_eigenpairs(Z, d)
     offsets = _block_offsets(dims)
     blocks, padded = [], []

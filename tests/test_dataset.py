@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import mvmetric.dataset
 from mvmetric import (
     Hyperparams,
     MultiviewDataset,
@@ -202,6 +203,27 @@ def test_manifest_carries_format_version(tmp_path):
     assert doc["config"] == {"seed": 1}
 
 
+@pytest.mark.parametrize("version", ["2", 7, None, "9"])
+def test_load_manifest_rejects_other_format_versions(tmp_path, version):
+    manifest = write_dataset(generate_synthetic(2, 3, [2, 2], seed=1), tmp_path / "data")
+    doc = json.loads(manifest.read_text())
+    doc["format_version"] = version
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(f"format_version {version!r} is not the supported '1'")):
+        load_manifest(manifest)
+
+
+def test_load_manifest_without_format_version(tmp_path):
+    ds = generate_synthetic(2, 3, [2, 2], seed=1)
+    manifest = write_dataset(ds, tmp_path / "data")
+    doc = json.loads(manifest.read_text())
+    del doc["format_version"]
+    manifest.write_text(json.dumps(doc))
+    loaded = load_manifest(manifest)
+    assert np.array_equal(loaded.labels, ds.labels)
+    assert all(np.array_equal(a.data, b.data) for a, b in zip(loaded.views, ds.views))
+
+
 def test_views_aligned_on_sample_count():
     rng = np.random.default_rng(3)
     for seed in range(5):
@@ -269,14 +291,15 @@ def test_split_retries_until_two_classes():
         assert np.unique(labels[sp.train_indices]).size == 2
 
 
-def test_split_fails_when_retries_exhausted():
+def test_split_fails_when_retries_exhausted(monkeypatch):
     rng = np.random.default_rng(2)
     views = (ViewMatrix(1, rng.standard_normal((2, 50))),)
     labels = np.array([0] * 49 + [1])
     ds = MultiviewDataset(views, labels)
     # seed 0 draws class-0-only on its first attempt; forbidding retries must fail
+    monkeypatch.setattr(mvmetric.dataset, "SPLIT_RETRIES", 1)
     with pytest.raises(ValueError, match="retries"):
-        split(ds, 2, seed=0, max_retries=1)
+        split(ds, 2, seed=0)
 
 
 def test_generate_shapes_and_determinism():

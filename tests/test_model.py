@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,45 @@ def test_stop_reason_missing_from_older_documents_loads_as_none(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="stop_reason"):
         MultiviewMetricModel.load(path)
+
+
+@pytest.mark.parametrize("version", ["2", 7, None])
+def test_load_rejects_other_format_versions(tmp_path, version):
+    doc = _trained_model().to_dict()
+    doc["format_version"] = version
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    message = re.escape(f"format_version {version!r} is not the supported '1'")
+    with pytest.raises(ValueError, match=message):
+        MultiviewMetricModel.load(path)
+    with pytest.raises(ValueError, match=message):
+        MultiviewMetricModel.from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("view_dims", [9, 9]), ("view_dims", [5, 4]), ("view_dims", [4]), ("num_views", 5), ("num_views", 1)],
+)
+def test_load_rejects_dims_that_disagree_with_the_projections(tmp_path, key, value):
+    doc = _trained_model().to_dict()
+    doc[key] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"{key} .* does not match the projections"):
+        MultiviewMetricModel.load(path)
+
+
+def test_documents_without_format_version_or_dims_load(tmp_path):
+    model = _trained_model()
+    path = tmp_path / "model.json"
+    for keys in (["format_version"], ["num_views", "view_dims"]):
+        doc = model.to_dict()
+        for key in keys:
+            del doc[key]
+        path.write_text(json.dumps(doc))
+        for loaded in (MultiviewMetricModel.from_dict(doc), MultiviewMetricModel.load(path)):
+            assert loaded.view_dims == [4, 5]
+            assert all(np.array_equal(a, b) for a, b in zip(model.projections, loaded.projections))
 
 
 def test_model_validates_orthonormality():
