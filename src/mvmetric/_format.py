@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+# manifests and reports; model documents carry their own version (``mvmetric.model``)
 FORMAT_VERSION = "1"
 
 
@@ -20,8 +21,8 @@ def read_json_object(path, what: str) -> dict:
     return doc
 
 
-def check_format_version(doc: dict, what: str) -> None:
-    """Reject a ``format_version`` other than ``FORMAT_VERSION``; a document without one passes."""
-    version = doc.get("format_version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{what}: format_version {version!r:.40} is not the supported {FORMAT_VERSION!r}")
+def check_format_version(doc: dict, what: str, expected: str) -> None:
+    """Reject a ``format_version`` other than ``expected``; a document without one passes."""
+    version = doc.get("format_version", expected)
+    if version != expected:
+        raise ValueError(f"{what}: format_version {version!r:.40} is not the supported {expected!r}")

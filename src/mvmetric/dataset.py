@@ -225,7 +225,7 @@ def load_manifest(manifest_path) -> MultiviewDataset:
     """
     path = Path(manifest_path)
     doc = read_json_object(path, "manifest")
-    check_format_version(doc, f"manifest {path}")
+    check_format_version(doc, f"manifest {path}", FORMAT_VERSION)
     for key in ("views", "labels"):
         if key not in doc:
             raise ValueError(f"manifest {path}: missing key {key!r}")

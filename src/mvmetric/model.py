@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import numbers
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ._format import FORMAT_VERSION, check_format_version, read_json_object
+from ._format import check_format_version, read_json_object
 
+# "2": projections and scales are base64 float64 strings (number lists were "1")
+MODEL_FORMAT_VERSION = "2"
 ORTHONORMALITY_TOL = 1e-8
 SIMPLEX_TOL = 1e-12
 STOP_REASONS = (None, "tol", "max_iters")
@@ -104,6 +107,29 @@ def _numbers(value, what: str) -> np.ndarray:
         if issubclass(kind, bool) or not issubclass(kind, numbers.Real):
             raise TypeError(f"{what} entries must be numbers, got {kind.__name__}")
     return entries.astype(float)
+
+
+def _encode(array: np.ndarray) -> str:
+    """The row-major little-endian float64 bytes of ``array`` as one padded base64 string."""
+    return base64.b64encode(np.asarray(array, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _decode(value, what: str, row_bytes: int) -> np.ndarray:
+    """Inverse of ``_encode``, flat: a string of a positive whole number of ``row_bytes`` rows.
+
+    A non-string raises ``TypeError``; a character outside the standard
+    alphabet (a newline included), missing padding or a partial row raises
+    ``ValueError`` naming ``what``.
+    """
+    if not isinstance(value, str):
+        raise TypeError(f"{what} must be a base64 string, got {type(value).__name__}")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"{what}: invalid base64 ({exc})") from None
+    if not raw or len(raw) % row_bytes:
+        raise ValueError(f"{what}: {len(raw)} bytes are not a positive whole number of {row_bytes}-byte rows")
+    return np.frombuffer(raw, "<f8")
 
 
 @dataclass(frozen=True)
@@ -202,8 +228,9 @@ class MultiviewMetricModel:
         return self.projections[view - 1].T @ self.scaled(view, columns)
 
     def to_dict(self, config: dict | None = None) -> dict:
+        """The model as a JSON-ready dict; each projection and scale vector is one base64 float64 string."""
         doc = {
-            "format_version": FORMAT_VERSION,
+            "format_version": MODEL_FORMAT_VERSION,
             "num_views": self.num_views,
             "view_dims": self.view_dims,
             "embed_dim": self.embed_dim,
@@ -212,12 +239,12 @@ class MultiviewMetricModel:
             "max_iters": self.hyper.max_iters,
             "tol": self.hyper.tol,
             "view_weights": self.view_weights.tolist(),
-            "projections": [w.tolist() for w in self.projections],
+            "projections": [_encode(w) for w in self.projections],
             "stop_reason": self.stop_reason,
             "trace": list(self.trace),
         }
         if self.scales is not None:
-            doc["scales"] = [s.tolist() for s in self.scales]
+            doc["scales"] = [_encode(s) for s in self.scales]
         if config is not None:
             doc["config"] = config
         return doc
@@ -229,7 +256,7 @@ class MultiviewMetricModel:
     @classmethod
     def from_dict(cls, doc: dict) -> "MultiviewMetricModel":
         """Inverse of ``to_dict``; a given ``format_version``, ``num_views`` or ``view_dims`` must match."""
-        check_format_version(doc, "model document")
+        check_format_version(doc, "model document", MODEL_FORMAT_VERSION)
         try:
             # the JSON values go to Hyperparams as they are, so its checks see
             # them: 2.5 or "7" is no max_iters, and true is no eta
@@ -238,11 +265,19 @@ class MultiviewMetricModel:
             if values["embed_dim"] is None:
                 raise TypeError("embed_dim must be an integer, got None")
             scales = doc.get("scales")
-            if scales is not None:
-                scales = tuple(_numbers(s, "scales") for s in scales)
             hyper = Hyperparams(**values, standardize=scales is not None)
-            projections = [_numbers(w, "projection") for w in doc["projections"]]
+            d = hyper.embed_dim
+            projections = [
+                _decode(w, f"projection {i + 1}", 8 * d).reshape(-1, d) for i, w in enumerate(doc["projections"])
+            ]
+            if scales is not None:
+                scales = tuple(_decode(s, f"scales {i + 1}", 8) for i, s in enumerate(scales))
             weights = _numbers(doc["view_weights"], "view_weights")
+            # 2.0 or true is no count, as in every other integer field
+            if "num_views" in doc:
+                _integer("num_views", doc["num_views"])
+            for n in doc.get("view_dims", ()):
+                _integer("view_dims", n)
             trace = doc.get("trace", [])
             if not isinstance(trace, list) or not all(isinstance(entry, dict) for entry in trace):
                 raise TypeError(f"trace must be a list of objects, got {trace!r:.40}")

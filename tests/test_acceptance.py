@@ -292,7 +292,7 @@ def test_criterion_9_byte_identical_artifacts(tmp_path):
     models_equal = model_path.read_bytes() == first_model
     reports_equal = report_path.read_bytes() == first_report
     # sanity: the artifacts are real JSON documents, not empty files
-    assert json.loads(first_model)["format_version"] == "1"
+    assert json.loads(first_model)["format_version"] == "2"
     assert json.loads(first_report)["format_version"] == "1"
     _verdict(
         9,

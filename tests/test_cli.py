@@ -120,7 +120,7 @@ def test_train_writes_model_and_echoes_weights(dataset_dir, tmp_path, capsys):
     doc = json.loads(model_path.read_text())
     assert doc["stop_reason"] == "tol"
     assert "(converged below tol)" in err
-    assert doc["format_version"] == "1"
+    assert doc["format_version"] == "2"
     assert doc["num_views"] == 2
     assert doc["embed_dim"] == 2
     assert doc["config"]["train_count"] == 12

@@ -1,3 +1,4 @@
+import base64
 import json
 import re
 
@@ -12,6 +13,7 @@ from mvmetric import (
     split,
     train,
 )
+from mvmetric.model import _decode, _encode
 
 
 def _trained_model(**hyper):
@@ -19,6 +21,22 @@ def _trained_model(**hyper):
     sp = split(ds, 10, seed=2)
     cs = build_constraints(ds.labels[sp.train_indices])
     return train(ds, sp, cs, Hyperparams(**{"embed_dim": 2, **hyper}))
+
+
+def _floats(value: str) -> np.ndarray:
+    """A model document's base64 array, read as README's one-line reader does, writable and flat."""
+    return np.frombuffer(base64.b64decode(value), "<f8").copy()
+
+
+def _b64(array) -> str:
+    return base64.b64encode(np.asarray(array, "<f8").tobytes()).decode()
+
+
+def _with_entry(value: str, index: int, entry: float) -> str:
+    """``value`` decoded, its flat ``index``-th entry set to ``entry``, encoded again."""
+    floats = _floats(value)
+    floats[index] = entry
+    return _b64(floats)
 
 
 def test_hyperparams_validation():
@@ -71,15 +89,36 @@ def test_save_load_roundtrip_is_exact(tmp_path):
 def test_model_document_fields(tmp_path):
     model = _trained_model()
     doc = model.to_dict(config={"x": 1})
-    assert doc["format_version"] == "1"
+    assert doc["format_version"] == "2"
     assert doc["num_views"] == 2
     assert doc["view_dims"] == [4, 5]
     assert doc["embed_dim"] == 2
     assert doc["config"] == {"x": 1}
-    # projections serialize row-major: one list per matrix row
-    assert len(doc["projections"][0]) == 4
-    assert len(doc["projections"][0][0]) == 2
+    # projections serialize row-major: 4 rows of 2 little-endian float64s
+    assert len(base64.b64decode(doc["projections"][0])) == 4 * 2 * 8
+    assert np.array_equal(_floats(doc["projections"][0]).reshape(4, 2), model.projections[0])
+    assert np.array_equal(_floats(doc["projections"][1]).reshape(5, 2), model.projections[1])
     json.dumps(doc)  # must be JSON-serializable as-is
+
+
+def test_projection_bytes_are_pinned():
+    w = np.array([[0.6, -0.8], [0.8, 0.6]])
+    doc = MultiviewMetricModel((w,), np.array([1.0]), Hyperparams(embed_dim=2)).to_dict()
+    # row 0 (0.6, -0.8), then row 1 (0.8, 0.6), each float's lowest byte first
+    assert doc["projections"] == ["MzMzMzMz4z+amZmZmZnpv5qZmZmZmek/MzMzMzMz4z8="]
+    assert np.array_equal(MultiviewMetricModel.from_dict(doc).projections[0], w)
+
+
+def test_extreme_floats_round_trip_bit_exactly(tmp_path):
+    extremes = np.array([-0.0, 5e-324, np.finfo(float).max])
+    assert _decode(_encode(extremes), "scales 1", 8).view(np.uint64).tolist() == extremes.view(np.uint64).tolist()
+    # the positive ones are valid feature scales, so they also survive a saved model
+    model = _trained_model(standardize=True)
+    scales = (np.array([5e-324, np.finfo(float).max, 1.0, 3.0]), model.scales[1])
+    path = tmp_path / "model.json"
+    MultiviewMetricModel(model.projections, model.view_weights, model.hyper, scales=scales).save(path)
+    for saved, loaded in zip(scales, MultiviewMetricModel.load(path).scales):
+        assert loaded.view(np.uint64).tolist() == saved.view(np.uint64).tolist()
 
 
 def test_stop_reason_missing_from_older_documents_loads_as_none(tmp_path):
@@ -95,13 +134,13 @@ def test_stop_reason_missing_from_older_documents_loads_as_none(tmp_path):
         MultiviewMetricModel.load(path)
 
 
-@pytest.mark.parametrize("version", ["2", 7, None])
+@pytest.mark.parametrize("version", ["1", 7, None])
 def test_load_rejects_other_format_versions(tmp_path, version):
     doc = _trained_model().to_dict()
     doc["format_version"] = version
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
-    message = re.escape(f"format_version {version!r} is not the supported '1'")
+    message = re.escape(f"format_version {version!r} is not the supported '2'")
     with pytest.raises(ValueError, match=message):
         MultiviewMetricModel.load(path)
     with pytest.raises(ValueError, match=message):
@@ -109,15 +148,30 @@ def test_load_rejects_other_format_versions(tmp_path, version):
 
 
 @pytest.mark.parametrize(
-    "key, value",
-    [("view_dims", [9, 9]), ("view_dims", [5, 4]), ("view_dims", [4]), ("num_views", 5), ("num_views", 1)],
+    "views, key, value, message",
+    [
+        (2, "view_dims", [9, 9], "view_dims .* does not match the projections"),
+        (2, "view_dims", [5, 4], "view_dims .* does not match the projections"),
+        (2, "view_dims", [4], "view_dims .* does not match the projections"),
+        (2, "num_views", 5, "num_views .* does not match the projections"),
+        (2, "num_views", 1, "num_views .* does not match the projections"),
+        # equal in value, but no integer, like every other count in a model
+        (2, "num_views", 2.0, "invalid model document: num_views must be an integer, got 2.0"),
+        (2, "view_dims", [4.0, 5], "invalid model document: view_dims must be an integer, got 4.0"),
+        (1, "num_views", True, "invalid model document: num_views must be an integer, got True"),
+    ],
+    ids=["view_dims-value0", "view_dims-value1", "view_dims-value2", "num_views-5", "num_views-1",
+         "num_views-float", "view_dims-float", "num_views-bool"],
 )
-def test_load_rejects_dims_that_disagree_with_the_projections(tmp_path, key, value):
+def test_load_rejects_dims_that_disagree_with_the_projections(tmp_path, views, key, value, message):
     doc = _trained_model().to_dict()
+    if views == 1:
+        doc.update(num_views=1, view_dims=[4], view_weights=[1.0], projections=doc["projections"][:1])
+        assert MultiviewMetricModel.from_dict(doc).num_views == 1
     doc[key] = value
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=f"{key} .* does not match the projections"):
+    with pytest.raises(ValueError, match=message):
         MultiviewMetricModel.load(path)
 
 
@@ -191,12 +245,38 @@ def test_load_passes_hyperparameters_to_validation_unconverted(tmp_path, key, va
 
 
 def test_load_rejects_corrupted_projection(tmp_path):
-    model = _trained_model()
-    doc = model.to_dict()
-    doc["projections"][0][0][0] += 0.5  # breaks orthonormality
+    doc = _trained_model().to_dict()
+    w = doc["projections"][0]
+    doc["projections"][0] = _with_entry(w, 0, _floats(w)[0] + 0.5)  # breaks orthonormality
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="orthonormal"):
+    with pytest.raises(ValueError, match="projection 1: columns not orthonormal"):
+        MultiviewMetricModel.load(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda w: _with_entry(w, 3, float("nan")), "projection 1: non-finite entries"),
+        (lambda w: _with_entry(w, 3, float("inf")), "projection 1: non-finite entries"),
+        (lambda w: _with_entry(w, 3, -float("inf")), "projection 1: non-finite entries"),
+        (lambda w: w[:5] + "*" + w[6:], "projection 1: invalid base64"),
+        (lambda w: w[:5] + "-" + w[6:], "projection 1: invalid base64"),
+        (lambda w: w[:5] + "\u00e9" + w[6:], "projection 1: invalid base64"),
+        (lambda w: w.rstrip("="), "projection 1: invalid base64"),
+        (lambda w: w[:40] + "\n" + w[40:], "projection 1: invalid base64"),
+        (lambda w: _b64(_floats(w)[:7]), "projection 1: 56 bytes are not a positive whole number of 16-byte rows"),
+        (lambda w: "", "projection 1: 0 bytes are not a positive whole number of 16-byte rows"),
+    ],
+    ids=["nan", "inf", "-inf", "outside-alphabet", "url-safe-alphabet", "non-ascii", "missing-padding",
+         "embedded-newline", "partial-row", "empty"],
+)
+def test_load_rejects_projections_that_are_not_whole_finite_rows(tmp_path, edit, message):
+    doc = _trained_model().to_dict()
+    doc["projections"][0] = edit(doc["projections"][0])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(message)):
         MultiviewMetricModel.load(path)
 
 
@@ -206,14 +286,19 @@ def test_load_rejects_corrupted_projection(tmp_path):
         lambda doc: doc.update(view_weights=[str(a) for a in doc["view_weights"]]),
         lambda doc: doc.update(view_weights=[True, False]),
         lambda doc: doc.update(view_weights=[None, 1.0]),
-        lambda doc: doc["projections"][0][0].__setitem__(0, str(doc["projections"][0][0][0])),
-        lambda doc: doc["projections"][1].__setitem__(2, [True, False]),
+        # a projection is one base64 string: the number lists of format "1", with or
+        # without a string entry, and other JSON values are not
+        lambda doc: doc["projections"].__setitem__(0, [["0.5", 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]),
+        lambda doc: doc["projections"].__setitem__(1, [[True, False]] * 5),
+        lambda doc: doc["projections"].__setitem__(0, _floats(doc["projections"][0]).reshape(4, 2).tolist()),
+        lambda doc: doc["projections"].__setitem__(1, None),
+        lambda doc: doc["projections"].__setitem__(1, 0.5),
         lambda doc: doc.update(trace="garbage"),
         lambda doc: doc.update(trace=[1, 2]),
         lambda doc: doc.update(trace={"iteration": 1}),
     ],
-    ids=["string-weights", "bool-weights", "null-weight", "string-entry", "bool-entries",
-         "string-trace", "trace-of-numbers", "trace-object"],
+    ids=["string-weights", "bool-weights", "null-weight", "string-entry", "bool-entries", "number-list",
+         "null-projection", "number-projection", "string-trace", "trace-of-numbers", "trace-object"],
 )
 def test_load_rejects_entries_that_are_not_json_numbers(tmp_path, edit):
     doc = _trained_model().to_dict()
@@ -257,7 +342,7 @@ def test_feature_scales_round_trip(tmp_path):
     assert loaded.hyper == model.hyper and loaded.hyper.standardize
     for a, b in zip(model.scales, loaded.scales):
         assert np.array_equal(a, b)
-    assert json.loads(path.read_text())["scales"] == [s.tolist() for s in model.scales]
+    assert json.loads(path.read_text())["scales"] == [_b64(s) for s in model.scales]
     # the key is left out when unused, so default model files keep their bytes
     assert "scales" not in _trained_model().to_dict()
 
@@ -265,21 +350,31 @@ def test_feature_scales_round_trip(tmp_path):
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda scales: scales[0].__setitem__(1, "2.0"),
-        lambda scales: scales[0].__setitem__(1, True),
-        lambda scales: scales[1].__setitem__(0, None),
-        lambda scales: scales[1].__setitem__(0, [1.0]),
-        lambda scales: scales[0].__setitem__(2, float("nan")),
-        lambda scales: scales[0].__setitem__(2, float("inf")),
-        lambda scales: scales[1].__setitem__(3, 0.0),
-        lambda scales: scales[1].__setitem__(3, -1.5),
-        lambda scales: scales[0].pop(),
-        lambda scales: scales[1].append(1.0),
+        # each view's scales are one base64 string, so a number list (of format "1",
+        # or with a string entry), a bool, null or a nested string is no scale vector
+        lambda scales: scales.__setitem__(0, [1.0, "2.0", 1.0, 1.0]),
+        lambda scales: scales.__setitem__(0, True),
+        lambda scales: scales.__setitem__(1, None),
+        lambda scales: scales.__setitem__(1, [scales[1]]),
+        lambda scales: scales.__setitem__(0, _with_entry(scales[0], 2, float("nan"))),
+        lambda scales: scales.__setitem__(0, _with_entry(scales[0], 2, float("inf"))),
+        lambda scales: scales.__setitem__(1, _with_entry(scales[1], 3, 0.0)),
+        lambda scales: scales.__setitem__(1, _with_entry(scales[1], 3, -1.5)),
+        lambda scales: scales.__setitem__(0, _b64(_floats(scales[0])[:-1])),
+        lambda scales: scales.__setitem__(1, _b64([*_floats(scales[1]), 1.0])),
         lambda scales: scales.pop(),
         lambda scales: scales.__setitem__(0, "1.0,1.0,1.0,1.0"),
+        lambda scales: scales.__setitem__(0, _floats(scales[0]).tolist()),
+        lambda scales: scales.__setitem__(0, _with_entry(scales[0], 2, -float("inf"))),
+        lambda scales: scales.__setitem__(1, scales[1][:5] + "*" + scales[1][6:]),
+        lambda scales: scales.__setitem__(1, scales[1].rstrip("=")),
+        lambda scales: scales.__setitem__(1, scales[1][:8] + "\n" + scales[1][8:]),
+        lambda scales: scales.__setitem__(0, base64.b64encode(bytes(31)).decode()),
+        lambda scales: scales.__setitem__(0, ""),
     ],
     ids=["string", "bool", "null", "nested", "nan", "inf", "zero", "negative", "short", "long",
-         "one-view", "string-view"],
+         "one-view", "string-view", "number-list", "-inf", "outside-alphabet", "missing-padding",
+         "embedded-newline", "partial-row", "empty"],
 )
 def test_load_rejects_bad_feature_scales(tmp_path, edit):
     doc = _trained_model(standardize=True).to_dict()
