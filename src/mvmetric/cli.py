@@ -192,7 +192,8 @@ def _add_common_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=float, default=Hyperparams.weight_exponent,
                    help="view weight exponent, finite and > 1 (default: %(default)s)")
     p.add_argument("--eta", type=float, default=Hyperparams.coupling_eta,
-                   help="cross-view coupling divisor, must be > 0 (default: %(default)s)")
+                   help="cross-view coupling divisor, must be > 0; inf disables the coupling; "
+                   "such a fit ends after one iteration (default: %(default)s)")
     p.add_argument("--max-iters", dest="max_iters", type=int, default=Hyperparams.max_iters,
                    help="maximum alternating iterations (default: %(default)s)")
     p.add_argument("--tol", type=float, default=Hyperparams.tol,

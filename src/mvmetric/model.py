@@ -51,7 +51,8 @@ class Hyperparams:
         learned weights toward uniform.
     coupling_eta
         Divisor of the cross-view coupling term (coefficient 1/(2*eta));
-        larger values weaken the coupling, ``inf`` disables it.
+        larger values weaken the coupling, ``inf`` disables the coupling;
+        such a fit ends after one iteration.
     standardize
         Centre and scale each view's features by the mean and standard
         deviation of its training columns before fitting; the model keeps

@@ -243,71 +243,18 @@ def update_view_weights(gains, weight_exponent: float) -> np.ndarray:
     return raw / raw.sum()
 
 
-def train(
-    dataset: MultiviewDataset,
-    split_spec: SplitSpec,
-    constraints: ConstraintSet,
-    hyper: Hyperparams | None = None,
-) -> MultiviewMetricModel:
-    """Alternate the W-step and the weight step until the projections settle.
-
-    Weights start uniform.  Convergence is the relative Frobenius change of
-    the per-view metrics ``W_v W_v^T`` between iterations, which a rotation
-    of a view's columns leaves alone (inside a degenerate eigenspace the
-    W-step may return any such rotation); the per-iteration trace
-    records the objective, gains, updated weights, residual, any views whose
-    eigenvector slice needed rank padding, and the refine sweeps and polar
-    SVDs of the W-step.  The model's ``stop_reason`` says whether the
-    residual fell below ``tol`` or ``max_iters`` ran out.
-
-    Every view is solved in ``min(D_v, n_train + d)`` coordinates: an
-    orthonormal basis ``Q_v`` (from a thin QR) of its first ``d`` feature
-    axes and its training columns, mapped back once with ``W_v = Q_v V_v``.
-    Every block of Z is built from the training columns, so the objective
-    sees ``W_v`` only through its part in their span, and the ``d`` axes
-    leave room for any part outside it; those axes come first in ``Q_v``
-    because rank padding tries standard basis vectors in index order, so
-    padding picks the same vectors as in raw coordinates.  Gains, objective,
-    residual and weights are unchanged by this orthonormal change of basis,
-    and the projections can differ from a solve in raw coordinates by a
-    right rotation, which leaves ``W_v W_v^T`` as it is.  ``constraints``
-    must hold the split's training labels in order, else a ``ValueError``.
-
-    With ``hyper.standardize``, each view's training columns are first
-    centred and divided by their per-feature standard deviation (1 where it
-    is 0); only training columns set these statistics, and the model keeps
-    the scales.  It keeps no centre, as every distance ignores a shift.
-    """
-    hyper = (hyper or Hyperparams()).resolved(dataset.view_dims)
-    d = hyper.embed_dim
+def _alternate(K: np.ndarray, dims, hyper: Hyperparams):
+    """``train``'s alternation on the coupling matrix K; returns the blocks,
+    weights, trace and stop reason.  ``hyper`` must be resolved.  With
+    ``coupling_eta`` inf, Z is block-diagonal, so the W-step's maximiser does
+    not depend on the weights: one W-step and the exact weight step solve the problem."""
     r = hyper.weight_exponent
-    train_idx = split_spec.train_indices
-    train_labels = np.unique(dataset.labels[train_idx], return_inverse=True)[1]
-    if not np.array_equal(constraints.labels, train_labels):
-        raise ValueError("constraints must be built from the labels of the split's training samples, in order")
-
-    train_views, bases = [], []
-    scales = [] if hyper.standardize else None
-    for view in dataset.views:
-        block = view.data[:, train_idx]
-        if hyper.standardize:
-            scale = block.std(axis=1)
-            scale[scale == 0.0] = 1.0
-            block = (block - block.mean(axis=1, keepdims=True)) / scale[:, None]
-            scales.append(scale)
-        basis, reduced = np.linalg.qr(np.hstack([np.eye(len(block), d), block]))
-        train_views.append(ViewMatrix(view.view_id, reduced[:, d:]))
-        bases.append(basis)
-    dims = [tv.n_features for tv in train_views]
-    K = coupling_matrix(train_views, constraints)
-
-    weights = np.full(dataset.m, 1.0 / dataset.m)
-    previous = None
-    trace = []
-    stop_reason = "max_iters"
+    weights = np.full(len(dims), 1.0 / len(dims))
+    blocks, trace = None, []
     for iteration in range(1, hyper.max_iters + 1):
+        previous = blocks
         Z = assemble_block_matrix(K, dims, weights, hyper)
-        blocks, padded, sweeps, svds = _update_projections(Z, dims, d)
+        blocks, padded, sweeps, svds = _update_projections(Z, dims, hyper.embed_dim)
         gains = compute_view_gains(blocks, K, hyper)
         objective = float(np.dot(weights**r, gains))
         weights = update_view_weights(gains, r)
@@ -330,9 +277,65 @@ def train(
         )
         if not np.isfinite(objective):
             raise TrainingError(f"non-finite objective at iteration {iteration}", trace)
-        previous = blocks
-        if residual is not None and residual < hyper.tol:
-            stop_reason = "tol"
-            break
-    projections = tuple(q @ b for b, q in zip(previous, bases))
+        if hyper.coupling_eta == math.inf or (residual is not None and residual < hyper.tol):
+            return blocks, weights, trace, "tol"
+    return blocks, weights, trace, "max_iters"
+
+
+def train(
+    dataset: MultiviewDataset,
+    split_spec: SplitSpec,
+    constraints: ConstraintSet,
+    hyper: Hyperparams | None = None,
+) -> MultiviewMetricModel:
+    """Alternate the W-step and the weight step until the projections settle.
+
+    Weights start uniform.  The fit stops when the relative Frobenius change
+    of the per-view metrics ``W_v W_v^T`` (which no rotation of a view's
+    columns moves) falls below ``tol``, or after ``max_iters``; the model's
+    ``stop_reason`` says which, and its trace records every iteration.
+    ``coupling_eta`` inf disables the coupling; such a fit ends after one
+    iteration.
+
+    Every view is solved in ``min(D_v, n_train + d)`` coordinates: an
+    orthonormal basis ``Q_v`` (from a thin QR) of its first ``d`` feature
+    axes and its training columns, mapped back once with ``W_v = Q_v V_v``.
+    Every block of Z is built from the training columns, so the objective
+    sees ``W_v`` only through its part in their span, and the ``d`` axes
+    leave room for any part outside it; those axes come first in ``Q_v``
+    because rank padding tries standard basis vectors in index order, so
+    padding picks the same vectors as in raw coordinates.  Gains, objective,
+    residual and weights are unchanged by this orthonormal change of basis,
+    and the projections can differ from a solve in raw coordinates by a
+    right rotation, which leaves ``W_v W_v^T`` as it is.  ``constraints``
+    must hold the split's training labels in order, else a ``ValueError``.
+
+    With ``hyper.standardize``, each view's training columns are first
+    centred and divided by their per-feature standard deviation (1 where it
+    is 0); only training columns set these statistics, and the model keeps
+    the scales.  It keeps no centre, as every distance ignores a shift.
+    """
+    hyper = (hyper or Hyperparams()).resolved(dataset.view_dims)
+    d = hyper.embed_dim
+    train_idx = split_spec.train_indices
+    train_labels = np.unique(dataset.labels[train_idx], return_inverse=True)[1]
+    if not np.array_equal(constraints.labels, train_labels):
+        raise ValueError("constraints must be built from the labels of the split's training samples, in order")
+
+    train_views, bases = [], []
+    scales = [] if hyper.standardize else None
+    for view in dataset.views:
+        block = view.data[:, train_idx]
+        if hyper.standardize:
+            scale = block.std(axis=1)
+            scale[scale == 0.0] = 1.0
+            block = (block - block.mean(axis=1, keepdims=True)) / scale[:, None]
+            scales.append(scale)
+        basis, reduced = np.linalg.qr(np.hstack([np.eye(len(block), d), block]))
+        train_views.append(ViewMatrix(view.view_id, reduced[:, d:]))
+        bases.append(basis)
+    dims = [tv.n_features for tv in train_views]
+    K = coupling_matrix(train_views, constraints)
+    blocks, weights, trace, stop_reason = _alternate(K, dims, hyper)
+    projections = tuple(q @ b for b, q in zip(blocks, bases))
     return MultiviewMetricModel(projections, weights, hyper, tuple(trace), stop_reason, scales)

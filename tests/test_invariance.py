@@ -3,7 +3,8 @@
 The order properties refit on a reordered copy of the data and compare the
 per-view metrics ``W_v W_v^T`` (the projections themselves are defined only up
 to a rotation of their columns) and the view weights.  The standardisation
-properties compare model files and predictions.
+properties compare model files and predictions.  A nearly uncoupled fit must
+match the uncoupled one.
 """
 
 import numpy as np
@@ -33,6 +34,9 @@ N_TRAIN = 14
 # two fits whose rounding differs may end up about tol apart; reordering the
 # data changes only rounding, so a wider gap means the fit depends on order.
 BOUND = HYPER.tol
+# As eta grows the coupling term vanishes, so the fit must tend to the
+# uncoupled one; at eta = 1e12 the cross blocks weigh about 1e-12 of the margins.
+UNCOUPLED_BOUND = HYPER.tol * 1e-2
 
 # views of at most N_TRAIN + d features, so each view's basis in train is a
 # full rotation of its feature space
@@ -137,3 +141,18 @@ def test_standardized_predictions_ignore_a_feature_scale(feature, factor):
     reports = [run_benchmark(ds, 18, 3, hyper, seed=2, include_baseline=True, k=3) for ds in (dataset, rescaled)]
     assert reports[0].per_trial_accuracy == reports[1].per_trial_accuracy
     assert reports[0].baseline_per_trial == reports[1].baseline_per_trial
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_weak_coupling_tends_to_the_uncoupled_fit(seed):
+    ds = generate_synthetic(3, 10, [6, 8, 5], noise_views={3}, seed=seed)
+    sp = split(ds, 15, seed=seed)
+    cons = build_constraints(ds.labels[sp.train_indices])
+    weak, uncoupled = (
+        train(ds, sp, cons, Hyperparams(embed_dim=3, coupling_eta=eta)) for eta in (1e12, np.inf)
+    )
+    r = weak.hyper.weight_exponent
+    # a view the weight step switches off keeps an arbitrary W_v, so each
+    # metric is weighted by its a_v^r
+    for a, b, ma, mb in zip(weak.view_weights, uncoupled.view_weights, _metrics(weak), _metrics(uncoupled)):
+        assert np.linalg.norm(a**r * ma - b**r * mb) <= UNCOUPLED_BOUND
