@@ -31,14 +31,7 @@ from .metric import (
     view_distance,
 )
 from .model import Hyperparams, MultiviewMetricModel
-from .scatter import compute_cross, compute_scatter, coupling_matrix
-from .solver import (
-    TrainingError,
-    assemble_block_matrix,
-    compute_view_gains,
-    train,
-    update_view_weights,
-)
+from .solver import TrainingError, train
 
 __all__ = [
     "FORMAT_VERSION",
@@ -50,13 +43,8 @@ __all__ = [
     "SplitSpec",
     "TrainingError",
     "ViewMatrix",
-    "assemble_block_matrix",
     "build_constraints",
     "check_metric_axioms",
-    "compute_cross",
-    "compute_scatter",
-    "compute_view_gains",
-    "coupling_matrix",
     "derive_trial_seed",
     "generate_synthetic",
     "knn_classify",
@@ -67,7 +55,6 @@ __all__ = [
     "run_benchmark",
     "split",
     "train",
-    "update_view_weights",
     "view_distance",
     "write_dataset",
 ]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -102,7 +103,10 @@ def cmd_train(cfg: dict) -> int:
     model = train(dataset, sp, build_constraints(dataset.labels[sp.train_indices]), hyper)
     model.save(cfg["out"], config=cfg)
     weights = ", ".join(f"{w:.6f}" for w in model.view_weights)
-    stopped = "converged below tol" if model.stop_reason == "tol" else "stopped at max_iters"
+    if model.hyper.coupling_eta == math.inf:
+        stopped = "uncoupled fit solved in one iteration"
+    else:
+        stopped = "converged below tol" if model.stop_reason == "tol" else "stopped at max_iters"
     print(
         f"trained {model.num_views} views in {len(model.trace)} iterations ({stopped}); "
         f"view weights: [{weights}]",

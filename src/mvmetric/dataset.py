@@ -133,11 +133,10 @@ class MultiviewDataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Disjoint train/test sample indices plus the seed that produced them."""
+    """Disjoint, nonempty train/test sample indices."""
 
     train_indices: np.ndarray
     test_indices: np.ndarray
-    seed: int
 
     def __post_init__(self):
         train = _frozen_array(self.train_indices, dtype=int)
@@ -255,7 +254,7 @@ def split(dataset: MultiviewDataset, train_count: int, seed: int) -> SplitSpec:
         train = np.sort(rng.choice(n, size=train_count, replace=False))
         if np.unique(dataset.labels[train]).size >= 2:
             test = np.setdiff1d(np.arange(n), train)
-            return SplitSpec(train, test, seed)
+            return SplitSpec(train, test)
     raise ValueError(f"could not obtain >= 2 classes in train set after {SPLIT_RETRIES} retries")
 
 

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .model import MultiviewMetricModel, _integer, _real, _seed
+from .model import MultiviewMetricModel, _integer, _seed
 
 TRIANGLE_SLACK = 1e-9
 # triples scored per array pass in check_metric_axioms; bounds its memory
@@ -127,32 +125,27 @@ def check_metric_axioms(
     samples,
     trials: int = 1000,
     seed: int = 0,
-    triangle_slack: float = TRIANGLE_SLACK,
 ) -> dict:
     """Empirically verify the metric axioms on random triples of samples.
 
     Symmetry and non-negativity are exact by construction (the distance is a
     norm of a projected difference); the triangle inequality is sampled with
-    a small slack.  Distinguishability is reported, not asserted: when the
-    projection rank is below the view dimension the induced distance is a
-    pseudometric, with d(x, y) = 0 exactly when x - y lies in the null space
-    of W_v.T.
+    the fixed slack ``TRIANGLE_SLACK``, which the report records.
+    Distinguishability is reported, not asserted: when the projection rank
+    is below the view dimension the induced distance is a pseudometric, with
+    d(x, y) = 0 exactly when x - y lies in the null space of W_v.T.
 
     The samples are raw view columns, projected once by ``model.project``
     (feature scales included), so the distances checked are those kNN
     scores.  The triples are scored in blocks of ``CHECK_BLOCK``, so memory
     does not grow with ``trials``; they are the rows of one
     ``rng.integers(N, size=(trials, 3))`` draw, whatever the block size.
-    ``view``, ``trials`` and ``seed`` (>= 0) must be integers and
-    ``triangle_slack`` a finite number (none of them a bool); the report
-    stores them as ``int`` and ``float``.
+    ``view``, ``trials`` and ``seed`` (>= 0) must be integers, not bools;
+    the report stores them as ``int``.
     """
     dim = _view_dim(model, view)
     trials = _integer("trials", trials)
     seed = _seed(seed)
-    triangle_slack = _real("triangle_slack", triangle_slack)
-    if not math.isfinite(triangle_slack):
-        raise ValueError(f"triangle_slack must be finite, got {triangle_slack!r}")
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] != dim:
         raise ValueError(f"samples must have shape ({dim}, N)")
@@ -182,7 +175,7 @@ def check_metric_axioms(
         negative_distances += int(np.count_nonzero(np.minimum(np.minimum(d_xy, d_yz), d_xz) < 0.0))
         violation = d_xz - (d_xy + d_yz)
         max_triangle_violation = max(max_triangle_violation, float(violation.max()))
-        triangle_violations += int(np.count_nonzero(violation > triangle_slack))
+        triangle_violations += int(np.count_nonzero(violation > TRIANGLE_SLACK))
 
     # the model rejects projections whose columns are not orthonormal, so
     # W_v has full column rank, and positive feature scales keep it so
@@ -197,7 +190,7 @@ def check_metric_axioms(
         "symmetry_exact": symmetry_mismatches == 0,
         "symmetry_mismatches": symmetry_mismatches,
         "nonnegative": negative_distances == 0,
-        "triangle_slack": triangle_slack,
+        "triangle_slack": TRIANGLE_SLACK,
         "triangle_violations": triangle_violations,
         "max_triangle_violation": max_triangle_violation,
         "distinguishable": rank == dim,

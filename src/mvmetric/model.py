@@ -97,19 +97,6 @@ class Hyperparams:
         return replace(self, embed_dim=d)
 
 
-def _numbers(value, what: str) -> np.ndarray:
-    """Nested lists of JSON numbers as a float array.
-
-    A string, boolean or null entry raises ``TypeError`` instead of being
-    converted: ``"0.5"`` or ``true`` is no weight.
-    """
-    entries = np.array(value, dtype=object)
-    for kind in set(map(type, entries.flat)):
-        if issubclass(kind, bool) or not issubclass(kind, numbers.Real):
-            raise TypeError(f"{what} entries must be numbers, got {kind.__name__}")
-    return entries.astype(float)
-
-
 def _encode(array: np.ndarray) -> str:
     """The row-major little-endian float64 bytes of ``array`` as one padded base64 string."""
     return base64.b64encode(np.asarray(array, dtype="<f8").tobytes()).decode("ascii")
@@ -273,7 +260,7 @@ class MultiviewMetricModel:
             ]
             if scales is not None:
                 scales = tuple(_decode(s, f"scales {i + 1}", 8) for i, s in enumerate(scales))
-            weights = _numbers(doc["view_weights"], "view_weights")
+            weights = [_real("view_weights", w) for w in doc["view_weights"]]
             # 2.0 or true is no count, as in every other integer field
             if "num_views" in doc:
                 _integer("num_views", doc["num_views"])

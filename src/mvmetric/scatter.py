@@ -1,5 +1,8 @@
 """Margin scatter matrices from class statistics, cross-view correlation
-blocks, and the coupling matrix that stacks them."""
+blocks, and the coupling matrix that stacks them.
+
+These are internal stages of ``train``: ``mvmetric`` does not export them,
+and they do not check the arguments ``train`` has already checked."""
 
 from __future__ import annotations
 
@@ -31,13 +34,12 @@ def compute_scatter(view: ViewMatrix, constraints: ConstraintSet) -> tuple[np.nd
     each a Gram product of positively weighted columns.  The columns are
     taken about the overall mean first, so a constant shift of the view
     cancels before the class sums and products.  The constraint labels
-    address the columns of ``view`` in order, so pass a view already
-    restricted to the training samples the constraints were built from.
+    address the columns of ``view`` in order, one label per column, so pass
+    a view already restricted to the training samples the constraints were
+    built from, as ``train`` does.
     """
     labels = constraints.labels
     n = view.n_samples
-    if labels.shape[0] != n:
-        raise ValueError(f"{labels.shape[0]} constraint labels for {n} samples")
     sizes = np.bincount(labels)
     order = np.argsort(labels, kind="stable")
     centred = view.data - view.data.mean(axis=1, keepdims=True)
@@ -50,9 +52,7 @@ def compute_scatter(view: ViewMatrix, constraints: ConstraintSet) -> tuple[np.nd
 
 
 def compute_cross(view_a: ViewMatrix, view_b: ViewMatrix) -> np.ndarray:
-    """The D_a x D_b cross-view correlation block over all columns of both views."""
-    if view_a.view_id == view_b.view_id:
-        raise ValueError("cross correlation requires two distinct views")
+    """The D_a x D_b cross-view correlation block over all columns of two distinct views."""
     # both in the column-major layout of fancy-indexed sample columns, so the
     # bits of the block do not depend on how a caller laid out a view
     return np.asfortranarray(view_a.data) @ np.asfortranarray(view_b.data).T

@@ -24,6 +24,9 @@ b = a^r it sets b proportional to g^(r/(r-1)), which maximises
 sum_v b_v g_v over b >= 0 with ||b||_p = 1, p = (2r-1)/r, for nonnegative
 gains (a gain below 1e-8 is clamped there first); Z depends only on b's
 direction.
+
+Only ``train`` and ``TrainingError`` are exported; the stages it runs take
+arguments it has already checked, and do not check them again.
 """
 
 from __future__ import annotations
@@ -55,16 +58,10 @@ def assemble_block_matrix(K: np.ndarray, dims, weights, hyper: Hyperparams) -> n
 
     Z is ``coeff * K`` with ``coeff = a_v^r`` on diagonal block v and
     ``(a_v^r + a_w^r) / (2 eta)`` on block (v, w), v != w.  The result is
-    symmetric bit-exactly.
+    symmetric bit-exactly.  ``weights`` must lie on the simplex, one per
+    view, and K be square of side ``sum(dims)``, as ``_alternate`` ensures.
     """
     weights = np.asarray(weights, dtype=float)
-    if weights.shape != (len(dims),):
-        raise ValueError("one weight per view is required")
-    if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > 1e-8:
-        raise ValueError("weights must lie on the simplex")
-    total = sum(dims)
-    if K.shape != (total, total):
-        raise ValueError(f"K has shape {K.shape}, expected {(total, total)} for view dims {list(dims)}")
     powered = weights**hyper.weight_exponent
     coeff = (powered[:, None] + powered[None, :]) / (2.0 * hyper.coupling_eta)
     np.fill_diagonal(coeff, powered)
@@ -227,13 +224,11 @@ def update_view_weights(gains, weight_exponent: float) -> np.ndarray:
     weight subproblem ``min sum_v a_v^r / g_v`` on the simplex.
 
     Gains are clamped below at ``GAIN_CLAMP_FLOOR`` before the power, since
-    the margin term can be negative.
+    the margin term can be negative.  ``weight_exponent`` must be above 1, as
+    ``Hyperparams`` ensures; non-finite gains, which overflowing features
+    can produce, raise ``ValueError``.
     """
-    if not weight_exponent > 1.0:
-        raise ValueError("r must be > 1")
     gains = np.asarray(gains, dtype=float)
-    if gains.ndim != 1 or gains.size == 0:
-        raise ValueError("gains must be a nonempty vector")
     if not np.isfinite(gains).all():
         raise ValueError("gains are not finite")
     clamped = np.maximum(gains, GAIN_CLAMP_FLOOR)

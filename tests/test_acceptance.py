@@ -18,22 +18,24 @@ import numpy as np
 from mvmetric import (
     Hyperparams,
     ViewMatrix,
-    assemble_block_matrix,
     build_constraints,
     check_metric_axioms,
-    compute_cross,
-    compute_scatter,
-    compute_view_gains,
     generate_synthetic,
     metric_matrix,
     run_benchmark,
     split,
     train,
-    update_view_weights,
     write_dataset,
 )
 from mvmetric.cli import main as cli_main
-from mvmetric.solver import _update_projections, stacked_objective
+from mvmetric.scatter import compute_cross, compute_scatter
+from mvmetric.solver import (
+    _update_projections,
+    assemble_block_matrix,
+    compute_view_gains,
+    stacked_objective,
+    update_view_weights,
+)
 
 from test_scatter import naive_cross, naive_pair_scatter
 from test_solver import objective_oracle, random_instance, random_orthonormal_blocks

@@ -8,10 +8,10 @@ from mvmetric import (
     Hyperparams,
     ViewMatrix,
     build_constraints,
-    compute_scatter,
     generate_synthetic,
     run_benchmark,
 )
+from mvmetric.scatter import compute_scatter
 
 
 def pair_counts(labels):

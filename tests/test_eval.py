@@ -7,6 +7,7 @@ import pytest
 
 import mvmetric.eval
 from mvmetric import (
+    FORMAT_VERSION,
     Hyperparams,
     MultiviewDataset,
     MultiviewMetricModel,
@@ -25,7 +26,7 @@ from mvmetric.metric import _squared_distances
 
 
 def _trained_on(dataset, train_idx, test_idx, hyper):
-    sp = SplitSpec(np.asarray(train_idx), np.asarray(test_idx), seed=0)
+    sp = SplitSpec(np.asarray(train_idx), np.asarray(test_idx))
     cs = build_constraints(dataset.labels[sp.train_indices])
     return train(dataset, sp, cs, hyper), sp
 
@@ -560,8 +561,17 @@ def test_trials_must_be_positive():
 
 def test_csv_summary_shape():
     ds = generate_synthetic(2, 8, [3, 3], seed=12)
-    report = run_benchmark(ds, 10, 2, Hyperparams(embed_dim=2), seed=0, include_baseline=True)
-    lines = report.summary_csv().strip().splitlines()
-    assert lines[0].startswith("#")
-    assert lines[1] == "trial,accuracy,baseline_accuracy"
-    assert len(lines) == 2 + 2 + 2  # header comment, column row, 2 trials, mean, max
+    for include_baseline in (True, False):
+        report = run_benchmark(ds, 10, 2, Hyperparams(embed_dim=2), seed=0, include_baseline=include_baseline)
+        # one column per accuracy series: the learned metric's, then the baseline's if run
+        series = [(report.per_trial_accuracy, report.mean_accuracy, report.max_accuracy)]
+        if include_baseline:
+            series.append((report.baseline_per_trial, report.baseline_mean, report.baseline_max))
+        expected = [
+            f"# mvmetric eval summary, format {FORMAT_VERSION}, config {json.dumps(report.config)}",
+            "trial,accuracy,baseline_accuracy" if include_baseline else "trial,accuracy",
+            *(",".join([str(t), *(repr(per_trial[t]) for per_trial, _, _ in series)]) for t in range(2)),
+            ",".join(["mean", *(repr(mean) for _, mean, _ in series)]),
+            ",".join(["max", *(repr(best) for _, _, best in series)]),
+        ]
+        assert report.summary_csv() == "\n".join(expected) + "\n"

@@ -286,6 +286,7 @@ def test_load_rejects_projections_that_are_not_whole_finite_rows(tmp_path, edit,
         lambda doc: doc.update(view_weights=[str(a) for a in doc["view_weights"]]),
         lambda doc: doc.update(view_weights=[True, False]),
         lambda doc: doc.update(view_weights=[None, 1.0]),
+        lambda doc: doc.update(view_weights=[10**400, 0.0]),
         # a projection is one base64 string: the number lists of format "1", with or
         # without a string entry, and other JSON values are not
         lambda doc: doc["projections"].__setitem__(0, [["0.5", 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]),
@@ -297,8 +298,8 @@ def test_load_rejects_projections_that_are_not_whole_finite_rows(tmp_path, edit,
         lambda doc: doc.update(trace=[1, 2]),
         lambda doc: doc.update(trace={"iteration": 1}),
     ],
-    ids=["string-weights", "bool-weights", "null-weight", "string-entry", "bool-entries", "number-list",
-         "null-projection", "number-projection", "string-trace", "trace-of-numbers", "trace-object"],
+    ids=["string-weights", "bool-weights", "null-weight", "overflowing-weight", "string-entry", "bool-entries",
+         "number-list", "null-projection", "number-projection", "string-trace", "trace-of-numbers", "trace-object"],
 )
 def test_load_rejects_entries_that_are_not_json_numbers(tmp_path, edit):
     doc = _trained_model().to_dict()

@@ -18,6 +18,12 @@ REMOVED = (
     "standardize_views",
     "ScatterPair",
     "CrossCorrelation",
+    "assemble_block_matrix",
+    "compute_view_gains",
+    "update_view_weights",
+    "coupling_matrix",
+    "compute_scatter",
+    "compute_cross",
 )
 
 

