@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -152,10 +153,15 @@ class SplitSpec:
 def _parse_view_file(path: Path) -> np.ndarray:
     if not path.is_file():
         raise FileNotFoundError(f"view file not found: {path}")
-    try:
-        rows = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"view file {path}: {exc}") from exc
+    with warnings.catch_warnings():
+        # numpy only warns on a file without data rows; here that is one error naming the file
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            rows = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"view file {path}: {exc}") from exc
+    if rows.size == 0:
+        raise ValueError(f"view file {path}: no data rows")
     return rows.T  # samples-as-rows on disk, features-by-samples in memory
 
 

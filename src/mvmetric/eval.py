@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +12,7 @@ from ._format import FORMAT_VERSION
 from .constraints import build_constraints
 from .dataset import MultiviewDataset, _integer_labels, split
 from .metric import _check_array, _squared_distances
-from .model import Hyperparams, MultiviewMetricModel, _integer, _seed
+from .model import SAVED_HYPERPARAMS, Hyperparams, MultiviewMetricModel, _integer, _seed
 from .solver import train
 
 # unused by the package; perfbench/harness.py reads the name to clear the variable
@@ -24,53 +24,67 @@ SCORE_BLOCK = 256
 
 @dataclass
 class EvalReport:
-    """Per-trial and aggregate kNN accuracies with full reproduction provenance."""
+    """kNN accuracies over repeated random splits: the run's ``config`` and one record per trial;
+    every other attribute is read from ``trials``, the ``baseline_*`` ones ``None`` without a baseline."""
 
-    per_trial_accuracy: list
-    mean_accuracy: float
-    max_accuracy: float
-    weights_per_trial: list
     config: dict
-    trials: list = field(default_factory=list)
-    baseline_per_trial: list | None = None
-    baseline_mean: float | None = None
-    baseline_max: float | None = None
+    trials: list
+
+    @property
+    def per_trial_accuracy(self) -> list:
+        return [record["accuracy"] for record in self.trials]
+
+    @property
+    def mean_accuracy(self) -> float:
+        return float(np.mean(self.per_trial_accuracy))
+
+    @property
+    def max_accuracy(self) -> float:
+        return float(np.max(self.per_trial_accuracy))
+
+    @property
+    def weights_per_trial(self) -> list:
+        return [record["weights"] for record in self.trials]
+
+    @property
+    def baseline_per_trial(self) -> list | None:
+        if not self.trials or "baseline_accuracy" not in self.trials[0]:
+            return None
+        return [record["baseline_accuracy"] for record in self.trials]
+
+    @property
+    def baseline_mean(self) -> float | None:
+        baseline = self.baseline_per_trial
+        return None if baseline is None else float(np.mean(baseline))
+
+    @property
+    def baseline_max(self) -> float | None:
+        baseline = self.baseline_per_trial
+        return None if baseline is None else float(np.max(baseline))
 
     def to_dict(self) -> dict:
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "config": self.config,
-            "per_trial_accuracy": self.per_trial_accuracy,
-            "mean_accuracy": self.mean_accuracy,
-            "max_accuracy": self.max_accuracy,
-            "weights_per_trial": self.weights_per_trial,
-            "trials": self.trials,
-        }
+        """The report document: each summary under its attribute's name, the baseline's last if run."""
+        names = ["per_trial_accuracy", "mean_accuracy", "max_accuracy", "weights_per_trial", "trials"]
         if self.baseline_per_trial is not None:
-            doc["baseline_per_trial"] = self.baseline_per_trial
-            doc["baseline_mean"] = self.baseline_mean
-            doc["baseline_max"] = self.baseline_max
+            names += ["baseline_per_trial", "baseline_mean", "baseline_max"]
+        doc = {"format_version": FORMAT_VERSION, "config": self.config}
+        doc.update((name, getattr(self, name)) for name in names)
         return doc
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
     def summary_csv(self) -> str:
-        """Small delimiter-separated table for spreadsheets."""
+        """Small delimiter-separated table for spreadsheets: one column per accuracy series,
+        the baseline's after the learned metric's; a row per trial, then ``mean`` and ``max``."""
+        series = [("accuracy", self.per_trial_accuracy, self.mean_accuracy, self.max_accuracy)]
+        if self.baseline_per_trial is not None:
+            series.append(("baseline_accuracy", self.baseline_per_trial, self.baseline_mean, self.baseline_max))
+        columns = [["trial", *(str(t) for t in range(len(self.trials))), "mean", "max"]]
+        for name, per_trial, mean, best in series:
+            columns.append([name, *(repr(acc) for acc in per_trial), repr(mean), repr(best)])
         lines = [f"# mvmetric eval summary, format {FORMAT_VERSION}, config {json.dumps(self.config)}"]
-        with_baseline = self.baseline_per_trial is not None
-        lines.append("trial,accuracy,baseline_accuracy" if with_baseline else "trial,accuracy")
-        for t, acc in enumerate(self.per_trial_accuracy):
-            if with_baseline:
-                lines.append(f"{t},{acc!r},{self.baseline_per_trial[t]!r}")
-            else:
-                lines.append(f"{t},{acc!r}")
-        if with_baseline:
-            lines.append(f"mean,{self.mean_accuracy!r},{self.baseline_mean!r}")
-            lines.append(f"max,{self.max_accuracy!r},{self.baseline_max!r}")
-        else:
-            lines.append(f"mean,{self.mean_accuracy!r}")
-            lines.append(f"max,{self.max_accuracy!r}")
+        lines.extend(",".join(row) for row in zip(*columns))
         return "\n".join(lines) + "\n"
 
 
@@ -183,51 +197,30 @@ def run_benchmark(
         # equal to a training sample is at distance exactly 0.0
         points = [model.project(view.view_id, view.data) for view in dataset.views]
         predicted = _predict(points, model.powered_weights, sp.train_indices, sp.test_indices, train_labels, k)
-        correct = int(np.count_nonzero(predicted == truth))
-        if include_baseline:
-            scaled = [model.scaled(view.view_id, view.data) for view in dataset.views]
-            predicted = _predict(scaled, np.ones(dataset.m), sp.train_indices, sp.test_indices, train_labels, k)
-            baseline_correct = int(np.count_nonzero(predicted == truth))
         record = {
             "trial": t,
             "split_seed": split_seed,
             "train_indices": sp.train_indices.tolist(),
             "test_indices": sp.test_indices.tolist(),
-            "accuracy": correct / n_test,
+            "accuracy": int(np.count_nonzero(predicted == truth)) / n_test,
             "weights": model.view_weights.tolist(),
         }
         if include_baseline:
-            record["baseline_accuracy"] = baseline_correct / n_test
+            scaled = [model.scaled(view.view_id, view.data) for view in dataset.views]
+            predicted = _predict(scaled, np.ones(dataset.m), sp.train_indices, sp.test_indices, train_labels, k)
+            record["baseline_accuracy"] = int(np.count_nonzero(predicted == truth)) / n_test
         records.append(record)
 
-    accuracies = [r["accuracy"] for r in records]
     config = {
         "train_count": train_count,
         "trials": trials,
         "seed": seed,
         "k": k,
         "include_baseline": include_baseline,
-        "embed_dim": hyper.embed_dim,
-        "weight_exponent": hyper.weight_exponent,
-        "coupling_eta": hyper.coupling_eta,
-        "max_iters": hyper.max_iters,
-        "tol": hyper.tol,
+        **{name: getattr(hyper, name) for name in SAVED_HYPERPARAMS},
         "n_samples": dataset.n,
         "view_dims": dataset.view_dims,
     }
     if hyper.standardize:
         config["standardize"] = True
-    report = EvalReport(
-        per_trial_accuracy=accuracies,
-        mean_accuracy=float(np.mean(accuracies)),
-        max_accuracy=float(np.max(accuracies)),
-        weights_per_trial=[r["weights"] for r in records],
-        config=config,
-        trials=records,
-    )
-    if include_baseline:
-        baseline = [r["baseline_accuracy"] for r in records]
-        report.baseline_per_trial = baseline
-        report.baseline_mean = float(np.mean(baseline))
-        report.baseline_max = float(np.max(baseline))
-    return report
+    return EvalReport(config, records)

@@ -18,6 +18,8 @@ MODEL_FORMAT_VERSION = "2"
 ORTHONORMALITY_TOL = 1e-8
 SIMPLEX_TOL = 1e-12
 STOP_REASONS = (None, "tol", "max_iters")
+# hyperparameters saved in model files and eval report configs, in this order; model files may omit the last two
+SAVED_HYPERPARAMS = ("embed_dim", "weight_exponent", "coupling_eta", "max_iters", "tol")
 
 
 def _integer(name: str, value) -> int:
@@ -221,11 +223,7 @@ class MultiviewMetricModel:
             "format_version": MODEL_FORMAT_VERSION,
             "num_views": self.num_views,
             "view_dims": self.view_dims,
-            "embed_dim": self.embed_dim,
-            "weight_exponent": self.hyper.weight_exponent,
-            "coupling_eta": self.hyper.coupling_eta,
-            "max_iters": self.hyper.max_iters,
-            "tol": self.hyper.tol,
+            **{name: getattr(self.hyper, name) for name in SAVED_HYPERPARAMS},
             "view_weights": self.view_weights.tolist(),
             "projections": [_encode(w) for w in self.projections],
             "stop_reason": self.stop_reason,
@@ -248,8 +246,8 @@ class MultiviewMetricModel:
         try:
             # the JSON values go to Hyperparams as they are, so its checks see
             # them: 2.5 or "7" is no max_iters, and true is no eta
-            values = {key: doc[key] for key in ("embed_dim", "weight_exponent", "coupling_eta")}
-            values.update((key, doc[key]) for key in ("max_iters", "tol") if key in doc)
+            values = {key: doc[key] for key in SAVED_HYPERPARAMS[:3]}
+            values.update((key, doc[key]) for key in SAVED_HYPERPARAMS[3:] if key in doc)
             if values["embed_dim"] is None:
                 raise TypeError("embed_dim must be an integer, got None")
             scales = doc.get("scales")

@@ -545,6 +545,19 @@ def test_module_entry_point(tmp_path):
     assert (out / "manifest.json").is_file()
 
 
+def test_an_empty_view_file_is_a_single_line_usage_error(dataset_dir, tmp_path):
+    # in a fresh process, so numpy's warning would reach stderr as it does for a user
+    (dataset_dir / "view1.csv").write_text("")
+    argv = ["train", "--manifest", str(dataset_dir / "manifest.json"), "--train-count", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvmetric", *argv, "--out", str(tmp_path / "m.json")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: view file {dataset_dir / 'view1.csv'}: no data rows\n"
+
+
 def test_standardized_model_checks_on_raw_data_without_a_flag(dataset_dir, tmp_path, capsys):
     # the scale lives in the model, so check takes no --standardize of its own
     manifest = str(dataset_dir / "manifest.json")

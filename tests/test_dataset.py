@@ -94,6 +94,16 @@ def test_load_dataset_non_numeric(tmp_path):
         load_dataset([tmp_path / "a.csv", tmp_path / "b.csv"], tmp_path / "labels.txt")
 
 
+@pytest.mark.parametrize("text", ["", "\n\n", "# comment\n"])
+def test_a_view_file_without_data_rows_is_one_error_naming_it(tmp_path, text):
+    # numpy only warns on such a file and returns an empty array
+    (tmp_path / "a.csv").write_text(text)
+    _write_csv(tmp_path / "b.csv", [[1.0], [2.0]])
+    _write_labels(tmp_path / "labels.txt", [0, 1])
+    with pytest.raises(ValueError, match=re.escape(f"view file {tmp_path / 'a.csv'}: no data rows")):
+        load_dataset([tmp_path / "a.csv", tmp_path / "b.csv"], tmp_path / "labels.txt")
+
+
 def test_load_dataset_label_count_mismatch(tmp_path):
     rng = np.random.default_rng(0)
     _write_csv(tmp_path / "a.csv", rng.standard_normal((4, 2)))

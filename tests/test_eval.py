@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import threading
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 import mvmetric.eval
 from mvmetric import (
     FORMAT_VERSION,
+    EvalReport,
     Hyperparams,
     MultiviewDataset,
     MultiviewMetricModel,
@@ -575,3 +577,130 @@ def test_csv_summary_shape():
             ",".join(["max", *(repr(best) for _, _, best in series)]),
         ]
         assert report.summary_csv() == "\n".join(expected) + "\n"
+
+
+REPORT_RECORDS = [
+    {"trial": 0, "accuracy": 0.75, "weights": [0.5, 0.5], "baseline_accuracy": 0.5},
+    {"trial": 1, "accuracy": 1.0, "weights": [0.625, 0.375], "baseline_accuracy": 0.25},
+]
+
+REPORT_JSON_WITH_BASELINE = """{
+  "format_version": "1",
+  "config": {
+    "trials": 2,
+    "k": 1
+  },
+  "per_trial_accuracy": [
+    0.75,
+    1.0
+  ],
+  "mean_accuracy": 0.875,
+  "max_accuracy": 1.0,
+  "weights_per_trial": [
+    [
+      0.5,
+      0.5
+    ],
+    [
+      0.625,
+      0.375
+    ]
+  ],
+  "trials": [
+    {
+      "trial": 0,
+      "accuracy": 0.75,
+      "weights": [
+        0.5,
+        0.5
+      ],
+      "baseline_accuracy": 0.5
+    },
+    {
+      "trial": 1,
+      "accuracy": 1.0,
+      "weights": [
+        0.625,
+        0.375
+      ],
+      "baseline_accuracy": 0.25
+    }
+  ],
+  "baseline_per_trial": [
+    0.5,
+    0.25
+  ],
+  "baseline_mean": 0.375,
+  "baseline_max": 0.5
+}"""
+
+REPORT_JSON_WITHOUT_BASELINE = """{
+  "format_version": "1",
+  "config": {
+    "trials": 2,
+    "k": 1
+  },
+  "per_trial_accuracy": [
+    0.75,
+    1.0
+  ],
+  "mean_accuracy": 0.875,
+  "max_accuracy": 1.0,
+  "weights_per_trial": [
+    [
+      0.5,
+      0.5
+    ],
+    [
+      0.625,
+      0.375
+    ]
+  ],
+  "trials": [
+    {
+      "trial": 0,
+      "accuracy": 0.75,
+      "weights": [
+        0.5,
+        0.5
+      ]
+    },
+    {
+      "trial": 1,
+      "accuracy": 1.0,
+      "weights": [
+        0.625,
+        0.375
+      ]
+    }
+  ]
+}"""
+
+
+def test_report_text_is_read_from_hand_written_records():
+    # the layout pinned without a fit, so independent of BLAS and the solver
+    assert [f.name for f in dataclasses.fields(EvalReport)] == ["config", "trials"]
+    report = EvalReport({"trials": 2, "k": 1}, REPORT_RECORDS)
+    assert json.dumps(report.to_dict(), indent=2) == REPORT_JSON_WITH_BASELINE
+    assert report.summary_csv() == (
+        '# mvmetric eval summary, format 1, config {"trials": 2, "k": 1}\n'
+        "trial,accuracy,baseline_accuracy\n"
+        "0,0.75,0.5\n"
+        "1,1.0,0.25\n"
+        "mean,0.875,0.375\n"
+        "max,1.0,0.5\n"
+    )
+    records = [{key: value for key, value in r.items() if key != "baseline_accuracy"} for r in REPORT_RECORDS]
+    report = EvalReport({"trials": 2, "k": 1}, records)
+    assert json.dumps(report.to_dict(), indent=2) == REPORT_JSON_WITHOUT_BASELINE
+    assert report.summary_csv() == (
+        '# mvmetric eval summary, format 1, config {"trials": 2, "k": 1}\n'
+        "trial,accuracy\n"
+        "0,0.75\n"
+        "1,1.0\n"
+        "mean,0.875\n"
+        "max,1.0\n"
+    )
+    assert report.baseline_per_trial is None
+    assert report.baseline_mean is None
+    assert report.baseline_max is None
