@@ -141,14 +141,11 @@ def cmd_eval(cfg: dict) -> int:
 
 def cmd_generate(cfg: dict) -> int:
     _require(cfg, ["classes", "per_class", "view_dims", "out"])
-    view_dims = _parse_int_list(cfg["view_dims"], "view-dims")
-    if len(view_dims) < 2:
-        raise ValueError("view-dims needs at least 2 entries (loadable datasets are multiview)")
     noise_views = set(_parse_int_list(cfg["noise_views"], "noise-views"))
     dataset = generate_synthetic(
         classes=cfg["classes"],
         per_class=cfg["per_class"],
-        view_dims=view_dims,
+        view_dims=_parse_int_list(cfg["view_dims"], "view-dims"),
         noise_views=noise_views,
         seed=cfg["seed"],
         separation=cfg["separation"],

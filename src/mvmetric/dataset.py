@@ -83,9 +83,7 @@ class MultiviewDataset:
 
     Views must agree on the sample count; at least two distinct labels are
     required, and float labels must be integral (``1.0`` loads as 1, ``0.5``
-    is an error).  File-based ingestion additionally requires two or more
-    views (``load_dataset``); direct construction permits a single view so
-    that the degenerate single-view training path stays usable.
+    is an error).
     """
 
     views: tuple
@@ -187,10 +185,7 @@ def load_dataset(view_paths, labels_path) -> MultiviewDataset:
     line.  All views must agree on the sample count.  The features are
     loaded as they are; ``Hyperparams.standardize`` scales them in training.
     """
-    paths = [Path(p) for p in view_paths]
-    if len(paths) < 2:
-        raise ValueError("expected at least 2 view files")
-    views = [ViewMatrix(i + 1, _parse_view_file(p)) for i, p in enumerate(paths)]
+    views = [ViewMatrix(i + 1, _parse_view_file(Path(p))) for i, p in enumerate(view_paths)]
     return MultiviewDataset(tuple(views), _parse_labels_file(Path(labels_path)))
 
 
@@ -226,7 +221,7 @@ def write_dataset(dataset: MultiviewDataset, out_dir, config: dict | None = None
 def load_manifest(manifest_path) -> MultiviewDataset:
     """Load a dataset through its JSON manifest (paths resolved relative to it).
 
-    ``views`` must list at least two file names and ``labels`` name one file.
+    ``views`` must list at least one file name and ``labels`` name one file.
     """
     path = Path(manifest_path)
     doc = read_json_object(path, "manifest")
@@ -235,8 +230,8 @@ def load_manifest(manifest_path) -> MultiviewDataset:
         if key not in doc:
             raise ValueError(f"manifest {path}: missing key {key!r}")
     views = doc["views"]
-    if not isinstance(views, list) or len(views) < 2 or not all(isinstance(p, str) for p in views):
-        raise ValueError(f"manifest {path}: 'views' must be a list of at least 2 file names, got {views!r:.60}")
+    if not isinstance(views, list) or not views or not all(isinstance(p, str) for p in views):
+        raise ValueError(f"manifest {path}: 'views' must be a non-empty list of file names, got {views!r:.60}")
     if not isinstance(doc["labels"], str):
         raise ValueError(f"manifest {path}: 'labels' must be a file name, got {doc['labels']!r:.60}")
     base = path.parent

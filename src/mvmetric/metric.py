@@ -88,19 +88,24 @@ def _squared_distances(train_points, test_points, weights) -> np.ndarray:
     (i, j) is ``sum_v weights[v] * ||test_v[:, i] - train_v[:, j]||^2``: each
     view's squared differences are summed over its features in order, then
     the weighted views in order, starting from 0.0.  The one copy of the
-    distance arithmetic; it works in three ``n_test x n_train`` arrays.
+    distance arithmetic; it works in three ``n_test x n_train`` arrays.  A
+    distance beyond float64 raises ``ValueError``.
     """
     total = np.zeros((test_points[0].shape[1], train_points[0].shape[1]))
     view = np.empty_like(total)
     diff = np.empty_like(total)
-    for u, train, test in zip(weights, train_points, test_points):
-        view.fill(0.0)
-        for train_row, test_row in zip(train, test):
-            np.subtract.outer(test_row, train_row, out=diff)
-            diff *= diff
-            view += diff
-        view *= u
-        total += view
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for u, train, test in zip(weights, train_points, test_points):
+                view.fill(0.0)
+                for train_row, test_row in zip(train, test):
+                    np.subtract.outer(test_row, train_row, out=diff)
+                    diff *= diff
+                    view += diff
+                view *= u
+                total += view
+    except FloatingPointError as exc:
+        raise ValueError("distances overflow float64") from exc
     return total
 
 
@@ -141,7 +146,8 @@ def check_metric_axioms(
     does not grow with ``trials``; they are the rows of one
     ``rng.integers(N, size=(trials, 3))`` draw, whatever the block size.
     ``view``, ``trials`` and ``seed`` (>= 0) must be integers, not bools;
-    the report stores them as ``int``.
+    the report stores them as ``int``.  Samples whose projections or
+    distances leave float64 raise ``ValueError`` naming the view.
     """
     dim = _view_dim(model, view)
     trials = _integer("trials", trials)
@@ -156,26 +162,30 @@ def check_metric_axioms(
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
-    # one projected point per column, so a triple's points are three column gathers
-    points = np.ascontiguousarray(model.project(view, samples))
     rng = np.random.default_rng(seed)
     symmetry_mismatches = 0
     negative_distances = 0
     max_triangle_violation = 0.0
     triangle_violations = 0
-    for start in range(0, trials, CHECK_BLOCK):
-        i, j, k = rng.integers(samples.shape[1], size=(min(CHECK_BLOCK, trials - start), 3)).T
-        x, y, z = (np.take(points, idx, axis=1) for idx in (i, j, k))
-        diff = np.empty_like(x)
-        d_xy = _column_distances(x, y, diff)
-        d_yx = _column_distances(y, x, diff)
-        d_yz = _column_distances(y, z, diff)
-        d_xz = _column_distances(x, z, diff)
-        symmetry_mismatches += int(np.count_nonzero(d_xy != d_yx))
-        negative_distances += int(np.count_nonzero(np.minimum(np.minimum(d_xy, d_yz), d_xz) < 0.0))
-        violation = d_xz - (d_xy + d_yz)
-        max_triangle_violation = max(max_triangle_violation, float(violation.max()))
-        triangle_violations += int(np.count_nonzero(violation > TRIANGLE_SLACK))
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            # one projected point per column, so a triple's points are three column gathers
+            points = np.ascontiguousarray(model.project(view, samples))
+            for start in range(0, trials, CHECK_BLOCK):
+                i, j, k = rng.integers(samples.shape[1], size=(min(CHECK_BLOCK, trials - start), 3)).T
+                x, y, z = (np.take(points, idx, axis=1) for idx in (i, j, k))
+                diff = np.empty_like(x)
+                d_xy = _column_distances(x, y, diff)
+                d_yx = _column_distances(y, x, diff)
+                d_yz = _column_distances(y, z, diff)
+                d_xz = _column_distances(x, z, diff)
+                symmetry_mismatches += int(np.count_nonzero(d_xy != d_yx))
+                negative_distances += int(np.count_nonzero(np.minimum(np.minimum(d_xy, d_yz), d_xz) < 0.0))
+                violation = d_xz - (d_xy + d_yz)
+                max_triangle_violation = max(max_triangle_violation, float(violation.max()))
+                triangle_violations += int(np.count_nonzero(violation > TRIANGLE_SLACK))
+    except FloatingPointError as exc:
+        raise ValueError(f"view {view}: distances overflow float64") from exc
 
     # the model rejects projections whose columns are not orthonormal, so
     # W_v has full column rank, and positive feature scales keep it so

@@ -46,11 +46,7 @@ MM_STEPS = 50  # majorize-maximize steps per block and sweep at most
 
 
 class TrainingError(RuntimeError):
-    """Training aborted; carries the per-iteration trace gathered so far."""
-
-    def __init__(self, message: str, trace=()):
-        super().__init__(message)
-        self.trace = tuple(trace)
+    """Training aborted: the fit's arithmetic overflowed or a decomposition failed."""
 
 
 def assemble_block_matrix(K: np.ndarray, dims, weights, hyper: Hyperparams) -> np.ndarray:
@@ -88,7 +84,8 @@ def top_eigenpairs(Z: np.ndarray, d: int):
 def _fill_deficient_columns(U: np.ndarray, deficient: np.ndarray) -> np.ndarray:
     """Replace flagged columns with Gram-Schmidt complements of standard basis vectors.
 
-    Basis vectors are tried in index order, so the completion is deterministic.
+    Basis vectors are tried in index order, so the completion is deterministic;
+    against k < D orthonormal columns the D residuals' squares sum to D - k >= 1.
     """
     U = U.copy()
     dim = U.shape[0]
@@ -106,8 +103,6 @@ def _fill_deficient_columns(U: np.ndarray, deficient: np.ndarray) -> np.ndarray:
                 U[:, col] = v
                 current.append(v)
                 break
-        else:
-            raise np.linalg.LinAlgError("could not complete an orthonormal basis")
     return U
 
 
@@ -225,12 +220,9 @@ def update_view_weights(gains, weight_exponent: float) -> np.ndarray:
 
     Gains are clamped below at ``GAIN_CLAMP_FLOOR`` before the power, since
     the margin term can be negative.  ``weight_exponent`` must be above 1, as
-    ``Hyperparams`` ensures; non-finite gains, which overflowing features
-    can produce, raise ``ValueError``.
+    ``Hyperparams`` ensures.
     """
     gains = np.asarray(gains, dtype=float)
-    if not np.isfinite(gains).all():
-        raise ValueError("gains are not finite")
     clamped = np.maximum(gains, GAIN_CLAMP_FLOOR)
     # ratios in (0, 1] with the largest exactly 1 and a finite positive power:
     # no overflow, and uniform gains yield exactly 1/m
@@ -270,8 +262,6 @@ def _alternate(K: np.ndarray, dims, hyper: Hyperparams):
                 "polar_svds": svds,
             }
         )
-        if not np.isfinite(objective):
-            raise TrainingError(f"non-finite objective at iteration {iteration}", trace)
         if hyper.coupling_eta == math.inf or (residual is not None and residual < hyper.tol):
             return blocks, weights, trace, "tol"
     return blocks, weights, trace, "max_iters"
@@ -309,6 +299,10 @@ def train(
     centred and divided by their per-feature standard deviation (1 where it
     is 0); only training columns set these statistics, and the model keeps
     the scales.  It keeps no centre, as every distance ignores a shift.
+
+    An overflow, invalid operation or division by zero anywhere in the fit,
+    or a decomposition that fails, raises ``TrainingError`` naming numpy's
+    operation, e.g. "training failed: overflow encountered in matmul".
     """
     hyper = (hyper or Hyperparams()).resolved(dataset.view_dims)
     d = hyper.embed_dim
@@ -319,18 +313,22 @@ def train(
 
     train_views, bases = [], []
     scales = [] if hyper.standardize else None
-    for view in dataset.views:
-        block = view.data[:, train_idx]
-        if hyper.standardize:
-            scale = block.std(axis=1)
-            scale[scale == 0.0] = 1.0
-            block = (block - block.mean(axis=1, keepdims=True)) / scale[:, None]
-            scales.append(scale)
-        basis, reduced = np.linalg.qr(np.hstack([np.eye(len(block), d), block]))
-        train_views.append(ViewMatrix(view.view_id, reduced[:, d:]))
-        bases.append(basis)
-    dims = [tv.n_features for tv in train_views]
-    K = coupling_matrix(train_views, constraints)
-    blocks, weights, trace, stop_reason = _alternate(K, dims, hyper)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for view in dataset.views:
+                block = view.data[:, train_idx]
+                if hyper.standardize:
+                    scale = block.std(axis=1)
+                    scale[scale == 0.0] = 1.0
+                    block = (block - block.mean(axis=1, keepdims=True)) / scale[:, None]
+                    scales.append(scale)
+                basis, reduced = np.linalg.qr(np.hstack([np.eye(len(block), d), block]))
+                train_views.append(ViewMatrix(view.view_id, reduced[:, d:]))
+                bases.append(basis)
+            dims = [tv.n_features for tv in train_views]
+            K = coupling_matrix(train_views, constraints)
+            blocks, weights, trace, stop_reason = _alternate(K, dims, hyper)
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise TrainingError(f"training failed: {exc}") from exc
     projections = tuple(q @ b for b, q in zip(blocks, bases))
     return MultiviewMetricModel(projections, weights, hyper, tuple(trace), stop_reason, scales)

@@ -2,8 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from mvmetric import generate_synthetic, load_manifest
 from mvmetric.cli import main
 
 
@@ -12,6 +14,11 @@ def run_cli(argv):
         return main(argv)
     except SystemExit as exc:  # argparse usage errors
         return int(exc.code or 0)
+
+
+def run_module(argv):
+    # in a fresh process, so a numpy warning would reach stderr as it does for a user
+    return subprocess.run([sys.executable, "-m", "mvmetric", *argv], capture_output=True, text=True)
 
 
 @pytest.fixture()
@@ -78,11 +85,16 @@ def test_generate_malformed_dims(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    # one view is a dataset too: it round-trips through its manifest
     code = run_cli(
         ["generate", "--classes", "2", "--per-class", "5", "--view-dims", "4", "--out", str(tmp_path / "d")]
     )
-    assert code == 2
-    assert "at least 2" in capsys.readouterr().err
+    assert code == 0
+    loaded = load_manifest(tmp_path / "d" / "manifest.json")
+    expected = generate_synthetic(2, 5, [4])
+    assert loaded.view_dims == [4]
+    assert np.array_equal(loaded.views[0].data, expected.views[0].data)
+    assert np.array_equal(loaded.labels, expected.labels)
 
 
 def test_generate_names_a_non_finite_separation(tmp_path, capsys):
@@ -523,39 +535,48 @@ def test_missing_required_options(capsys):
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "d"
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "mvmetric",
-            "generate",
-            "--classes",
-            "2",
-            "--per-class",
-            "5",
-            "--view-dims",
-            "3,3",
-            "--out",
-            str(out),
-        ],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module(["generate", "--classes", "2", "--per-class", "5", "--view-dims", "3,3", "--out", str(out)])
     assert proc.returncode == 0
     assert (out / "manifest.json").is_file()
 
 
 def test_an_empty_view_file_is_a_single_line_usage_error(dataset_dir, tmp_path):
-    # in a fresh process, so numpy's warning would reach stderr as it does for a user
     (dataset_dir / "view1.csv").write_text("")
     argv = ["train", "--manifest", str(dataset_dir / "manifest.json"), "--train-count", "2"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "mvmetric", *argv, "--out", str(tmp_path / "m.json")],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module([*argv, "--out", str(tmp_path / "m.json")])
     assert proc.returncode == 2
     assert proc.stderr == f"error: view file {dataset_dir / 'view1.csv'}: no data rows\n"
+
+
+@pytest.fixture()
+def overflowing_dir(tmp_path):
+    """``dataset_dir``'s data with view 1's class means 1e160 apart: squares of its features overflow float64."""
+    out = tmp_path / "big"
+    argv = ["--classes", "2", "--per-class", "10", "--view-dims", "4,6", "--noise-views", "2", "--seed", "1"]
+    assert run_cli(["generate", *argv, "--separation", "1e160", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_an_overflowing_fit_is_one_runtime_error_line(overflowing_dir, tmp_path, command):
+    out = tmp_path / "out.json"
+    proc = run_module([command, "--manifest", str(overflowing_dir / "manifest.json"), "--train-count", "12",
+                       "--out", str(out)])
+    assert proc.returncode == 1
+    assert proc.stderr == "error: training failed: overflow encountered in matmul\n"
+    assert not out.exists()
+
+
+def test_check_of_overflowing_distances_is_one_usage_error_line(dataset_dir, overflowing_dir, tmp_path):
+    model = tmp_path / "model.json"
+    assert run_cli(["train", "--manifest", str(dataset_dir / "manifest.json"), "--train-count", "12",
+                    "--out", str(model)]) == 0
+    out = tmp_path / "axioms.json"
+    proc = run_module(["check", "--model", str(model), "--manifest", str(overflowing_dir / "manifest.json"),
+                       "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr == "error: view 1: distances overflow float64\n"
+    assert not out.exists()
 
 
 def test_standardized_model_checks_on_raw_data_without_a_flag(dataset_dir, tmp_path, capsys):
@@ -585,9 +606,9 @@ def test_standardized_model_checks_on_raw_data_without_a_flag(dataset_dir, tmp_p
     [
         ("{ nope", "invalid JSON"),
         ("[1, 2]", "expected a JSON object"),
-        ('{"views": "view1.csv", "labels": "labels.txt"}', "'views' must be a list of at least 2 file names"),
-        ('{"views": [1, 2], "labels": "labels.txt"}', "'views' must be a list of at least 2 file names"),
-        ('{"views": ["view1.csv"], "labels": "labels.txt"}', "'views' must be a list of at least 2 file names"),
+        ('{"views": "view1.csv", "labels": "labels.txt"}', "'views' must be a non-empty list of file names"),
+        ('{"views": [1, 2], "labels": "labels.txt"}', "'views' must be a non-empty list of file names"),
+        ('{"views": [], "labels": "labels.txt"}', "'views' must be a non-empty list of file names"),
         ('{"views": ["view1.csv", "view2.csv"], "labels": ["labels.txt"]}', "'labels' must be a file name"),
     ],
 )

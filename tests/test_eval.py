@@ -237,6 +237,16 @@ def test_knn_validates_inputs():
         knn_classify(model, [v[:, :0] for v in train_views], train_labels[:0], x)
 
 
+def test_knn_rejects_inputs_whose_distances_overflow():
+    # all distances inf would otherwise tie, and the lowest index would win
+    ds = generate_synthetic(2, 5, [3, 3], seed=2)
+    model, sp = _trained_on(ds, np.arange(8), np.arange(8, 10), Hyperparams(embed_dim=2))
+    train_views = [view * 1e160 for view in ds.columns(sp.train_indices)]
+    x = [v * 1e160 for v in ds.sample(int(sp.test_indices[0]))]
+    with pytest.raises(ValueError, match="^distances overflow float64$"):
+        knn_classify(model, train_views, ds.labels[sp.train_indices], x)
+
+
 def test_benchmark_is_deterministic():
     ds = generate_synthetic(2, 10, [3, 4], seed=5)
     hyper = Hyperparams(embed_dim=2)

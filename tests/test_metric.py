@@ -317,6 +317,17 @@ def test_check_rejects_non_finite_samples(bad):
         check_metric_axioms(model, 1, samples, trials=1, seed=0)
 
 
+def test_check_rejects_samples_whose_distances_overflow():
+    # every distance is inf, and NaN fails every comparison, so a report
+    # would read clean; the check names the view instead
+    rng = np.random.default_rng(15)
+    model = random_model(rng, [4, 3], 2)
+    samples = rng.standard_normal((4, 30))
+    assert check_metric_axioms(model, 1, samples, trials=100)["triangle_violations"] == 0
+    with pytest.raises(ValueError, match="^view 1: distances overflow float64$"):
+        check_metric_axioms(model, 1, samples * 1e160, trials=100)
+
+
 def test_standardized_check_measures_the_distances_knn_scores(monkeypatch):
     # a standardised model is checked on raw samples, which it scales as
     # knn_classify does; features of very different units make the scale matter

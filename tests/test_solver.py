@@ -434,11 +434,6 @@ def test_extreme_exponent_stays_finite():
             assert weights[-1] == weights.max() >= 0.5
 
 
-def test_non_finite_gains_rejected():
-    with pytest.raises(ValueError, match="finite"):
-        update_view_weights(np.array([np.nan, 1.0]), 2.0)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     gains=st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=5),
@@ -566,6 +561,28 @@ def test_default_embed_dim_resolution():
     assert model.embed_dim == 4
     with pytest.raises(ValueError, match="exceeds"):
         train(ds, sp, cs, Hyperparams(embed_dim=5))
+
+
+def _scaled_view_one(factor):
+    ds = generate_synthetic(2, 20, [5, 40], noise_views={2}, seed=1)
+    views = (ViewMatrix(1, ds.views[0].data * factor), ds.views[1])
+    return MultiviewDataset(views, ds.labels), split(ds, 20, 7)
+
+
+@pytest.mark.parametrize(
+    "factor, hyper, operation",
+    [
+        (1e160, Hyperparams(embed_dim=3), "overflow encountered in matmul"),
+        (1e160, Hyperparams(embed_dim=3, standardize=True), "overflow encountered in square"),
+        (1.0, Hyperparams(embed_dim=3, coupling_eta=1e-310), "overflow encountered in divide"),
+    ],
+    ids=["features-1e160", "standardized-1e160", "eta-1e-310"],
+)
+def test_overflowing_fit_raises_one_training_error(factor, hyper, operation):
+    # filterwarnings = ["error"] also fails this test on any numpy RuntimeWarning
+    ds, sp = _scaled_view_one(factor)
+    with pytest.raises(solver.TrainingError, match=f"^training failed: {operation}$"):
+        train(ds, sp, build_constraints(ds.labels[sp.train_indices]), hyper)
 
 
 # ---------------------------------------------------------------------------
