@@ -31,12 +31,13 @@ def compute_scatter(view: ViewMatrix, constraints: ConstraintSet) -> tuple[np.nd
         sum over different-class pairs = sum_c (n - n_c) S_c
                                          + n sum_c n_c (mu_c - mu)(mu_c - mu)^T
 
-    each a Gram product of positively weighted columns.  The columns are
-    taken about the overall mean first, so a constant shift of the view
-    cancels before the class sums and products.  The constraint labels
-    address the columns of ``view`` in order, one label per column, so pass
-    a view already restricted to the training samples the constraints were
-    built from, as ``train`` does.
+    each a Gram product of positively weighted columns (the graph-Laplacian
+    form of Locality Preserving Projections, He & Niyogi, 2003).  The
+    columns are taken about the overall mean first, so a constant shift of
+    the view cancels before the class sums and products.  The constraint
+    labels address the columns of ``view`` in order, one label per column,
+    so pass a view already restricted to the training samples the
+    constraints were built from, as ``train`` does.
     """
     labels = constraints.labels
     n = view.n_samples

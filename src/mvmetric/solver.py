@@ -19,11 +19,15 @@ The W-step is a heuristic for maximising tr(W.T Z W) under per-view
 orthonormality: take the top eigenvectors of Z, restore per-view
 orthonormality by polar projection, then run deterministic block-coordinate
 ascent sweeps that never decrease the objective.  It does not always reach
-the maximum (README gives an example).  The weight step is exact: with
-b = a^r it sets b proportional to g^(r/(r-1)), which maximises
-sum_v b_v g_v over b >= 0 with ||b||_p = 1, p = (2r-1)/r, for nonnegative
-gains (a gain below 1e-8 is clamped there first); Z depends only on b's
-direction.
+the maximum, so neither the logged objective nor Phi below need increase.
+The weight step is exact: with b = a^r it sets b proportional to
+g^(r/(r-1)), which maximises sum_v b_v g_v over b >= 0 with ||b||_p = 1,
+p = (2r-1)/r, for nonnegative gains (one below 1e-8 of the largest |g_v|
+is clamped there first); Z depends only on b's direction.  So the
+alternation is block-coordinate ascent of sum_v b_v g_v(W), whose maximum
+over b is Phi(W) = ||max(g(W), 0)||_q, q = (2r-1)/(r-1).  Every threshold
+(polar rank cutoff, sweep stop, gain clamp) is relative, so scaling all
+features by one c, which scales K by c^2, leaves the fit as it is.
 
 Only ``train`` and ``TrainingError`` are exported; the stages it runs take
 arguments it has already checked, and do not check them again.
@@ -113,7 +117,7 @@ def _orthonormal_polar(block: np.ndarray):
     column count and deficient directions were completed deterministically.
     """
     U, s, Vh = np.linalg.svd(block, full_matrices=False)
-    cutoff = 1e-10 * max(1.0, float(s[0]))
+    cutoff = 1e-10 * float(s[0])
     # singular values come in descending order, so the last is the smallest
     padded = bool(s[-1] <= cutoff)
     if padded:
@@ -162,7 +166,7 @@ def _refine_blocks(Z, dims, blocks):
                     break
             blocks[v] = current
         obj, previous = stacked_objective(Z, blocks), obj
-        if obj - previous <= 1e-12 * (1.0 + abs(previous)):
+        if obj - previous <= 1e-12 * abs(previous):
             break
     return blocks, sweeps, svds
 
@@ -218,12 +222,13 @@ def update_view_weights(gains, weight_exponent: float) -> np.ndarray:
     flattens toward 1/m.  This is the interior stationary point of the
     weight subproblem ``min sum_v a_v^r / g_v`` on the simplex.
 
-    Gains are clamped below at ``GAIN_CLAMP_FLOOR`` before the power, since
-    the margin term can be negative.  ``weight_exponent`` must be above 1, as
+    Gains are clamped below at ``GAIN_CLAMP_FLOOR`` times the largest
+    ``|g_v|`` (all-zero gains: uniform weights) before the power, since the
+    margin term can be negative.  ``weight_exponent`` must be above 1, as
     ``Hyperparams`` ensures.
     """
     gains = np.asarray(gains, dtype=float)
-    clamped = np.maximum(gains, GAIN_CLAMP_FLOOR)
+    clamped = np.maximum(gains, GAIN_CLAMP_FLOOR * (np.abs(gains).max() or 1.0))
     # ratios in (0, 1] with the largest exactly 1 and a finite positive power:
     # no overflow, and uniform gains yield exactly 1/m
     raw = (clamped / clamped.max()) ** (1.0 / (weight_exponent - 1.0))

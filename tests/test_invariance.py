@@ -4,7 +4,7 @@ The order properties refit on a reordered copy of the data and compare the
 per-view metrics ``W_v W_v^T`` (the projections themselves are defined only up
 to a rotation of their columns) and the view weights.  The standardisation
 properties compare model files and predictions.  A nearly uncoupled fit must
-match the uncoupled one.
+match the uncoupled one, and a fit on rescaled features the original one.
 """
 
 import numpy as np
@@ -37,6 +37,11 @@ BOUND = HYPER.tol
 # As eta grows the coupling term vanishes, so the fit must tend to the
 # uncoupled one; at eta = 1e12 the cross blocks weigh about 1e-12 of the margins.
 UNCOUPLED_BOUND = HYPER.tol * 1e-2
+# Multiplying every feature by a power of two scales K, Z and the gains by its
+# square and changes no rounding, and every threshold of the fit is relative,
+# so the fit must not move; any gap above a hundredth of tol is a threshold
+# that depends on the unit deciding the fit.
+UNIT_BOUND = HYPER.tol * 1e-2
 
 # views of at most N_TRAIN + d features, so each view's basis in train is a
 # full rotation of its feature space
@@ -156,3 +161,19 @@ def test_weak_coupling_tends_to_the_uncoupled_fit(seed):
     # metric is weighted by its a_v^r
     for a, b, ma, mb in zip(weak.view_weights, uncoupled.view_weights, _metrics(weak), _metrics(uncoupled)):
         assert np.linalg.norm(a**r * ma - b**r * mb) <= UNCOUPLED_BOUND
+
+
+@pytest.mark.parametrize("eta", [1.0, np.inf])
+@pytest.mark.parametrize("seed", range(3))
+def test_training_ignores_a_unit_shared_by_all_features(seed, eta):
+    ds = generate_synthetic(3, 10, [6, 8, 5], noise_views={3}, seed=seed)
+    sp = split(ds, 15, seed=seed)
+    cons = build_constraints(ds.labels[sp.train_indices])
+    hyper = Hyperparams(embed_dim=3, coupling_eta=eta)
+    model = train(ds, sp, cons, hyper)
+    for k in (-20, -10, -4, 4, 10):
+        scaled = MultiviewDataset(tuple(ViewMatrix(v.view_id, v.data * 2.0**k) for v in ds.views), ds.labels)
+        moved = train(scaled, sp, cons, hyper)
+        for a, b in zip(_metrics(model), _metrics(moved)):
+            assert np.linalg.norm(a - b) <= UNIT_BOUND, k
+        np.testing.assert_allclose(moved.view_weights, model.view_weights, rtol=0.0, atol=UNIT_BOUND)

@@ -1,5 +1,8 @@
 import argparse
 import ast
+import builtins
+import importlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -41,9 +44,8 @@ def test_test_only_helpers_are_not_exported():
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-# flags README may name that no mvmetric subcommand defines: pip's, and
-# removed ones that README records as gone
-README_ONLY_FLAGS = {"--no-build-isolation", "--distance-weights", "--max-pairs-per-set"}
+# flags README may name that no mvmetric subcommand defines: pip's
+README_ONLY_FLAGS = {"--no-build-isolation"}
 
 
 def test_readme_library_example_runs(capsys):
@@ -73,6 +75,55 @@ def test_readme_names_every_flag_and_no_other():
     for command, defined in flags.items():
         assert defined - named == set(), f"README does not name these {command} flags"
     assert named - set().union(*flags.values()) == README_ONLY_FLAGS
+
+
+MODULES = [mvmetric, *(importlib.import_module(f"mvmetric.{m.name}") for m in pkgutil.iter_modules(mvmetric.__path__))]
+# the objective's notation in README formulas, not Python names
+FORMULA = {"tr", "sqrt", "Phi"}
+
+
+def _readme_names(text):
+    """Names README's inline code spans call, or spell dotted from ``mvmetric`` or an exported name.
+
+    Fenced blocks are left out (the library example runs on its own), and so
+    are calls of Python builtins, of ``np.`` names and of ``FORMULA``.
+    """
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
+    names = set()
+    for span in re.findall(r"`([^`]+)`", prose):
+        if not (lead := re.match(r"[A-Za-z_]\w*(?:\.\w+)*", span)):
+            continue
+        name = lead.group()
+        head = name.split(".")[0]
+        if span[lead.end():].startswith("("):
+            if head not in dir(builtins) and head != "np" and name not in FORMULA:
+                names.add(name)
+        elif "." in name and (head == "mvmetric" or head in mvmetric.__all__):
+            names.add(name)
+    return names
+
+
+def _resolves(name):
+    """Whether ``name`` is an attribute path from ``mvmetric`` or from a name one of its modules holds."""
+    head, *rest = name.split(".")
+    found = [mvmetric] if head == "mvmetric" else [vars(m)[head] for m in MODULES if head in vars(m)]
+    for attr in rest:
+        found = [getattr(obj, attr) for obj in found if hasattr(obj, attr)]
+    return bool(found)
+
+
+def test_readme_names_resolve_in_the_package():
+    sample = (
+        "`split(ds, 8)`, `mvmetric.solver.compute_scatter`, `Hyperparams.resolved`, `tr(W^T Z W)`,\n"
+        "`max(g, 0)`, `np.frombuffer(b)`, `labels`, `mvmetric train`, `doc.get(key)`\n"
+        "```\nmissing_name(1)\n```\n"
+    )
+    assert _readme_names(sample) == {"split", "mvmetric.solver.compute_scatter", "Hyperparams.resolved", "doc.get"}
+    # a stage named in the wrong module is the drift this catches
+    assert not _resolves("mvmetric.solver.compute_scatter") and _resolves("mvmetric.scatter.compute_scatter")
+    names = _readme_names(README.read_text())
+    assert {"MultiviewMetricModel.project", "mvmetric.metric.TRIANGLE_SLACK", "build_constraints"} <= names
+    assert sorted(name for name in names if not _resolves(name)) == []
 
 
 def _unused_imports(path):

@@ -246,9 +246,10 @@ def test_orthonormality_invariant_on_random_instances():
 
 
 def _reference_orthonormal_polar(block):
-    """The polar projection as first written, kept to pin the solver's bits."""
+    """The polar projection as first written, its rank cutoff made relative,
+    kept to pin the solver's bits."""
     U, s, Vh = np.linalg.svd(block, full_matrices=False)
-    cutoff = 1e-10 * max(1.0, float(s[0]) if s.size else 0.0)
+    cutoff = 1e-10 * (float(s[0]) if s.size else 0.0)
     deficient = s <= cutoff
     padded = bool(deficient.any())
     if padded:
@@ -257,7 +258,8 @@ def _reference_orthonormal_polar(block):
 
 
 def _reference_refine_blocks(Z, dims, blocks, max_sweeps=30, inner_iters=50):
-    """The refine sweeps as first written, kept to pin the solver's bits."""
+    """The refine sweeps as first written, their stop made relative, kept to
+    pin the solver's bits."""
     offsets = _block_offsets(dims)
     m = len(dims)
     diag = [Z[offsets[v]:offsets[v + 1], offsets[v]:offsets[v + 1]] for v in range(m)]
@@ -283,7 +285,7 @@ def _reference_refine_blocks(Z, dims, blocks, max_sweeps=30, inner_iters=50):
                 current = updated
             blocks[v] = current
         new_obj = stacked_objective(Z, blocks)
-        if new_obj - obj <= 1e-12 * (1.0 + abs(obj)):
+        if new_obj - obj <= 1e-12 * abs(obj):
             obj = new_obj
             break
         obj = new_obj
@@ -297,6 +299,8 @@ def _refine_cases():
         d = int(rng.integers(1, min(dims) + 1))
         base = rng.standard_normal((sum(dims), sum(dims)))
         yield (base + base.T) / 2.0, dims, d, False
+    # far below unit scale: the rank cutoff and the sweep stop scale with Z
+    yield (base + base.T) * 2.0**-40, dims, d, False
     yield np.zeros((7, 7)), [3, 4], 2, True
     # view 1 is uncoupled and its margin is -u u^T: the shifted block has rank
     # 2, so with d = 3 every step of that view pads a column
@@ -385,9 +389,12 @@ def test_gains_match_finite_difference_gradient():
 
 
 def test_uniform_gains_give_exactly_uniform_weights():
+    # all-zero gains (Z = 0, as from all-zero views) and gains all below the
+    # floor relative to the largest |g_v| clamp to one value too
     for m in (1, 2, 3, 5, 9):
-        weights = update_view_weights(np.full(m, 4.2), 2.0)
-        assert np.all(weights == 1.0 / m)
+        for gains in (np.full(m, 4.2), np.zeros(m), np.full(m, -4.2), -np.arange(1.0, m + 1.0)):
+            weights = update_view_weights(gains, 2.0)
+            assert np.all(weights == 1.0 / m)
 
 
 def test_weights_reward_gain():
