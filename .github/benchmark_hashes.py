@@ -1,0 +1,61 @@
+"""Compare the benchmark gate's artifact hashes with the committed ones.
+
+    export OPENBLAS_NUM_THREADS=1 OPENBLAS_CORETYPE=Haswell
+    python3 perfbench/run.py --seconds 0 --seed 1
+    python3 perfbench/run.py --seconds 0 --seed 3
+    python3 .github/benchmark_hashes.py            # compare; exits 1 on a difference
+    python3 .github/benchmark_hashes.py --write    # record them after a deliberate change
+
+Run from the repository root.  The model and report SHA-256 hold for one
+numpy build, BLAS, BLAS thread count and core type: the file records them as
+``provenance``, and a difference prints the run's own provenance beside it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from pathlib import Path
+
+HASHES = Path(__file__).with_name("benchmark-hashes.json")
+OUT = Path("perfbench/out")
+SEEDS = (1, 3)
+WORKLOADS = ("score-shifted", "wide-views")
+PINNED_ENV = ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")
+
+
+def collect() -> dict:
+    """Provenance and artifact hashes of the last untraced gate runs in ``OUT``."""
+    artifacts = {}
+    for seed in SEEDS:
+        for name in WORKLOADS:
+            result = json.loads((OUT / f"{name}-seed{seed}-trace0.json").read_text())
+            artifacts[f"{name} seed {seed}"] = [json.loads(a) for a in result["artifacts"]]
+    provenance = {key: result["provenance"][key] for key in ("numpy", "blas", "blas_threads")}
+    provenance.update({key: os.environ.get(key) for key in PINNED_ENV})
+    return {"command": "python3 perfbench/run.py --seconds 0 --seed <seed>",
+            "provenance": provenance, "artifacts": artifacts}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--write", action="store_true", help="record the hashes instead of comparing")
+    args = parser.parse_args(argv)
+    got = collect()
+    if args.write:
+        HASHES.write_text(json.dumps(got, indent=2) + "\n")
+        return 0
+    want = json.loads(HASHES.read_text())
+    differ = [key for key in want["artifacts"] if got["artifacts"].get(key) != want["artifacts"][key]]
+    for key in differ:
+        print(f"error: {key}: artifact hashes differ from {HASHES.name}", file=sys.stderr)
+    if differ:
+        print(f"committed provenance {json.dumps(want['provenance'])}", file=sys.stderr)
+        print(f"this run's provenance {json.dumps(got['provenance'])}", file=sys.stderr)
+    return int(bool(differ))
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
