@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -103,10 +102,7 @@ def cmd_train(cfg: dict) -> int:
     model = train(dataset, sp, build_constraints(dataset.labels[sp.train_indices]), hyper)
     model.save(cfg["out"], config=cfg)
     weights = ", ".join(f"{w:.6f}" for w in model.view_weights)
-    if model.hyper.coupling_eta == math.inf:
-        stopped = "uncoupled fit solved in one iteration"
-    else:
-        stopped = "converged below tol" if model.stop_reason == "tol" else "stopped at max_iters"
+    stopped = "converged below tol" if model.stop_reason == "tol" else "stopped at max_iters"
     print(
         f"trained {model.num_views} views in {len(model.trace)} iterations ({stopped}); "
         f"view weights: [{weights}]",
@@ -193,8 +189,8 @@ def _add_common_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=float, default=Hyperparams.weight_exponent,
                    help="view weight exponent, finite and > 1 (default: %(default)s)")
     p.add_argument("--eta", type=float, default=Hyperparams.coupling_eta,
-                   help="cross-view coupling divisor, must be > 0; inf disables the coupling; "
-                   "such a fit ends after one iteration (default: %(default)s)")
+                   help="cross-view coupling divisor, must be > 0; inf disables the coupling "
+                   "and solves each view exactly (default: %(default)s)")
     p.add_argument("--max-iters", dest="max_iters", type=int, default=Hyperparams.max_iters,
                    help="maximum alternating iterations (default: %(default)s)")
     p.add_argument("--tol", type=float, default=Hyperparams.tol,

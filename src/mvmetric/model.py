@@ -54,7 +54,7 @@ class Hyperparams:
     coupling_eta
         Divisor of the cross-view coupling term (coefficient 1/(2*eta));
         larger values weaken the coupling, ``inf`` disables the coupling;
-        such a fit ends after one iteration.
+        such a fit solves each view exactly by its top eigenvectors.
     standardize
         Centre and scale each view's features by the mean and standard
         deviation of its training columns before fitting; the model keeps

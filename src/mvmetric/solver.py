@@ -20,14 +20,17 @@ orthonormality: take the top eigenvectors of Z, restore per-view
 orthonormality by polar projection, then run deterministic block-coordinate
 ascent sweeps that never decrease the objective.  It does not always reach
 the maximum, so neither the logged objective nor Phi below need increase.
+With eta = inf, Z is block-diagonal and the W-step is exact instead: each
+view's top eigenvectors of its margin block B_v - S_v (Ky Fan, per view).
 The weight step is exact: with b = a^r it sets b proportional to
 g^(r/(r-1)), which maximises sum_v b_v g_v over b >= 0 with ||b||_p = 1,
 p = (2r-1)/r, for nonnegative gains (one below 1e-8 of the largest |g_v|
 is clamped there first); Z depends only on b's direction.  So the
 alternation is block-coordinate ascent of sum_v b_v g_v(W), whose maximum
 over b is Phi(W) = ||max(g(W), 0)||_q, q = (2r-1)/(r-1).  Every threshold
-(polar rank cutoff, sweep stop, gain clamp) is relative, so scaling all
-features by one c, which scales K by c^2, leaves the fit as it is.
+(polar rank cutoff, gain clamp) is relative, and the MM step stop measures
+orthonormal blocks, so scaling all features by one c, which scales K by c^2,
+leaves the fit as it is.
 
 Only ``train`` and ``TrainingError`` are exported; the stages it runs take
 arguments it has already checked, and do not check them again.
@@ -45,7 +48,7 @@ from .model import Hyperparams, MultiviewMetricModel
 from .scatter import _block_offsets, coupling_matrix
 
 GAIN_CLAMP_FLOOR = 1e-8
-REFINE_SWEEPS = 30  # block-coordinate sweeps per W-step at most
+REFINE_SWEEPS = 30  # block-coordinate sweeps per W-step
 MM_STEPS = 50  # majorize-maximize steps per block and sweep at most
 
 
@@ -125,30 +128,24 @@ def _orthonormal_polar(block: np.ndarray):
     return U @ Vh, padded
 
 
-def stacked_objective(Z: np.ndarray, blocks) -> float:
-    """tr(W.T Z W) for the row-stacked per-view blocks."""
-    W = np.vstack(blocks)
-    return float(np.sum((Z @ W) * W))
-
-
 def _refine_blocks(Z, dims, blocks):
     """Block-coordinate ascent on tr(W.T Z W) with per-view orthonormality.
 
     Each block update is a monotone majorize-maximize step: with the diagonal
     block shifted to be PSD, W <- polar(H W + B) never decreases the
-    objective, so the sweep output is at least as good as its input.
+    objective, so the sweep output is at least as good as its input.  Each
+    of the ``REFINE_SWEEPS`` sweeps steps every block until a step moves it
+    by at most 1e-12, or ``MM_STEPS`` times.
 
-    Returns the refined blocks, the number of sweeps run and the number of
-    polar SVDs made.
+    Returns the refined blocks and the number of polar SVDs made.
     """
     offsets = _block_offsets(dims)
     m = len(dims)
     diag = [Z[offsets[v]:offsets[v + 1], offsets[v]:offsets[v + 1]] for v in range(m)]
     shifted = [a + max(0.0, -float(np.linalg.eigvalsh(a).min())) * np.eye(len(a)) for a in diag]
     blocks = [b.copy() for b in blocks]
-    obj = stacked_objective(Z, blocks)
-    sweeps = svds = 0
-    for sweeps in range(1, REFINE_SWEEPS + 1):
+    svds = 0
+    for _ in range(REFINE_SWEEPS):
         for v in range(m):
             lo, hi = offsets[v], offsets[v + 1]
             coupling = np.zeros_like(blocks[v])
@@ -165,19 +162,16 @@ def _refine_blocks(Z, dims, blocks):
                 if math.sqrt(step.dot(step)) <= 1e-12:
                     break
             blocks[v] = current
-        obj, previous = stacked_objective(Z, blocks), obj
-        if obj - previous <= 1e-12 * abs(previous):
-            break
-    return blocks, sweeps, svds
+    return blocks, svds
 
 
 def _update_projections(Z, dims, d):
     """W-step: each view's slice of the top-d eigenvectors of Z, projected to
     its nearest column-orthonormal matrix (rank-deficient slices are padded
     deterministically), then improved by monotone block-coordinate sweeps.
-    Returns the blocks, the padded views (1-based), the refine sweeps run and
-    the polar SVDs made (one per view, then the sweeps').  Z must be exactly
-    symmetric and d <= min(dims), as ``train`` ensures."""
+    Returns the blocks, the padded views (1-based) and the polar SVDs made
+    (one per view, then the sweeps').  Z must be exactly symmetric and
+    d <= min(dims), as ``train`` ensures."""
     _, vecs = top_eigenpairs(Z, d)
     offsets = _block_offsets(dims)
     blocks, padded = [], []
@@ -186,8 +180,8 @@ def _update_projections(Z, dims, d):
         blocks.append(w)
         if was_padded:
             padded.append(v + 1)
-    blocks, sweeps, svds = _refine_blocks(Z, dims, blocks)
-    return blocks, padded, sweeps, len(dims) + svds
+    blocks, svds = _refine_blocks(Z, dims, blocks)
+    return blocks, padded, len(dims) + svds
 
 
 def compute_view_gains(projections, K: np.ndarray, hyper: Hyperparams) -> np.ndarray:
@@ -238,15 +232,22 @@ def update_view_weights(gains, weight_exponent: float) -> np.ndarray:
 def _alternate(K: np.ndarray, dims, hyper: Hyperparams):
     """``train``'s alternation on the coupling matrix K; returns the blocks,
     weights, trace and stop reason.  ``hyper`` must be resolved.  With
-    ``coupling_eta`` inf, Z is block-diagonal, so the W-step's maximiser does
-    not depend on the weights: one W-step and the exact weight step solve the problem."""
-    r = hyper.weight_exponent
+    ``coupling_eta`` inf, Z is block-diagonal, so the W-step's maximiser is
+    each view's top eigenvectors of its diagonal block of K, whatever the
+    weights: the second iteration repeats the first, and ``tol`` ends the fit."""
+    r, d = hyper.weight_exponent, hyper.embed_dim
+    offsets = _block_offsets(dims)
     weights = np.full(len(dims), 1.0 / len(dims))
     blocks, trace = None, []
     for iteration in range(1, hyper.max_iters + 1):
         previous = blocks
-        Z = assemble_block_matrix(K, dims, weights, hyper)
-        blocks, padded, sweeps, svds = _update_projections(Z, dims, hyper.embed_dim)
+        if hyper.coupling_eta == math.inf:
+            blocks = [top_eigenpairs(K[lo:hi, lo:hi], d)[1] for lo, hi in zip(offsets, offsets[1:])]
+            padded, sweeps, svds = [], 0, 0
+        else:
+            Z = assemble_block_matrix(K, dims, weights, hyper)
+            blocks, padded, svds = _update_projections(Z, dims, d)
+            sweeps = REFINE_SWEEPS
         gains = compute_view_gains(blocks, K, hyper)
         objective = float(np.dot(weights**r, gains))
         weights = update_view_weights(gains, r)
@@ -267,7 +268,7 @@ def _alternate(K: np.ndarray, dims, hyper: Hyperparams):
                 "polar_svds": svds,
             }
         )
-        if hyper.coupling_eta == math.inf or (residual is not None and residual < hyper.tol):
+        if residual is not None and residual < hyper.tol:
             return blocks, weights, trace, "tol"
     return blocks, weights, trace, "max_iters"
 
@@ -284,8 +285,8 @@ def train(
     of the per-view metrics ``W_v W_v^T`` (which no rotation of a view's
     columns moves) falls below ``tol``, or after ``max_iters``; the model's
     ``stop_reason`` says which, and its trace records every iteration.
-    ``coupling_eta`` inf disables the coupling; such a fit ends after one
-    iteration.
+    ``coupling_eta`` inf disables the coupling; such a fit solves each view
+    exactly, repeats that solve in its second iteration and stops there.
 
     Every view is solved in ``min(D_v, n_train + d)`` coordinates: an
     orthonormal basis ``Q_v`` (from a thin QR) of its first ``d`` feature

@@ -33,12 +33,11 @@ from mvmetric.solver import (
     _update_projections,
     assemble_block_matrix,
     compute_view_gains,
-    stacked_objective,
     update_view_weights,
 )
 
 from test_scatter import naive_cross, naive_pair_scatter
-from test_solver import objective_oracle, random_instance, random_orthonormal_blocks
+from test_solver import objective_oracle, random_instance, random_orthonormal_blocks, stacked_objective
 
 
 def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:

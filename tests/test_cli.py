@@ -148,15 +148,15 @@ def test_train_reports_hitting_max_iters(dataset_dir, tmp_path, capsys):
     assert json.loads(model_path.read_text())["stop_reason"] == "max_iters"
 
 
-def test_train_reports_an_uncoupled_fit_as_solved_in_one_iteration(dataset_dir, tmp_path, capsys):
+def test_train_reports_an_uncoupled_fit_as_converged_in_two_iterations(dataset_dir, tmp_path, capsys):
+    # the exact per-view solve repeats itself in the second iteration
     model_path = tmp_path / "model.json"
     argv = ["train", "--manifest", str(dataset_dir / "manifest.json"), "--train-count", "12",
             "--seed", "7", "--d", "2", "--eta", "inf", "--out", str(model_path)]
     assert run_cli(argv) == 0
-    err = capsys.readouterr().err
-    assert "in 1 iterations (uncoupled fit solved in one iteration)" in err
-    assert "converged below tol" not in err
-    assert json.loads(model_path.read_text())["stop_reason"] == "tol"
+    assert "in 2 iterations (converged below tol)" in capsys.readouterr().err
+    doc = json.loads(model_path.read_text())
+    assert doc["stop_reason"] == "tol" and [e["residual"] for e in doc["trace"]] == [None, 0.0]
 
 
 def test_train_missing_labels_file(dataset_dir, tmp_path, capsys):

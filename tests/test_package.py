@@ -126,6 +126,65 @@ def test_readme_names_resolve_in_the_package():
     assert sorted(name for name in names if not _resolves(name)) == []
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# the benchmark's files that call the package; tier-1 does not run perfbench's own tests
+BENCHMARK_FILES = ("harness.py", "tracing.py", "clock.py", "oracle.py")
+
+
+def _dotted(node):
+    """``a.b.c`` for a chain of attributes on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def _benchmark_names(tree):
+    """``mvmetric`` names a module's code uses, spelled from ``mvmetric``.
+
+    They are the names it imports from a ``mvmetric`` module, its attribute
+    chains on a name bound by ``import mvmetric...`` (``mv.eval.train``), and
+    the ``mvmetric`` (module, function) pairs of its ``TRACED_FUNCTIONS`` and
+    ``BOUNDARIES``.
+    """
+    aliases, names = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "mvmetric":
+                    # ``import mvmetric.eval`` binds ``mvmetric``, ``import mvmetric.eval as e`` binds ``e``
+                    aliases[a.asname or "mvmetric"] = a.name if a.asname else "mvmetric"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mvmetric":
+            names.update(f"{node.module}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Assign) and _dotted(node.targets[0]) in ("TRACED_FUNCTIONS", "BOUNDARIES"):
+            pairs = ast.literal_eval(node.value)
+            names.update(f"{module}.{name}" for module, name, _ in pairs if module.split(".")[0] == "mvmetric")
+    for node in ast.walk(tree):
+        head, _, rest = (_dotted(node) or "").partition(".")
+        if isinstance(node, ast.Attribute) and head in aliases:
+            names.add(f"{aliases[head]}.{rest}")
+    return names
+
+
+def test_benchmark_names_resolve_in_the_package():
+    sample = (
+        "import mvmetric as mv\nfrom mvmetric.model import SIMPLEX_TOL\n"
+        "mv.solver.stacked_objective(Z, blocks)\n"
+        "BOUNDARIES = (('mvmetric.eval', 'knn_classify', 1), ('numpy.linalg', 'svd', 4))\n"
+    )
+    assert _benchmark_names(ast.parse(sample)) == {
+        "mvmetric.model.SIMPLEX_TOL", "mvmetric.solver", "mvmetric.solver.stacked_objective",
+        "mvmetric.eval.knn_classify",
+    }
+    # a deleted stage the benchmark still calls is the drift this catches
+    assert not _resolves("mvmetric.solver.stacked_objective")
+    names = set().union(*(_benchmark_names(ast.parse((PERFBENCH / f).read_text())) for f in BENCHMARK_FILES))
+    assert {"mvmetric.train", "mvmetric.eval.THREADS_ENV_VAR", "mvmetric.solver.top_eigenpairs",
+            "mvmetric.metric.view_distance", "mvmetric.model.ORTHONORMALITY_TOL"} <= names
+    assert sorted(name for name in names if not _resolves(name)) == []
+
+
 def _unused_imports(path):
     """Names a module imports but never loads; re-exports in ``__all__`` count as used."""
     tree = ast.parse(path.read_text())

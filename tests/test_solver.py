@@ -22,7 +22,6 @@ from mvmetric.solver import (
     _update_projections,
     assemble_block_matrix,
     compute_view_gains,
-    stacked_objective,
     top_eigenpairs,
     update_view_weights,
 )
@@ -66,6 +65,12 @@ def objective_oracle(blocks, weights, margins, crosses, r, eta):
             block = cross_for(crosses, v, w)
             total += (powered[v] + powered[w]) / (2.0 * eta) * np.trace(blocks[v].T @ block @ blocks[w])
     return total
+
+
+def stacked_objective(Z, blocks):
+    """tr(W.T Z W) for the row-stacked per-view blocks."""
+    W = np.vstack(blocks)
+    return float(np.sum((Z @ W) * W))
 
 
 def random_orthonormal_blocks(rng, dims, d):
@@ -258,16 +263,15 @@ def _reference_orthonormal_polar(block):
 
 
 def _reference_refine_blocks(Z, dims, blocks, max_sweeps=30, inner_iters=50):
-    """The refine sweeps as first written, their stop made relative, kept to
-    pin the solver's bits."""
+    """The refine sweeps as first written, without their objective stop, kept
+    to pin the solver's bits."""
     offsets = _block_offsets(dims)
     m = len(dims)
     diag = [Z[offsets[v]:offsets[v + 1], offsets[v]:offsets[v + 1]] for v in range(m)]
     shifts = [max(0.0, -float(np.linalg.eigvalsh(a).min())) for a in diag]
     blocks = [b.copy() for b in blocks]
-    obj = stacked_objective(Z, blocks)
-    sweeps = svds = 0
-    for sweeps in range(1, max_sweeps + 1):
+    svds = 0
+    for _ in range(max_sweeps):
         for v in range(m):
             lo, hi = offsets[v], offsets[v + 1]
             coupling = np.zeros_like(blocks[v])
@@ -284,12 +288,7 @@ def _reference_refine_blocks(Z, dims, blocks, max_sweeps=30, inner_iters=50):
                     break
                 current = updated
             blocks[v] = current
-        new_obj = stacked_objective(Z, blocks)
-        if new_obj - obj <= 1e-12 * abs(obj):
-            obj = new_obj
-            break
-        obj = new_obj
-    return blocks, sweeps, svds
+    return blocks, svds
 
 
 def _refine_cases():
@@ -299,7 +298,7 @@ def _refine_cases():
         d = int(rng.integers(1, min(dims) + 1))
         base = rng.standard_normal((sum(dims), sum(dims)))
         yield (base + base.T) / 2.0, dims, d, False
-    # far below unit scale: the rank cutoff and the sweep stop scale with Z
+    # far below unit scale: the rank cutoff scales with Z
     yield (base + base.T) * 2.0**-40, dims, d, False
     yield np.zeros((7, 7)), [3, 4], 2, True
     # view 1 is uncoupled and its margin is -u u^T: the shifted block has rank
@@ -326,10 +325,10 @@ def test_refine_sweeps_are_bit_identical_to_the_reference_loop(monkeypatch):
         offsets = _block_offsets(dims)
         start = [_reference_orthonormal_polar(vecs[lo:hi])[0] for lo, hi in zip(offsets, offsets[1:])]
         fills.clear()
-        blocks, sweeps, svds = solver._refine_blocks(Z, dims, start)
-        ref_blocks, ref_sweeps, ref_svds = _reference_refine_blocks(Z, dims, start)
+        blocks, svds = solver._refine_blocks(Z, dims, start)
+        ref_blocks, ref_svds = _reference_refine_blocks(Z, dims, start)
         assert all(np.array_equal(b, ref) for b, ref in zip(blocks, ref_blocks))
-        assert (sweeps, svds) == (ref_sweeps, ref_svds)
+        assert svds == ref_svds
         assert bool(fills) == pads
 
 
@@ -631,12 +630,34 @@ def test_wide_views_match_the_full_space_solve(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_uncoupled_wide_views_match_the_full_space_solve_despite_padding(seed):
-    # without coupling every eigenvector slice is rank-padded
+def test_uncoupled_wide_views_match_the_full_space_solve(seed):
+    # without coupling each view is its own eigenproblem: no polar step, so
+    # nothing to pad, and the second iteration repeats the first
     ds = generate_synthetic(3, 12, [70, 40, 9], noise_views={2}, seed=seed)
     model, reference = _fit_both(ds, 24, 100 + seed, 4, np.inf)
-    assert all(e["padded_views"] for e in model.trace)
+    assert all(e["padded_views"] == [] and e["polar_svds"] == 0 for e in model.trace)
+    assert [e["residual"] for e in model.trace] == [None, 0.0]
     _assert_same_fit(model, reference)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("dims", [[70, 40, 9], [6, 11, 9], [30]], ids=["wide", "narrow", "one-view"])
+def test_uncoupled_fit_projects_each_view_on_its_top_margin_eigenvectors(dims, seed):
+    # with eta = inf the objective is one trace per view, which the view's top
+    # d eigenvectors of B_v - S_v maximise (Ky Fan), whatever the weights
+    d = 4
+    ds = generate_synthetic(3, 12, dims, noise_views={2} if len(dims) > 1 else set(), seed=seed)
+    sp = split(ds, 24, seed=seed)
+    cs = build_constraints(ds.labels[sp.train_indices])
+    model = train(ds, sp, cs, Hyperparams(embed_dim=d, coupling_eta=np.inf))
+    assert all(e["padded_views"] == [] and e["polar_svds"] == 0 for e in model.trace)
+    for view, w in zip(ds.views, model.projections):
+        between, within = compute_scatter(ViewMatrix(view.view_id, view.data[:, sp.train_indices]), cs)
+        vals, vecs = np.linalg.eigh(between - within)
+        # a gap below the top d eigenvalues makes their eigenspace unique
+        assert vals[-d] - vals[-d - 1] > 1e-3 * vals[-1]
+        top = vecs[:, -d:]
+        assert np.linalg.norm(w @ w.T - top @ top.T) <= 1e-10
 
 
 def test_narrow_views_match_the_full_space_solve():
@@ -715,7 +736,7 @@ def test_trace_counts_refine_sweeps_and_polar_svds(monkeypatch):
         calls.clear()
         model = train(*fit)
         for entry in model.trace:
-            assert 1 <= entry["refine_sweeps"] <= solver.REFINE_SWEEPS
+            assert entry["refine_sweeps"] == solver.REFINE_SWEEPS
             # one polar projection per view, then at least one per view and sweep
             assert entry["polar_svds"] >= 2 + 2 * entry["refine_sweeps"]
         # a padded step completes the columns of its own SVD and makes no other
