@@ -9,6 +9,8 @@
 Run from the repository root.  The model and report SHA-256 hold for one
 numpy build, BLAS, BLAS thread count and core type: the file records them as
 ``provenance``, and a difference prints the run's own provenance beside it.
+Result files made under different provenance (say, one seed's run at another
+BLAS thread count) exit 1 in both modes, naming each file with its own.
 """
 
 from __future__ import annotations
@@ -26,24 +28,30 @@ WORKLOADS = ("score-shifted", "wide-views")
 PINNED_ENV = ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")
 
 
-def collect() -> dict:
-    """Provenance and artifact hashes of the last untraced gate runs in ``OUT``."""
-    artifacts = {}
+def collect() -> tuple[dict, dict]:
+    """Artifact hashes of the last untraced gate runs in ``OUT``, and each result file's provenance."""
+    artifacts, provenance = {}, {}
     for seed in SEEDS:
         for name in WORKLOADS:
-            result = json.loads((OUT / f"{name}-seed{seed}-trace0.json").read_text())
+            path = OUT / f"{name}-seed{seed}-trace0.json"
+            result = json.loads(path.read_text())
             artifacts[f"{name} seed {seed}"] = [json.loads(a) for a in result["artifacts"]]
-    provenance = {key: result["provenance"][key] for key in ("numpy", "blas", "blas_threads")}
-    provenance.update({key: os.environ.get(key) for key in PINNED_ENV})
-    return {"command": "python3 perfbench/run.py --seconds 0 --seed <seed>",
-            "provenance": provenance, "artifacts": artifacts}
+            provenance[str(path)] = {key: result["provenance"][key] for key in ("numpy", "blas", "blas_threads")}
+    return artifacts, provenance
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true", help="record the hashes instead of comparing")
     args = parser.parse_args(argv)
-    got = collect()
+    artifacts, provenance = collect()
+    if len({json.dumps(p) for p in provenance.values()}) > 1:
+        print("error: the result files were made under different provenance:", file=sys.stderr)
+        for path, p in provenance.items():
+            print(f"  {path} {json.dumps(p)}", file=sys.stderr)
+        return 1
+    run = {**next(iter(provenance.values())), **{key: os.environ.get(key) for key in PINNED_ENV}}
+    got = {"command": "python3 perfbench/run.py --seconds 0 --seed <seed>", "provenance": run, "artifacts": artifacts}
     if args.write:
         HASHES.write_text(json.dumps(got, indent=2) + "\n")
         return 0

@@ -130,18 +130,37 @@ class MultiviewDataset:
         return [v.data[:, index] for v in self.views]
 
 
+def _sample_indices(name: str, values) -> np.ndarray:
+    """Nonempty, distinct, non-negative sample indices as a read-only 1-D int array.
+
+    An integer dtype is required: a float or bool array would be truncated or
+    read as a mask, so it is a ``TypeError``.
+    """
+    values = np.asarray(values)
+    if values.size == 0:
+        raise ValueError(f"{name} must be nonempty")
+    if values.dtype.kind not in "iu":
+        raise TypeError(f"{name} must be integers, got dtype {values.dtype}")
+    if values.ndim != 1:
+        raise ValueError(f"{name}: expected a 1-D array, got shape {values.shape}")
+    indices = _frozen_array(values, dtype=int)
+    if indices.min() < 0:
+        raise ValueError(f"{name} must be >= 0, got {indices.min()}")
+    if np.unique(indices).size != indices.size:
+        raise ValueError(f"{name} must be distinct")
+    return indices
+
+
 @dataclass(frozen=True)
 class SplitSpec:
-    """Disjoint, nonempty train/test sample indices."""
+    """Disjoint train/test sample indices: nonempty 1-D integer arrays of distinct indices >= 0."""
 
     train_indices: np.ndarray
     test_indices: np.ndarray
 
     def __post_init__(self):
-        train = _frozen_array(self.train_indices, dtype=int)
-        test = _frozen_array(self.test_indices, dtype=int)
-        if train.size == 0 or test.size == 0:
-            raise ValueError("train and test sets must both be nonempty")
+        train = _sample_indices("train_indices", self.train_indices)
+        test = _sample_indices("test_indices", self.test_indices)
         if np.intersect1d(train, test).size:
             raise ValueError("train and test indices overlap")
         object.__setattr__(self, "train_indices", train)

@@ -87,9 +87,12 @@ def _squared_distances(train_points, test_points, weights) -> np.ndarray:
     columns (projected by ``W_v``, or raw for the Euclidean baseline).  Entry
     (i, j) is ``sum_v weights[v] * ||test_v[:, i] - train_v[:, j]||^2``: each
     view's squared differences are summed over its features in order, then
-    the weighted views in order, starting from 0.0.  The one copy of the
-    distance arithmetic; it works in three ``n_test x n_train`` arrays.  A
-    distance beyond float64 raises ``ValueError``.
+    the weighted views in order, starting from 0.0.  ``knn_classify``,
+    ``run_benchmark``, ``view_distance`` and ``multiview_distance`` score
+    through it; it works in three ``n_test x n_train`` arrays.  The axiom
+    check keeps its own feature-major copy, ``_column_distances``: a shared
+    per-row loop gave the same reports but a slower check.  A distance
+    beyond float64 raises ``ValueError``.
     """
     total = np.zeros((test_points[0].shape[1], train_points[0].shape[1]))
     view = np.empty_like(total)

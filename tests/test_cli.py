@@ -95,6 +95,11 @@ def test_generate_malformed_dims(tmp_path, capsys):
     assert loaded.view_dims == [4]
     assert np.array_equal(loaded.views[0].data, expected.views[0].data)
     assert np.array_equal(loaded.labels, expected.labels)
+    # and trains and checks
+    manifest, model = str(tmp_path / "d" / "manifest.json"), str(tmp_path / "model.json")
+    assert run_cli(["train", "--manifest", manifest, "--train-count", "6", "--d", "2", "--out", model]) == 0
+    assert run_cli(["check", "--model", model, "--manifest", manifest, "--out", str(tmp_path / "axioms.json")]) == 0
+    assert [v["rank"] for v in json.loads((tmp_path / "axioms.json").read_text())["views"]] == [2]
 
 
 def test_generate_names_a_non_finite_separation(tmp_path, capsys):
@@ -412,7 +417,15 @@ def test_eval_report_and_repeatability(dataset_dir, tmp_path, capsys):
     assert doc["format_version"] == "1"
     assert len(doc["per_trial_accuracy"]) == 3
     assert "baseline_mean" in doc
-    assert (tmp_path / "report.csv").read_text().splitlines()[1] == "trial,accuracy,baseline_accuracy"
+    # the CSV summary holds the report's own numbers
+    rows = [line.split(",") for line in (tmp_path / "report.csv").read_text().splitlines()[1:]]
+    per_trial = zip(doc["per_trial_accuracy"], doc["baseline_per_trial"])
+    assert rows == [
+        ["trial", "accuracy", "baseline_accuracy"],
+        *([str(t), repr(a), repr(b)] for t, (a, b) in enumerate(per_trial)),
+        ["mean", repr(doc["mean_accuracy"]), repr(doc["baseline_mean"])],
+        ["max", repr(doc["max_accuracy"]), repr(doc["baseline_max"])],
+    ]
     capsys.readouterr()
     assert run_cli(argv) == 0
     assert report_path.read_bytes() == first
@@ -462,7 +475,7 @@ def test_check_reports_pseudometric_caveat(dataset_dir, tmp_path):
             "--manifest",
             str(dataset_dir / "manifest.json"),
             "--trials",
-            "200",
+            "10000",
             "--out",
             str(report_path),
         ]
@@ -472,6 +485,7 @@ def test_check_reports_pseudometric_caveat(dataset_dir, tmp_path):
     assert doc["violations"] == 0
     assert [v["distinguishable"] for v in doc["views"]] == [False, False]
     assert all(v["rank"] == 2 for v in doc["views"])
+    assert [v["triangle_slack"] for v in doc["views"]] == [1e-9, 1e-9]
 
 
 def test_check_prints_to_stdout_without_out(dataset_dir, tmp_path, capsys):
@@ -526,6 +540,14 @@ def test_check_rejects_corrupted_model(dataset_dir, tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    # a format "1" model, whose arrays were nested lists
+    manifest, model, out = str(dataset_dir / "manifest.json"), tmp_path / "model.json", tmp_path / "axioms.json"
+    assert run_cli(["train", "--manifest", manifest, "--train-count", "12", "--d", "2", "--out", str(model)]) == 0
+    model.write_text(json.dumps({**json.loads(model.read_text()), "format_version": "1"}))
+    capsys.readouterr()
+    assert run_cli(["check", "--model", str(model), "--manifest", manifest, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: model document: format_version '1' is not the supported '2'\n"
+    assert not out.exists()
 
 
 def test_missing_required_options(capsys):
@@ -587,8 +609,9 @@ def test_standardized_model_checks_on_raw_data_without_a_flag(dataset_dir, tmp_p
     assert run_cli(["train", *fit, "--out", str(model_path)]) == 0
     assert len(json.loads(model_path.read_text())["scales"]) == 2
     assert run_cli(["eval", *fit, "--trials", "2", "--out", str(report_path)]) == 0
-    config = json.loads(report_path.read_text())["config"]
-    assert config["standardize"] is config["cli"]["standardize"] is True
+    report = json.loads(report_path.read_text())
+    assert report["config"]["standardize"] is report["config"]["cli"]["standardize"] is True
+    assert "baseline_mean" not in report  # no --baseline
     check = ["check", "--model", str(model_path), "--manifest", manifest, "--trials", "100"]
     capsys.readouterr()
     assert run_cli(check) == 0

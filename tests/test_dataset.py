@@ -8,6 +8,7 @@ import mvmetric.dataset
 from mvmetric import (
     Hyperparams,
     MultiviewDataset,
+    SplitSpec,
     ViewMatrix,
     build_constraints,
     generate_synthetic,
@@ -114,13 +115,13 @@ def test_load_dataset_label_count_mismatch(tmp_path):
 
 
 def test_roundtrip_is_bit_exact(tmp_path):
-    ds = generate_synthetic(3, 4, [3, 5], seed=7)
-    manifest = write_dataset(ds, tmp_path / "data")
-    reloaded = load_manifest(manifest)
-    assert reloaded.m == ds.m
-    for a, b in zip(ds.views, reloaded.views):
-        assert np.array_equal(a.data, b.data)
-    assert np.array_equal(ds.labels, reloaded.labels)
+    # a 1500-feature view file is one 1500-field CSV row per sample
+    for i, ds in enumerate([generate_synthetic(3, 4, [3, 5], seed=7), generate_synthetic(3, 10, [4, 1500], seed=2)]):
+        reloaded = load_manifest(write_dataset(ds, tmp_path / f"data{i}"))
+        assert reloaded.view_dims == ds.view_dims
+        for a, b in zip(ds.views, reloaded.views):
+            assert np.array_equal(_bits(a.data), _bits(b.data))
+        assert np.array_equal(ds.labels, reloaded.labels)
 
 
 def _bits(a):
@@ -287,6 +288,25 @@ def test_split_checks_its_count_and_seed_by_name():
     # numpy integers draw the split their plain int values draw
     sp = split(ds, np.int64(12), np.uint32(4))
     assert np.array_equal(sp.train_indices, split(ds, 12, 4).train_indices)
+
+
+@pytest.mark.parametrize(
+    "train_indices, test_indices, error, message",
+    [
+        ([0.5, 1.7, 2.2], [3], TypeError, "train_indices must be integers, got dtype float64"),
+        ([0, 1], np.array([2.0, 3.0]), TypeError, "test_indices must be integers, got dtype float64"),
+        ([2, 3], [True, False], TypeError, "test_indices must be integers, got dtype bool"),
+        (np.arange(6).reshape(2, 3), [7], ValueError, r"train_indices: expected a 1-D array, got shape \(2, 3\)"),
+        # on 12 samples, -1 would train on sample 11, a test sample
+        ([-1, 0, 1, 2, 6, 7], [11, 3], ValueError, "train_indices must be >= 0, got -1"),
+        ([0, 1], [-2, 3], ValueError, "test_indices must be >= 0, got -2"),
+        ([0, 1, 1, 2], [3], ValueError, "train_indices must be distinct"),
+        ([0, 1], [3, 3], ValueError, "test_indices must be distinct"),
+    ],
+)
+def test_split_spec_takes_distinct_non_negative_integer_indices(train_indices, test_indices, error, message):
+    with pytest.raises(error, match=message):
+        SplitSpec(train_indices, test_indices)
 
 
 def test_split_retries_until_two_classes():

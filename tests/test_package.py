@@ -2,14 +2,17 @@ import argparse
 import ast
 import builtins
 import importlib
+import importlib.util
+import json
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import mvmetric
-from mvmetric.cli import build_parser
+from mvmetric.cli import build_parser, main
 
 REMOVED = (
     "euclidean_multiview_distance",
@@ -55,6 +58,18 @@ def test_readme_library_example_runs(capsys):
     exec(compile(blocks[0], "README.md", "exec"), {})
     weights, accuracies = capsys.readouterr().out.splitlines()
     assert weights.startswith("[") and len(accuracies.split()) == 2
+
+
+def test_readme_command_line_runs(tmp_path, monkeypatch):
+    # CI runs the same block through the installed console script
+    block = re.search(r"^## Command line\n+```bash\n(.*?)^```", README.read_text(), flags=re.S | re.M).group(1)
+    commands = [shlex.split(line) for line in block.replace("\\\n", "").splitlines() if line.startswith("mvmetric ")]
+    assert [argv[1] for argv in commands] == ["generate", "train", "eval", "check"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+        written = [argv[i + 1] for i, flag in enumerate(argv) if flag in ("--out", "--csv")]
+        assert written and all(Path(path).exists() for path in written), argv
 
 
 def _subcommand_flags():
@@ -183,6 +198,36 @@ def test_benchmark_names_resolve_in_the_package():
     assert {"mvmetric.train", "mvmetric.eval.THREADS_ENV_VAR", "mvmetric.solver.top_eigenpairs",
             "mvmetric.metric.view_distance", "mvmetric.model.ORTHONORMALITY_TOL"} <= names
     assert sorted(name for name in names if not _resolves(name)) == []
+
+
+BENCHMARK_HASHES = PERFBENCH.parent / ".github" / "benchmark_hashes.py"
+
+
+def test_benchmark_hashes_read_each_result_file_s_provenance(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("benchmark_hashes", BENCHMARK_HASHES)
+    hashes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(hashes)
+    monkeypatch.setattr(hashes, "OUT", tmp_path)
+    monkeypatch.setattr(hashes, "HASHES", tmp_path / "hashes.json")
+    monkeypatch.setattr(hashes, "SEEDS", (1,))  # one result file per workload
+    files = [tmp_path / f"{name}-seed1-trace0.json" for name in hashes.WORKLOADS]
+
+    def write_results(*threads):
+        for path, count in zip(files, threads):
+            provenance = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0", "blas_threads": count}
+            path.write_text(json.dumps({"provenance": provenance, "artifacts": [json.dumps({"name": path.name})]}))
+
+    # the last file read must not speak for the others, when comparing or when writing
+    write_results(2, 1)
+    for argv in ([], ["--write"]):
+        assert hashes.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "different provenance" in err and all(f"{path} " in err for path in files)
+    assert not (tmp_path / "hashes.json").exists()
+    write_results(1, 1)
+    assert hashes.main(["--write"]) == 0
+    assert json.loads((tmp_path / "hashes.json").read_text())["provenance"]["blas_threads"] == 1
+    assert hashes.main([]) == 0
 
 
 def _unused_imports(path):
