@@ -20,6 +20,11 @@ orthonormality: take the top eigenvectors of Z, restore per-view
 orthonormality by polar projection, then run deterministic block-coordinate
 ascent sweeps that never decrease the objective.  It does not always reach
 the maximum, so neither the logged objective nor Phi below need increase.
+A sweep step takes a block's polar factor from the ``eigh`` of its d x d
+Gram matrix when the previous step found the block's condition number
+below 10 (``GRAM_FLOOR``) and this one confirms it, with an error of about
+kappa^2 * eps <= 1e-14, under the step stop of 1e-12; every other polar
+step, and every one that pads, takes a thin SVD.
 With eta = inf, Z is block-diagonal and the W-step is exact instead: each
 view's top eigenvectors of its margin block B_v - S_v (Ky Fan, per view).
 The weight step is exact: with b = a^r it sets b proportional to
@@ -48,6 +53,7 @@ from .model import Hyperparams, MultiviewMetricModel
 from .scatter import _block_offsets, coupling_matrix
 
 GAIN_CLAMP_FLOOR = 1e-8
+GRAM_FLOOR = 1e-2  # polar factor from the Gram matrix when lam_min > this * lam_max
 REFINE_SWEEPS = 30  # block-coordinate sweeps per W-step
 MM_STEPS = 50  # majorize-maximize steps per block and sweep at most
 
@@ -113,19 +119,40 @@ def _fill_deficient_columns(U: np.ndarray, deficient: np.ndarray) -> np.ndarray:
     return U
 
 
-def _orthonormal_polar(block: np.ndarray):
+def _orthonormal_polar(block: np.ndarray, scale: float | None = None):
     """Closest column-orthonormal matrix in Frobenius norm, with rank padding.
 
-    Returns (W, padded); ``padded`` flags that the block had rank below its
-    column count and deficient directions were completed deterministically.
+    Returns (W, padded, scale); ``padded`` flags that the block had rank
+    below its column count and deficient directions were completed
+    deterministically.  The returned ``scale`` picks the route of the
+    block's next step: None for the thin SVD, else the Gram route, with a
+    power of two that brings this block's largest singular value to
+    [1/2, 1).
+
+    Given a ``scale``, the factor is B V diag(lam^(-1/2)) V.T, with B the
+    block times ``scale`` and (lam, V) the ``eigh`` of the d x d B.T B,
+    when lam_min > ``GRAM_FLOOR`` * lam_max, i.e. the block's condition
+    number kappa is below 10.  The Gram route's error, about
+    kappa^2 * eps <= 1e-14, then stays under the MM step stop of 1e-12;
+    the power of two changes no rounding and keeps B.T B near 1, far from
+    overflow.  A block that fails the test is decomposed by the SVD, so
+    every padded block comes from the SVD.
     """
+    if scale is not None:
+        scaled = block * scale
+        lam, V = np.linalg.eigh(scaled.T @ scaled)
+        top = float(lam[-1])
+        if float(lam[0]) > GRAM_FLOOR * top:
+            next_scale = math.ldexp(scale, -math.frexp(math.sqrt(top))[1])
+            return scaled @ ((V / np.sqrt(lam)) @ V.T), False, next_scale
     U, s, Vh = np.linalg.svd(block, full_matrices=False)
-    cutoff = 1e-10 * float(s[0])
     # singular values come in descending order, so the last is the smallest
-    padded = bool(s[-1] <= cutoff)
-    if padded:
-        U = _fill_deficient_columns(U, s <= cutoff)
-    return U @ Vh, padded
+    top, low = float(s[0]), float(s[-1])
+    cutoff = 1e-10 * top
+    if low <= cutoff:
+        return _fill_deficient_columns(U, s <= cutoff) @ Vh, True, None
+    next_scale = math.ldexp(1.0, -math.frexp(top)[1]) if (low / top) ** 2 > GRAM_FLOOR else None
+    return U @ Vh, False, next_scale
 
 
 def _refine_blocks(Z, dims, blocks):
@@ -137,14 +164,18 @@ def _refine_blocks(Z, dims, blocks):
     of the ``REFINE_SWEEPS`` sweeps steps every block until a step moves it
     by at most 1e-12, or ``MM_STEPS`` times.
 
-    Returns the refined blocks and the number of polar SVDs made.
+    A block's first step in each call takes the SVD route, and each step's
+    decomposition picks the route of that block's next one
+    (``_orthonormal_polar``).  Returns the refined blocks and the number of
+    polar steps made.
     """
     offsets = _block_offsets(dims)
     m = len(dims)
     diag = [Z[offsets[v]:offsets[v + 1], offsets[v]:offsets[v + 1]] for v in range(m)]
     shifted = [a + max(0.0, -float(np.linalg.eigvalsh(a).min())) * np.eye(len(a)) for a in diag]
     blocks = [b.copy() for b in blocks]
-    svds = 0
+    scales = [None] * m
+    steps = 0
     for _ in range(REFINE_SWEEPS):
         for v in range(m):
             lo, hi = offsets[v], offsets[v + 1]
@@ -154,34 +185,34 @@ def _refine_blocks(Z, dims, blocks):
                     coupling += Z[lo:hi, offsets[w]:offsets[w + 1]] @ blocks[w]
             current = blocks[v]
             for _ in range(MM_STEPS):
-                updated, _ = _orthonormal_polar(shifted[v] @ current + coupling)
-                svds += 1
+                updated, _, scales[v] = _orthonormal_polar(shifted[v] @ current + coupling, scales[v])
+                steps += 1
                 # the Frobenius norm of the step, as np.linalg.norm computes it
                 step = (updated - current).ravel(order="K")
                 current = updated
                 if math.sqrt(step.dot(step)) <= 1e-12:
                     break
             blocks[v] = current
-    return blocks, svds
+    return blocks, steps
 
 
 def _update_projections(Z, dims, d):
     """W-step: each view's slice of the top-d eigenvectors of Z, projected to
     its nearest column-orthonormal matrix (rank-deficient slices are padded
     deterministically), then improved by monotone block-coordinate sweeps.
-    Returns the blocks, the padded views (1-based) and the polar SVDs made
-    (one per view, then the sweeps').  Z must be exactly symmetric and
+    Returns the blocks, the padded views (1-based) and the polar steps made
+    (one SVD per view, then the sweeps').  Z must be exactly symmetric and
     d <= min(dims), as ``train`` ensures."""
     _, vecs = top_eigenpairs(Z, d)
     offsets = _block_offsets(dims)
     blocks, padded = [], []
     for v in range(len(dims)):
-        w, was_padded = _orthonormal_polar(vecs[offsets[v]:offsets[v + 1], :])
+        w, was_padded, _ = _orthonormal_polar(vecs[offsets[v]:offsets[v + 1], :])
         blocks.append(w)
         if was_padded:
             padded.append(v + 1)
-    blocks, svds = _refine_blocks(Z, dims, blocks)
-    return blocks, padded, len(dims) + svds
+    blocks, steps = _refine_blocks(Z, dims, blocks)
+    return blocks, padded, len(dims) + steps
 
 
 def compute_view_gains(projections, K: np.ndarray, hyper: Hyperparams) -> np.ndarray:
@@ -299,7 +330,8 @@ def train(
     residual and weights are unchanged by this orthonormal change of basis,
     and the projections can differ from a solve in raw coordinates by a
     right rotation, which leaves ``W_v W_v^T`` as it is.  ``constraints``
-    must hold the split's training labels in order, else a ``ValueError``.
+    must hold the split's training labels in order, and every training
+    index must be below the sample count, else a ``ValueError``.
 
     With ``hyper.standardize``, each view's training columns are first
     centred and divided by their per-feature standard deviation (1 where it
@@ -313,6 +345,8 @@ def train(
     hyper = (hyper or Hyperparams()).resolved(dataset.view_dims)
     d = hyper.embed_dim
     train_idx = split_spec.train_indices
+    if train_idx.max() >= dataset.n:
+        raise ValueError(f"train_indices must be below the sample count {dataset.n}, got {train_idx.max()}")
     train_labels = np.unique(dataset.labels[train_idx], return_inverse=True)[1]
     if not np.array_equal(constraints.labels, train_labels):
         raise ValueError("constraints must be built from the labels of the split's training samples, in order")

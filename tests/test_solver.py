@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mvmetric import (
@@ -291,16 +291,30 @@ def _reference_refine_blocks(Z, dims, blocks, max_sweeps=30, inner_iters=50):
     return blocks, svds
 
 
+def _count_svds(monkeypatch):
+    """A list that gains one entry per ``numpy.linalg.svd`` call from now on."""
+    calls, svd = [], np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
 def _refine_cases():
+    """(Z, dims, d, pads, svd_only): ``pads`` marks a case some step of which
+    pads a column, ``svd_only`` one none of whose blocks passes the Gram floor."""
     rng = np.random.default_rng(17)
     for _ in range(25):
         dims = [int(rng.integers(2, 9)) for _ in range(int(rng.integers(2, 5)))]
         d = int(rng.integers(1, min(dims) + 1))
         base = rng.standard_normal((sum(dims), sum(dims)))
-        yield (base + base.T) / 2.0, dims, d, False
+        yield (base + base.T) / 2.0, dims, d, False, False
     # far below unit scale: the rank cutoff scales with Z
-    yield (base + base.T) * 2.0**-40, dims, d, False
-    yield np.zeros((7, 7)), [3, 4], 2, True
+    yield (base + base.T) * 2.0**-40, dims, d, False, False
+    yield np.zeros((7, 7)), [3, 4], 2, True, True
     # view 1 is uncoupled and its margin is -u u^T: the shifted block has rank
     # 2, so with d = 3 every step of that view pads a column
     u = rng.standard_normal(3)
@@ -308,10 +322,22 @@ def _refine_cases():
     Z = np.zeros((7, 7))
     Z[:3, :3] = -np.outer(u, u)
     Z[3:, 3:] = (base + base.T) / 2.0
-    yield Z, [3, 4], 3, True
+    yield Z, [3, 4], 3, True, False
+    # diagonal blocks with eigenvalues 1e3 ... 1 and weak coupling: each
+    # block's top 3 singular values stay about 30 apart, beyond the floor
+    Z = np.zeros((11, 11))
+    for lo, hi in ((0, 5), (5, 11)):
+        q = np.linalg.qr(rng.standard_normal((hi - lo, hi - lo)))[0]
+        Z[lo:hi, lo:hi] = (q * np.logspace(3, 0, hi - lo)) @ q.T
+    Z[:5, 5:] = 0.1 * rng.standard_normal((5, 6))
+    Z[5:, :5] = Z[:5, 5:].T
+    yield Z, [5, 6], 3, False, True
 
 
 def test_refine_sweeps_are_bit_identical_to_the_reference_loop(monkeypatch):
+    # the SVD route is the reference's arithmetic, so a case that never takes
+    # the Gram route is bit-identical; the Gram route's error, about
+    # kappa^2 * eps with kappa <= 10, bounds the gap of the others
     fills = []
     fill = solver._fill_deficient_columns
 
@@ -320,16 +346,85 @@ def test_refine_sweeps_are_bit_identical_to_the_reference_loop(monkeypatch):
         return fill(*args)
 
     monkeypatch.setattr(solver, "_fill_deficient_columns", counted)
-    for Z, dims, d, pads in _refine_cases():
+    svds = _count_svds(monkeypatch)
+    gram_steps = 0
+    for Z, dims, d, pads, svd_only in _refine_cases():
         _, vecs = top_eigenpairs(Z, d)
         offsets = _block_offsets(dims)
         start = [_reference_orthonormal_polar(vecs[lo:hi])[0] for lo, hi in zip(offsets, offsets[1:])]
         fills.clear()
-        blocks, svds = solver._refine_blocks(Z, dims, start)
-        ref_blocks, ref_svds = _reference_refine_blocks(Z, dims, start)
-        assert all(np.array_equal(b, ref) for b, ref in zip(blocks, ref_blocks))
-        assert svds == ref_svds
+        svds.clear()
+        blocks, steps = solver._refine_blocks(Z, dims, start)
         assert bool(fills) == pads
+        assert (len(svds) == steps) == svd_only
+        gram_steps += steps - len(svds)
+        ref_blocks, ref_steps = _reference_refine_blocks(Z, dims, start)
+        if svd_only:
+            assert all(np.array_equal(b, ref) for b, ref in zip(blocks, ref_blocks))
+            assert steps == ref_steps
+        # a block's last MM step can land within rounding of the 1e-12 stop
+        # (the 21st case ends one at 1.00003e-12 by the SVD, 0.99995e-12 by
+        # the Gram route), so the Gram route may take one step fewer or more
+        assert abs(steps - ref_steps) <= 1
+        for b, ref in zip(blocks, ref_blocks):
+            assert np.linalg.norm(b @ b.T - ref @ ref.T) <= 1e-13
+    assert gram_steps > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 12),
+    log_kappa=st.floats(0.0, 3.0),
+    exponent=st.integers(-40, 40),
+    zeros=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_route_matches_the_svd_route(rows, cols, log_kappa, exponent, zeros, seed):
+    # singular values from kappa down to 1, the last ``zeros`` of them 0,
+    # scaled by 2**exponent; the Gram route is tried with scale 2**-exponent
+    cols = min(cols, rows)
+    zeros = min(zeros, cols - 1)
+    kappa = 10.0**log_kappa if cols > 1 else 1.0
+    assume(abs(kappa**2 * solver.GRAM_FLOOR - 1.0) > 1e-6)
+    rng = np.random.default_rng(seed)
+    left = np.linalg.qr(rng.standard_normal((rows, cols)))[0]
+    right = np.linalg.qr(rng.standard_normal((cols, cols)))[0]
+    s = np.geomspace(kappa, 1.0, cols)
+    s[cols - zeros:] = 0.0
+    block = (left * s) @ right * 2.0**exponent
+    w, padded, scale = solver._orthonormal_polar(block, 2.0**-exponent)
+    ref, ref_padded = _reference_orthonormal_polar(block)
+    if zeros or kappa**2 * solver.GRAM_FLOOR > 1.0:
+        assert np.array_equal(w, ref) and padded == ref_padded == bool(zeros)
+        return
+    # the Gram route's error is about kappa^2 * eps <= 1e-14, under the 1e-12 MM step stop
+    assert not padded
+    assert np.linalg.norm(w - ref) <= 1e-12
+    assert np.linalg.norm(w.T @ w - np.eye(cols)) <= 1e-12
+    # the next step's scale brings the largest singular value near 1
+    assert 0.25 <= scale * kappa * 2.0**exponent < 2.0
+
+
+def test_wide_view_fit_matches_the_svd_only_fit(monkeypatch):
+    ds = generate_synthetic(3, 10, [60, 40, 30], noise_views={3}, seed=5)
+    sp = split(ds, 18, seed=5)
+    cs = build_constraints(ds.labels[sp.train_indices])
+    hyper = Hyperparams(embed_dim=5)
+    svds = _count_svds(monkeypatch)
+    model = train(ds, sp, cs, hyper)
+    # the Gram route took most steps
+    assert len(svds) < sum(e["polar_svds"] for e in model.trace) / 2
+
+    def svd_only(block, scale=None):
+        return (*_reference_orthonormal_polar(block), None)
+
+    monkeypatch.setattr(solver, "_orthonormal_polar", svd_only)
+    reference = train(ds, sp, cs, hyper)
+    assert model.stop_reason == reference.stop_reason
+    assert [e["polar_svds"] for e in model.trace] == [e["polar_svds"] for e in reference.trace]
+    for w, ref in zip(model.projections, reference.projections):
+        assert np.linalg.norm(w @ w.T - ref @ ref.T) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +654,15 @@ def test_constraints_must_hold_the_split_training_labels():
             train(ds, sp, build_constraints(other), hyper)
 
 
+@pytest.mark.parametrize("index", [12, 50])
+def test_training_indices_must_lie_below_the_sample_count(index):
+    ds = generate_synthetic(2, 6, [3, 4], seed=0)
+    sp = SplitSpec([0, 1, 6, 7, index], [2, 3])
+    cs = build_constraints(np.array([0, 0, 1, 1, 1]))
+    with pytest.raises(ValueError, match=f"^train_indices must be below the sample count 12, got {index}$"):
+        train(ds, sp, cs)
+
+
 def test_default_embed_dim_resolution():
     ds = generate_synthetic(2, 6, [4, 12], seed=0)
     sp = split(ds, 8, seed=0)
@@ -720,27 +824,35 @@ def test_rank_deficient_wide_view_matches_the_full_space_solve():
 
 
 def test_trace_counts_refine_sweeps_and_polar_svds(monkeypatch):
+    # ``polar_svds`` counts polar steps by either route, and only the SVD pads
     ds = generate_synthetic(2, 10, [25, 6], seed=8)
     sp = split(ds, 12, seed=9)
     cs = build_constraints(ds.labels[sp.train_indices])
     fits = [(ds, sp, cs, Hyperparams(embed_dim=3)), _rank_deficient_wide_view_fit_inputs()]
-    calls = []
-    svd = np.linalg.svd
+    steps, gram_steps = [], []
+    polar = solver._orthonormal_polar
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
+    def counted(*args):
+        before = len(svds)
+        result = polar(*args)
+        steps.append((result[1], len(svds) - before))
+        return result
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(solver, "_orthonormal_polar", counted)
+    svds = _count_svds(monkeypatch)
     for fit in fits:
-        calls.clear()
+        steps.clear()
+        svds.clear()
         model = train(*fit)
         for entry in model.trace:
             assert entry["refine_sweeps"] == solver.REFINE_SWEEPS
             # one polar projection per view, then at least one per view and sweep
             assert entry["polar_svds"] >= 2 + 2 * entry["refine_sweeps"]
-        # a padded step completes the columns of its own SVD and makes no other
-        assert sum(e["polar_svds"] for e in model.trace) == len(calls)
+        assert sum(e["polar_svds"] for e in model.trace) == len(steps)
+        # a step makes at most one SVD, and a padded step completes the columns of its own
+        assert all(made <= 1 and (made or not padded) for padded, made in steps)
+        gram_steps.append(len(steps) - len(svds))
+    assert gram_steps[0] > 0
     # the last fit counted pads view 1 in every iteration
     assert all(e["padded_views"] == [1] for e in model.trace)
 
