@@ -13,7 +13,7 @@ from .dataset import generate_synthetic, load_manifest, split, write_dataset
 from .eval import run_benchmark
 from .metric import check_metric_axioms
 from .model import Hyperparams, MultiviewMetricModel
-from .solver import TrainingError, train
+from .solver import STOP_MARGIN, TrainingError, train
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -194,7 +194,9 @@ def _add_common_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", dest="max_iters", type=int, default=Hyperparams.max_iters,
                    help="maximum alternating iterations (default: %(default)s)")
     p.add_argument("--tol", type=float, default=Hyperparams.tol,
-                   help="stopping tolerance on the relative change of W_v W_v^T (default: %(default)s)")
+                   help="stop once the relative change of W_v W_v^T falls below tol, or once the change "
+                   "still to come at the last two changes' ratio q < 1, change * q / (1 - q), is at most "
+                   f"{STOP_MARGIN:g} * tol (default: %(default)s)")
     p.add_argument("--standardize", action=argparse.BooleanOptionalAction, default=Hyperparams.standardize,
                    help="centre and scale each view's features by the training split's mean and std; "
                    "the model stores the scales (default: %(default)s)")

@@ -55,6 +55,15 @@ class Hyperparams:
         Divisor of the cross-view coupling term (coefficient 1/(2*eta));
         larger values weaken the coupling, ``inf`` disables the coupling;
         such a fit solves each view exactly by its top eigenvectors.
+    max_iters
+        Most alternating iterations a fit runs; one that reaches it without
+        meeting ``tol`` stops with ``stop_reason`` ``"max_iters"``.
+    tol
+        Finite stopping tolerance > 0 on an iteration's residual, the
+        relative change of the per-view metrics ``W_v W_v^T``.  A fit stops
+        with ``"tol"`` when the residual falls below it, or when, with q < 1
+        the ratio of the last two residuals, ``residual * q / (1 - q)`` is at
+        most ``solver.STOP_MARGIN * tol`` (0.1 * tol).
     standardize
         Centre and scale each view's features by the mean and standard
         deviation of its training columns before fitting; the model keeps
