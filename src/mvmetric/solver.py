@@ -283,11 +283,10 @@ def _alternate(K: np.ndarray, dims, hyper: Hyperparams):
         previous = blocks
         if hyper.coupling_eta == math.inf:
             blocks = [top_eigenpairs(K[lo:hi, lo:hi], d)[1] for lo, hi in zip(offsets, offsets[1:])]
-            padded, sweeps, svds = [], 0, 0
+            padded, steps = [], 0
         else:
             Z = assemble_block_matrix(K, dims, weights, hyper)
-            blocks, padded, svds = _update_projections(Z, dims, d)
-            sweeps = REFINE_SWEEPS
+            blocks, padded, steps = _update_projections(Z, dims, d)
         gains = compute_view_gains(blocks, K, hyper)
         objective = float(np.dot(weights**r, gains))
         weights = update_view_weights(gains, r)
@@ -304,8 +303,7 @@ def _alternate(K: np.ndarray, dims, hyper: Hyperparams):
                 "weights": weights.tolist(),
                 "residual": residual,
                 "padded_views": padded,
-                "refine_sweeps": sweeps,
-                "polar_svds": svds,
+                "polar_steps": steps,
             }
         )
         if residual is not None:

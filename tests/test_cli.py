@@ -431,6 +431,30 @@ def test_eval_report_and_repeatability(dataset_dir, tmp_path, capsys):
     assert report_path.read_bytes() == first
 
 
+def _strict_json(text):
+    """``json.loads`` that refuses ``NaN``, ``Infinity`` and ``-Infinity``, which JSON's grammar lacks."""
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_a_finite_eta_run_writes_strict_json(dataset_dir, tmp_path):
+    manifest = str(dataset_dir / "manifest.json")
+    common = ["--manifest", manifest, "--train-count", "12", "--d", "2", "--seed", "3"]
+    model, report, csv, axioms = (tmp_path / name for name in ("model.json", "report.json", "r.csv", "axioms.json"))
+    assert run_cli(["train", *common, "--out", str(model)]) == 0
+    evaluate = ["eval", *common, "--trials", "2", "--baseline", "euclidean", "--out", str(report), "--csv", str(csv)]
+    assert run_cli(evaluate) == 0
+    assert run_cli(["check", "--model", str(model), "--manifest", manifest, "--trials", "200", "--out", str(axioms)]) == 0
+    for path in (model, report, axioms):
+        _strict_json(path.read_text())
+    header = csv.read_text().splitlines()[0]
+    assert header.startswith("# mvmetric eval summary, format 1, config {")
+    assert _strict_json(header.split(" config ", 1)[1])["coupling_eta"] == 1.0
+
+
 def test_eval_rejects_zero_trials(dataset_dir, tmp_path, capsys):
     code = run_cli(
         [

@@ -72,6 +72,17 @@ def test_readme_command_line_runs(tmp_path, monkeypatch):
         assert written and all(Path(path).exists() for path in written), argv
 
 
+def test_readme_names_the_trace_keys():
+    bullet = re.search(r"^- \*\*The trace\.\*\*(.*?)(?=^- )", README.read_text(), flags=re.S | re.M).group(1)
+    named = set(re.findall(r"`(\w+)`", re.search(r"Each trace entry holds (.*?)\.", bullet, flags=re.S).group(1)))
+    ds = mvmetric.generate_synthetic(2, 6, [5, 4], noise_views={2}, seed=0)
+    sp = mvmetric.split(ds, 8, seed=0)
+    cs = mvmetric.build_constraints(ds.labels[sp.train_indices])
+    for eta in (1.0, float("inf")):
+        model = mvmetric.train(ds, sp, cs, mvmetric.Hyperparams(embed_dim=2, coupling_eta=eta))
+        assert all(set(entry) == named for entry in model.trace), eta
+
+
 def _subcommand_flags():
     """Each subcommand's option strings, argparse's ``--help`` left out."""
     parser = build_parser()

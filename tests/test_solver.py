@@ -414,7 +414,7 @@ def test_wide_view_fit_matches_the_svd_only_fit(monkeypatch):
     svds = _count_svds(monkeypatch)
     model = train(ds, sp, cs, hyper)
     # the Gram route took most steps
-    assert len(svds) < sum(e["polar_svds"] for e in model.trace) / 2
+    assert len(svds) < sum(e["polar_steps"] for e in model.trace) / 2
 
     def svd_only(block, scale=None):
         return (*_reference_orthonormal_polar(block), None)
@@ -422,7 +422,7 @@ def test_wide_view_fit_matches_the_svd_only_fit(monkeypatch):
     monkeypatch.setattr(solver, "_orthonormal_polar", svd_only)
     reference = train(ds, sp, cs, hyper)
     assert model.stop_reason == reference.stop_reason
-    assert [e["polar_svds"] for e in model.trace] == [e["polar_svds"] for e in reference.trace]
+    assert [e["polar_steps"] for e in model.trace] == [e["polar_steps"] for e in reference.trace]
     for w, ref in zip(model.projections, reference.projections):
         assert np.linalg.norm(w @ w.T - ref @ ref.T) <= 1e-12
 
@@ -739,7 +739,7 @@ def test_uncoupled_wide_views_match_the_full_space_solve(seed):
     # nothing to pad, and the second iteration repeats the first
     ds = generate_synthetic(3, 12, [70, 40, 9], noise_views={2}, seed=seed)
     model, reference = _fit_both(ds, 24, 100 + seed, 4, np.inf)
-    assert all(e["padded_views"] == [] and e["polar_svds"] == 0 for e in model.trace)
+    assert all(e["padded_views"] == [] and e["polar_steps"] == 0 for e in model.trace)
     assert [e["residual"] for e in model.trace] == [None, 0.0]
     _assert_same_fit(model, reference)
 
@@ -754,7 +754,7 @@ def test_uncoupled_fit_projects_each_view_on_its_top_margin_eigenvectors(dims, s
     sp = split(ds, 24, seed=seed)
     cs = build_constraints(ds.labels[sp.train_indices])
     model = train(ds, sp, cs, Hyperparams(embed_dim=d, coupling_eta=np.inf))
-    assert all(e["padded_views"] == [] and e["polar_svds"] == 0 for e in model.trace)
+    assert all(e["padded_views"] == [] and e["polar_steps"] == 0 for e in model.trace)
     for view, w in zip(ds.views, model.projections):
         between, within = compute_scatter(ViewMatrix(view.view_id, view.data[:, sp.train_indices]), cs)
         vals, vecs = np.linalg.eigh(between - within)
@@ -823,14 +823,14 @@ def test_rank_deficient_wide_view_matches_the_full_space_solve():
     _assert_same_fit(model, full_space_train(ds, sp, cs, hyper))
 
 
-def test_trace_counts_refine_sweeps_and_polar_svds(monkeypatch):
-    # ``polar_svds`` counts polar steps by either route, and only the SVD pads
+def test_trace_counts_polar_steps(monkeypatch):
+    # ``polar_steps`` counts each W-step's polar steps by either route, and only the SVD pads
     ds = generate_synthetic(2, 10, [25, 6], seed=8)
     sp = split(ds, 12, seed=9)
     cs = build_constraints(ds.labels[sp.train_indices])
     fits = [(ds, sp, cs, Hyperparams(embed_dim=3)), _rank_deficient_wide_view_fit_inputs()]
-    steps, gram_steps = [], []
-    polar = solver._orthonormal_polar
+    steps, per_w_step, gram_steps = [], [], []
+    polar, w_step = solver._orthonormal_polar, solver._update_projections
 
     def counted(*args):
         before = len(svds)
@@ -838,17 +838,25 @@ def test_trace_counts_refine_sweeps_and_polar_svds(monkeypatch):
         steps.append((result[1], len(svds) - before))
         return result
 
+    def counted_w_step(*args):
+        before = len(steps)
+        result = w_step(*args)
+        per_w_step.append(len(steps) - before)
+        return result
+
     monkeypatch.setattr(solver, "_orthonormal_polar", counted)
+    monkeypatch.setattr(solver, "_update_projections", counted_w_step)
     svds = _count_svds(monkeypatch)
     for fit in fits:
         steps.clear()
+        per_w_step.clear()
         svds.clear()
         model = train(*fit)
         for entry in model.trace:
-            assert entry["refine_sweeps"] == solver.REFINE_SWEEPS
+            assert set(entry) == {"iteration", "objective", "gains", "weights", "residual", "padded_views", "polar_steps"}
             # one polar projection per view, then at least one per view and sweep
-            assert entry["polar_svds"] >= 2 + 2 * entry["refine_sweeps"]
-        assert sum(e["polar_svds"] for e in model.trace) == len(steps)
+            assert entry["polar_steps"] >= 2 + 2 * solver.REFINE_SWEEPS
+        assert [e["polar_steps"] for e in model.trace] == per_w_step
         # a step makes at most one SVD, and a padded step completes the columns of its own
         assert all(made <= 1 and (made or not padded) for padded, made in steps)
         gram_steps.append(len(steps) - len(svds))
