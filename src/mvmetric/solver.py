@@ -20,11 +20,13 @@ orthonormality: take the top eigenvectors of Z, restore per-view
 orthonormality by polar projection, then run deterministic block-coordinate
 ascent sweeps that never decrease the objective.  It does not always reach
 the maximum, so neither the logged objective nor Phi below need increase.
-A sweep step takes a block's polar factor from the ``eigh`` of its d x d
-Gram matrix when the previous step found the block's condition number
-below 10 (``GRAM_FLOOR``) and this one confirms it, with an error of about
-kappa^2 * eps <= 1e-14, under the step stop of 1e-12; every other polar
-step, and every one that pads, takes a thin SVD.
+Each sweep steps a block until its step, or from the second step on the
+change still to come at the rate the steps shrink, is at most ``MM_STOP``
+(1e-12).  A sweep step takes a block's polar factor from the ``eigh`` of
+its d x d Gram matrix when the previous step found the block's condition
+number below 10 (``GRAM_FLOOR``) and this one confirms it, with an error of
+about kappa^2 * eps <= 1e-14, under that stop; every other polar step, and
+every one that pads, takes a thin SVD.
 With eta = inf, Z is block-diagonal and the W-step is exact instead: each
 view's top eigenvectors of its margin block B_v - S_v (Ky Fan, per view).
 The weight step is exact: with b = a^r it sets b proportional to
@@ -33,9 +35,9 @@ p = (2r-1)/r, for nonnegative gains (one below 1e-8 of the largest |g_v|
 is clamped there first); Z depends only on b's direction.  So the
 alternation is block-coordinate ascent of sum_v b_v g_v(W), whose maximum
 over b is Phi(W) = ||max(g(W), 0)||_q, q = (2r-1)/(r-1).  Every threshold
-(polar rank cutoff, gain clamp) is relative, and the MM step stop measures
-orthonormal blocks, so scaling all features by one c, which scales K by c^2,
-leaves the fit as it is.
+(polar rank cutoff, gain clamp) is relative, and the MM stop measures
+steps between orthonormal blocks, so scaling all features by one c, which
+scales K by c^2, leaves the fit as it is.
 
 Only ``train`` and ``TrainingError`` are exported; the stages it runs take
 arguments it has already checked, and do not check them again.
@@ -56,6 +58,7 @@ GAIN_CLAMP_FLOOR = 1e-8
 GRAM_FLOOR = 1e-2  # polar factor from the Gram matrix when lam_min > this * lam_max
 REFINE_SWEEPS = 30  # block-coordinate sweeps per W-step
 MM_STEPS = 50  # majorize-maximize steps per block and sweep at most
+MM_STOP = 1e-12  # a block's MM steps end once a step, or the change still to come, is at most this
 STOP_MARGIN = 0.1  # a fit also stops once its estimated remaining change is this * tol
 
 
@@ -134,7 +137,9 @@ def _orthonormal_polar(block: np.ndarray, scale: float | None = None):
     block times ``scale`` and (lam, V) the ``eigh`` of the d x d B.T B,
     when lam_min > ``GRAM_FLOOR`` * lam_max, i.e. the block's condition
     number kappa is below 10.  The Gram route's error, about
-    kappa^2 * eps <= 1e-14, then stays under the MM step stop of 1e-12;
+    kappa^2 * eps <= 1e-14, then stays under ``MM_STOP`` (1e-12), the
+    bound on a block's last MM step or on the change still to come after
+    it (``_refine_blocks``);
     the power of two changes no rounding and keeps B.T B near 1, far from
     overflow.  A block that fails the test is decomposed by the SVD, so
     every padded block comes from the SVD.
@@ -156,14 +161,28 @@ def _orthonormal_polar(block: np.ndarray, scale: float | None = None):
     return U @ Vh, False, next_scale
 
 
+def _remaining_change(change, previous):
+    """The change still to come after ``change`` at the rate it shrank from
+    ``previous``: with q = change / previous < 1, change * q / (1 - q), the
+    a-posteriori bound of a contraction (Ortega & Rheinboldt, 1970).  With no
+    previous change, a zero one, or q >= 1, there is no estimate: ``math.inf``."""
+    if not previous:
+        return math.inf
+    q = change / previous
+    return change * q / (1.0 - q) if q < 1.0 else math.inf
+
+
 def _refine_blocks(Z, dims, blocks):
     """Block-coordinate ascent on tr(W.T Z W) with per-view orthonormality.
 
     Each block update is a monotone majorize-maximize step: with the diagonal
     block shifted to be PSD, W <- polar(H W + B) never decreases the
     objective, so the sweep output is at least as good as its input.  Each
-    of the ``REFINE_SWEEPS`` sweeps steps every block until a step moves it
-    by at most 1e-12, or ``MM_STEPS`` times.
+    of the ``REFINE_SWEEPS`` sweeps steps every block at most ``MM_STEPS``
+    times, and ends its steps after one of norm s when s <= ``MM_STOP``, or
+    when, from the block's second step in the sweep on, q = s / s_prev < 1
+    and s * q / (1 - q), the change still to come at rate q
+    (``_remaining_change``), is at most ``MM_STOP``.
 
     A block's first step in each call takes the SVD route, and each step's
     decomposition picks the route of that block's next one
@@ -184,15 +203,17 @@ def _refine_blocks(Z, dims, blocks):
             for w in range(m):
                 if w != v:
                     coupling += Z[lo:hi, offsets[w]:offsets[w + 1]] @ blocks[w]
-            current = blocks[v]
+            current, previous = blocks[v], None
             for _ in range(MM_STEPS):
                 updated, _, scales[v] = _orthonormal_polar(shifted[v] @ current + coupling, scales[v])
                 steps += 1
                 # the Frobenius norm of the step, as np.linalg.norm computes it
                 step = (updated - current).ravel(order="K")
                 current = updated
-                if math.sqrt(step.dot(step)) <= 1e-12:
+                norm = math.sqrt(step.dot(step))
+                if norm <= MM_STOP or _remaining_change(norm, previous) <= MM_STOP:
                     break
+                previous = norm
             blocks[v] = current
     return blocks, steps
 
@@ -270,8 +291,8 @@ def _alternate(K: np.ndarray, dims, hyper: Hyperparams):
 
     The fit stops with ``"tol"`` after iteration k when its residual r_k is
     below ``tol``, or when, with q = r_k / r_(k-1) < 1, the remaining change
-    of a contraction at rate q, r_k * q / (1 - q) (Ortega & Rheinboldt,
-    1970), is at most ``STOP_MARGIN * tol``.  The margin allows for a rate
+    of a contraction at rate q, r_k * q / (1 - q) (``_remaining_change``),
+    is at most ``STOP_MARGIN * tol``.  The margin allows for a rate
     that still grows: in small fits q grew up to 5x between iterations.
     Either clause reads only the trace's residuals, and neither changes an
     iterate, so a fit equals the same fit capped at its iteration count."""
@@ -307,9 +328,8 @@ def _alternate(K: np.ndarray, dims, hyper: Hyperparams):
             }
         )
         if residual is not None:
-            last = trace[-2]["residual"]
-            q = residual / last if last else math.inf
-            if residual < hyper.tol or (q < 1.0 and residual * q / (1.0 - q) <= STOP_MARGIN * hyper.tol):
+            estimate = _remaining_change(residual, trace[-2]["residual"])
+            if residual < hyper.tol or estimate <= STOP_MARGIN * hyper.tol:
                 return blocks, weights, trace, "tol"
     return blocks, weights, trace, "max_iters"
 

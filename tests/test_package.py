@@ -239,6 +239,12 @@ def test_benchmark_hashes_read_each_result_file_s_provenance(tmp_path, monkeypat
     assert hashes.main(["--write"]) == 0
     assert json.loads((tmp_path / "hashes.json").read_text())["provenance"]["blas_threads"] == 1
     assert hashes.main([]) == 0
+    # a result the committed file lacks, say a newly gated seed, is a difference
+    committed = json.loads((tmp_path / "hashes.json").read_text())
+    del committed["artifacts"]["wide-views seed 1"]
+    (tmp_path / "hashes.json").write_text(json.dumps(committed))
+    assert hashes.main([]) == 1
+    assert "wide-views seed 1: artifact hashes differ" in capsys.readouterr().err
 
 
 def _unused_imports(path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -262,9 +264,12 @@ def _reference_orthonormal_polar(block):
     return U @ Vh, padded
 
 
-def _reference_refine_blocks(Z, dims, blocks, max_sweeps=30, inner_iters=50):
+def _reference_refine_blocks(Z, dims, blocks, max_sweeps=30, inner_iters=50, estimate=True):
     """The refine sweeps as first written, without their objective stop, kept
-    to pin the solver's bits."""
+    to pin the solver's bits.  A block's steps end at a step of norm at most
+    1e-12 or, with ``estimate``, from its second step on when
+    q = step / previous < 1 and step * q / (1 - q) is at most 1e-12;
+    ``estimate=False`` is the step-only loop that came before."""
     offsets = _block_offsets(dims)
     m = len(dims)
     diag = [Z[offsets[v]:offsets[v + 1], offsets[v]:offsets[v + 1]] for v in range(m)]
@@ -279,14 +284,19 @@ def _reference_refine_blocks(Z, dims, blocks, max_sweeps=30, inner_iters=50):
                 if w != v:
                     coupling += Z[lo:hi, offsets[w]:offsets[w + 1]] @ blocks[w]
             shifted = diag[v] + shifts[v] * np.eye(dims[v])
-            current = blocks[v]
+            current, previous = blocks[v], None
             for _ in range(inner_iters):
                 updated, _ = _reference_orthonormal_polar(shifted @ current + coupling)
                 svds += 1
-                if np.linalg.norm(updated - current) <= 1e-12:
-                    current = updated
-                    break
+                step = np.linalg.norm(updated - current)
                 current = updated
+                if step <= 1e-12:
+                    break
+                if estimate and previous is not None:
+                    q = step / previous
+                    if q < 1.0 and step * q / (1.0 - q) <= 1e-12:
+                        break
+                previous = step
             blocks[v] = current
     return blocks, svds
 
@@ -362,13 +372,56 @@ def test_refine_sweeps_are_bit_identical_to_the_reference_loop(monkeypatch):
         if svd_only:
             assert all(np.array_equal(b, ref) for b, ref in zip(blocks, ref_blocks))
             assert steps == ref_steps
-        # a block's last MM step can land within rounding of the 1e-12 stop
-        # (the 21st case ends one at 1.00003e-12 by the SVD, 0.99995e-12 by
-        # the Gram route), so the Gram route may take one step fewer or more
+        # a block's last MM step can land within rounding of either stop
+        # clause (under the step clause alone, the 21st case ended one at
+        # 1.00003e-12 by the SVD, 0.99995e-12 by the Gram route), so the Gram
+        # route may take one step fewer or more
         assert abs(steps - ref_steps) <= 1
         for b, ref in zip(blocks, ref_blocks):
             assert np.linalg.norm(b @ b.T - ref @ ref.T) <= 1e-13
     assert gram_steps > 0
+
+
+def test_the_estimate_stop_stays_within_1e_10_of_the_step_only_loop():
+    # ending a block's steps once the change still to come is within the step
+    # stop saves steps, never adds one, and moves no metric W_v W_v^T by more
+    # than 1e-10
+    saved = 0
+    for Z, dims, d, _, _ in _refine_cases():
+        _, vecs = top_eigenpairs(Z, d)
+        offsets = _block_offsets(dims)
+        start = [_reference_orthonormal_polar(vecs[lo:hi])[0] for lo, hi in zip(offsets, offsets[1:])]
+        blocks, steps = solver._refine_blocks(Z, dims, start)
+        ref_blocks, ref_steps = _reference_refine_blocks(Z, dims, start, estimate=False)
+        assert steps <= ref_steps
+        saved += ref_steps - steps
+        for b, ref in zip(blocks, ref_blocks):
+            assert np.linalg.norm(b @ b.T - ref @ ref.T) <= 1e-10
+    assert saved > 0
+
+
+def test_remaining_change_is_the_bound_of_a_contraction():
+    # no previous change, or a zero one: no estimate
+    assert solver._remaining_change(0.5, None) == math.inf
+    assert solver._remaining_change(0.5, 0.0) == math.inf
+    # q >= 1: no estimate, so a loop that does not contract runs on
+    assert solver._remaining_change(0.5, 0.5) == math.inf
+    assert solver._remaining_change(2.0, 0.5) == math.inf
+    # q < 1: r * q / (1 - q)
+    assert solver._remaining_change(0.25, 1.0) == 0.25 * 0.25 / 0.75
+    assert solver._remaining_change(1e-12, 1e-11) == 1e-12 * 0.1 / 0.9
+    assert solver._remaining_change(0.0, 1.0) == 0.0
+
+
+def test_a_block_that_does_not_contract_runs_to_mm_steps(monkeypatch):
+    # with Z = I a step maps the block to the negated block: every step has
+    # norm 1, q = 1 gives no estimate, and each sweep takes MM_STEPS steps
+    def negated(block, scale=None):
+        return -block, False, None
+
+    monkeypatch.setattr(solver, "_orthonormal_polar", negated)
+    _, steps = solver._refine_blocks(np.eye(1), [1], [np.full((1, 1), 0.5)])
+    assert steps == solver.REFINE_SWEEPS * solver.MM_STEPS
 
 
 @settings(max_examples=200, deadline=None)
