@@ -76,8 +76,8 @@ def assemble_block_matrix(K: np.ndarray, dims, weights, hyper: Hyperparams) -> n
 
     Z is ``coeff * K`` with ``coeff = a_v^r`` on diagonal block v and
     ``(a_v^r + a_w^r) / (2 eta)`` on block (v, w), v != w.  The result is
-    symmetric bit-exactly.  ``weights`` must lie on the simplex, one per
-    view, and K be square of side ``sum(dims)``, as ``_alternate`` ensures.
+    symmetric bit-exactly.  ``weights`` must hold one nonnegative weight per
+    view, and K be square of side ``sum(dims)``, as every caller ensures.
     """
     weights = np.asarray(weights, dtype=float)
     powered = weights**hyper.weight_exponent
@@ -288,27 +288,19 @@ def _update_projections(Z, dims, d):
 
 
 def compute_view_gains(projections, K: np.ndarray, hyper: Hyperparams) -> np.ndarray:
-    """Per-view marginal gain: margin trace plus the view's coupling traces.
+    """Per-view marginal gain: the view's share of tr(W.T Z W) at unit weights.
 
-    g_v = tr(W_v.T (B_v - S_v) W_v) + (1/eta) * sum_{w != v} tr(W_v.T C_vw W_w),
-    which is 1/r times the derivative of the objective with respect to the
-    view's weight, evaluated at weight 1.  The blocks come from the coupling
-    matrix K, block (v, w), v > w, as the transpose of block (w, v), and
-    each term is summed on its own.
+    With Z_1 = ``assemble_block_matrix(K, dims, ones, hyper)`` and W the
+    stacked projections, g_v sums view v's rows of W * (Z_1 W), which, K
+    being exactly symmetric, is
+    g_v = tr(W_v.T (B_v - S_v) W_v) + (1/eta) * sum_{w != v} tr(W_v.T C_vw W_w):
+    1/r times the derivative of the objective with respect to the view's
+    weight, evaluated at weight 1.
     """
-    m = len(projections)
-    offsets = _block_offsets([p.shape[0] for p in projections])
-    block = [slice(offsets[v], offsets[v + 1]) for v in range(m)]
-    gains = np.zeros(m)
-    for v in range(m):
-        w_v = projections[v]
-        gains[v] = np.sum((K[block[v], block[v]] @ w_v) * w_v)
-        for w in range(m):
-            if w == v:
-                continue
-            cross = K[block[v], block[w]] if v < w else K[block[w], block[v]].T
-            gains[v] += np.sum((cross @ projections[w]) * w_v) / hyper.coupling_eta
-    return gains
+    dims = [p.shape[0] for p in projections]
+    W = np.vstack(projections)
+    Z = assemble_block_matrix(K, dims, np.ones(len(dims)), hyper)
+    return np.add.reduceat(np.sum((Z @ W) * W, axis=1), _block_offsets(dims)[:-1])
 
 
 def update_view_weights(gains, weight_exponent: float) -> np.ndarray:

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import mvmetric.cli
 from mvmetric import generate_synthetic, load_manifest
 from mvmetric.cli import main
 
@@ -574,6 +575,37 @@ def test_check_rejects_corrupted_model(dataset_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_check_rejects_a_dataset_of_other_dims(dataset_dir, tmp_path, capsys):
+    model, out = tmp_path / "model.json", tmp_path / "axioms.json"
+    assert run_cli(["train", "--manifest", str(dataset_dir / "manifest.json"), "--train-count", "12", "--d", "2",
+                    "--out", str(model)]) == 0
+    other = tmp_path / "other"
+    assert run_cli(["generate", "--classes", "2", "--per-class", "10", "--view-dims", "4,5", "--out", str(other)]) == 0
+    capsys.readouterr()
+    assert run_cli(["check", "--model", str(model), "--manifest", str(other / "manifest.json"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: model dims [4, 6] do not match dataset dims [4, 5]\n"
+    assert not out.exists()
+
+
+def test_check_exits_1_on_a_violation(dataset_dir, tmp_path, capsys, monkeypatch):
+    model, out = tmp_path / "model.json", tmp_path / "axioms.json"
+    manifest = str(dataset_dir / "manifest.json")
+    assert run_cli(["train", "--manifest", manifest, "--train-count", "12", "--d", "2", "--out", str(model)]) == 0
+    check = mvmetric.cli.check_metric_axioms
+
+    def one_violation(model, view, *args):
+        report = check(model, view, *args)
+        return {**report, "triangle_violations": 1} if view == 1 else report
+
+    monkeypatch.setattr(mvmetric.cli, "check_metric_axioms", one_violation)
+    capsys.readouterr()
+    assert run_cli(["check", "--model", str(model), "--manifest", manifest, "--trials", "50", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: 1 metric axiom violation(s) found\n"
+    doc = json.loads(out.read_text())
+    assert doc["violations"] == 1
+    assert [view["triangle_violations"] for view in doc["views"]] == [1, 0]
+
+
 def test_missing_required_options(capsys):
     assert run_cli(["train"]) == 2
     assert "missing required" in capsys.readouterr().err
@@ -653,6 +685,8 @@ def test_standardized_model_checks_on_raw_data_without_a_flag(dataset_dir, tmp_p
     [
         ("{ nope", "invalid JSON"),
         ("[1, 2]", "expected a JSON object"),
+        ('{"labels": "labels.txt"}', "missing key 'views'"),
+        ('{"views": ["view1.csv", "view2.csv"]}', "missing key 'labels'"),
         ('{"views": "view1.csv", "labels": "labels.txt"}', "'views' must be a non-empty list of file names"),
         ('{"views": [1, 2], "labels": "labels.txt"}', "'views' must be a non-empty list of file names"),
         ('{"views": [], "labels": "labels.txt"}', "'views' must be a non-empty list of file names"),

@@ -302,6 +302,8 @@ def test_split_checks_its_count_and_seed_by_name():
         ([0, 1], [-2, 3], ValueError, "test_indices must be >= 0, got -2"),
         ([0, 1, 1, 2], [3], ValueError, "train_indices must be distinct"),
         ([0, 1], [3, 3], ValueError, "test_indices must be distinct"),
+        ([], [3], ValueError, "train_indices must be nonempty"),
+        ([0, 1, 2], [2, 3], ValueError, "train and test indices overlap"),
     ],
 )
 def test_split_spec_takes_distinct_non_negative_integer_indices(train_indices, test_indices, error, message):
@@ -455,6 +457,42 @@ def test_labels_must_be_ascii_decimal_integers(tmp_path, text):
     (tmp_path / "labels.txt").write_text("+0\n10\n-1\n")
     ds = load_dataset([tmp_path / "a.csv", tmp_path / "b.csv"], tmp_path / "labels.txt")
     np.testing.assert_array_equal(ds.labels, [0, 10, -1])
+
+
+def test_blank_lines_in_the_labels_file_are_skipped(tmp_path):
+    _write_csv(tmp_path / "a.csv", [[1.0], [2.0], [3.0]])
+    _write_csv(tmp_path / "b.csv", [[1.0], [2.0], [3.0]])
+    (tmp_path / "labels.txt").write_text("\n0\n  \n1\n\n1\n\n")
+    ds = load_dataset([tmp_path / "a.csv", tmp_path / "b.csv"], tmp_path / "labels.txt")
+    np.testing.assert_array_equal(ds.labels, [0, 1, 1])
+    # a skipped line still counts in the line numbers errors name
+    (tmp_path / "labels.txt").write_text("0\n\n1\nx\n")
+    with pytest.raises(ValueError, match=re.escape("labels.txt, line 4: not an integer: 'x'")):
+        load_dataset([tmp_path / "a.csv", tmp_path / "b.csv"], tmp_path / "labels.txt")
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (np.ones(4), r"view 2: expected 2-D data, got shape \(4,\)"),
+        (np.ones((2, 3, 4)), r"view 2: expected 2-D data, got shape \(2, 3, 4\)"),
+        (np.ones((0, 4)), "view 2: needs at least 1 feature"),
+        (np.ones((3, 1)), "view 2: needs at least 2 samples"),
+    ],
+)
+def test_view_matrix_takes_features_by_samples_data(data, message):
+    with pytest.raises(ValueError, match=message):
+        ViewMatrix(2, data)
+
+
+def test_dataset_takes_views_numbered_one_to_m():
+    labels = np.array([0, 0, 1, 1])
+    with pytest.raises(ValueError, match="dataset needs at least one view"):
+        MultiviewDataset((), labels)
+    first, second = ViewMatrix(1, np.ones((2, 4))), ViewMatrix(2, np.ones((3, 4)))
+    for views, ids in [((second, first), [2, 1]), ((second,), [2]), ((first, first), [1, 1])]:
+        with pytest.raises(ValueError, match=re.escape(f"view ids must be 1..m in order, got {ids}")):
+            MultiviewDataset(views, labels)
 
 
 def test_view_matrix_rejects_non_finite():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -97,6 +98,14 @@ def test_multiview_distance_weighted_combination():
     assert multiview_distance(model, xs, ys) == pytest.approx(
         np.sqrt(0.25**2 * 9.0 + 0.75**2 * 16.0), abs=1e-12
     )
+
+
+def test_multiview_distance_takes_one_vector_per_view():
+    model = make_model([np.eye(2), np.eye(3)[:, :2]], [0.5, 0.5])
+    xs = [np.zeros(2), np.zeros(3)]
+    for x, y in [(xs[:1], xs), (xs, xs[:1]), ([*xs, np.zeros(2)], xs)]:
+        with pytest.raises(ValueError, match="expected 2 per-view vectors"):
+            multiview_distance(model, x, y)
 
 
 def test_identical_views_factorize():
@@ -203,6 +212,14 @@ def test_axiom_checker_validates_inputs(monkeypatch):
     assert json.dumps(numpy_scalars) == json.dumps(check_metric_axioms(model, 1, samples, 200, 3))
     assert numpy_scalars["triangle_violations"] > 0
     assert [type(numpy_scalars[key]) for key in ("view", "trials", "seed")] == [int, int, int]
+
+
+def test_axiom_checker_names_the_samples_shape():
+    rng = np.random.default_rng(9)
+    model = random_model(rng, [4], 2)
+    for samples in (rng.standard_normal((3, 6)), rng.standard_normal(12), rng.standard_normal((4, 6, 1))):
+        with pytest.raises(ValueError, match=re.escape("samples must have shape (4, N)")):
+            check_metric_axioms(model, 1, samples, trials=10, seed=0)
 
 
 def reference_distances(model, view, samples, trials, seed):

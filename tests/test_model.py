@@ -204,6 +204,17 @@ def test_model_validates_weights():
         MultiviewMetricModel((w, w), np.array([np.nan, 1.0]), Hyperparams(embed_dim=2))
 
 
+def test_model_validates_its_projections():
+    w = np.eye(3)[:, :2]
+    with pytest.raises(ValueError, match="model requires a resolved embed_dim"):
+        MultiviewMetricModel((w,), np.array([1.0]), Hyperparams())
+    for bad, shape in [(np.eye(3)[:, :1], "(3, 1)"), (np.ones(3), "(3,)"), (np.ones((3, 2, 1)), "(3, 2, 1)")]:
+        with pytest.raises(ValueError, match=re.escape(f"projection 2: expected shape (D_v, 2), got {shape}")):
+            MultiviewMetricModel((w, bad), np.array([0.5, 0.5]), Hyperparams(embed_dim=2))
+    with pytest.raises(ValueError, match="model needs at least one view projection"):
+        MultiviewMetricModel((), np.array([]), Hyperparams(embed_dim=2))
+
+
 def test_load_rejects_bad_documents(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{ nope")

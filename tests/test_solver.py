@@ -151,7 +151,9 @@ def _blockwise_view_gains(projections, margins, crosses, hyper):
     return gains
 
 
-def test_z_and_gains_from_the_coupling_matrix_equal_the_blockwise_formulas_bit_for_bit():
+def test_z_equals_the_blockwise_formula_bit_for_bit_and_the_gains_to_rounding():
+    # the gains are each view's share of tr(W.T Z_1 W) at unit weights, so they
+    # round differently from the blockwise sums: within 1e-13 of the largest |g_v|
     rng = np.random.default_rng(19)
     for i in range(24):
         dims = [int(rng.integers(2, 30)) for _ in range(int(rng.integers(2, 5)))]
@@ -163,7 +165,8 @@ def test_z_and_gains_from_the_coupling_matrix_equal_the_blockwise_formulas_bit_f
         assert np.array_equal(Z, _blockwise_block_matrix(margins, crosses, weights, hyper))
         for blocks in (_update_projections(Z, dims, 2)[0], random_orthonormal_blocks(rng, dims, 2)):
             gains = compute_view_gains(blocks, K, hyper)
-            assert np.array_equal(gains, _blockwise_view_gains(blocks, margins, crosses, hyper))
+            gap = np.abs(gains - _blockwise_view_gains(blocks, margins, crosses, hyper)).max()
+            assert gap <= 1e-13 * np.abs(gains).max()
 
 
 # ---------------------------------------------------------------------------
