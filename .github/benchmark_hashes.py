@@ -1,13 +1,12 @@
 """Compare the benchmark gate's artifact hashes with the committed ones.
 
     export OPENBLAS_NUM_THREADS=1 OPENBLAS_CORETYPE=Haswell
-    python3 perfbench/run.py --seconds 0 --seed 1
-    python3 perfbench/run.py --seconds 0 --seed 3
-    python3 perfbench/run.py --seconds 0 --seed 4
+    python3 perfbench/run.py --seconds 0 --seed SEED  # once for each seed in SEEDS
     python3 .github/benchmark_hashes.py            # compare; exits 1 on a difference
     python3 .github/benchmark_hashes.py --write    # record them after a deliberate change
 
-Run from the repository root.  The model and report SHA-256 hold for one
+Run from the repository root.  ``SEEDS`` is the one list of the gate's
+seeds; CI reads it too.  The model and report SHA-256 hold for one
 numpy build, BLAS, BLAS thread count and core type: the file records them as
 ``provenance``, and a difference prints the run's own provenance beside it.
 Result files made under different provenance (say, one seed's run at another

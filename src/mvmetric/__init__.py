@@ -7,7 +7,7 @@ nearest-neighbor classifier.
 """
 
 from ._format import FORMAT_VERSION
-from .constraints import ConstraintSet, build_constraints
+from .constraints import build_constraints
 from .dataset import (
     MultiviewDataset,
     SplitSpec,
@@ -35,7 +35,6 @@ from .solver import TrainingError, train
 
 __all__ = [
     "FORMAT_VERSION",
-    "ConstraintSet",
     "EvalReport",
     "Hyperparams",
     "MultiviewDataset",

@@ -13,29 +13,12 @@ from .model import _integer
 class ConstraintSet:
     """Every same-class pair is similar and every different-class pair dissimilar.
 
-    The set holds the training labels, not the pairs: ``labels``, a vector of
-    non-negative integer class indices (``build_constraints`` maps any label
-    type to them), is stored read-only and renumbered 0..c-1 in order, and
-    the pair counts follow from the class sizes.
+    The set holds the training labels, not the pairs: ``labels`` is the
+    read-only vector of class indices 0..c-1 that ``build_constraints`` makes,
+    and the pair counts follow from the class sizes.
     """
 
     labels: np.ndarray
-
-    def __post_init__(self):
-        raw = np.asarray(self.labels)
-        if raw.ndim != 1:
-            raise ValueError(f"labels must be a vector, got shape {raw.shape}")
-        if raw.shape[0] < 2:
-            raise ValueError("need at least 2 samples to build constraints")
-        if raw.dtype.kind not in "iu" or raw.min() < 0:
-            raise ValueError(f"labels must be non-negative integer class indices, got dtype {raw.dtype}")
-        labels = np.unique(raw, return_inverse=True)[1]
-        labels.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        if self.n_similar == 0:
-            raise ValueError("no similar pairs (no class has 2 members)")
-        if self.n_dissimilar == 0:
-            raise ValueError("no dissimilar pairs (only one class present)")
 
     @property
     def n_similar(self) -> int:
@@ -49,7 +32,7 @@ class ConstraintSet:
 
 
 def build_constraints(labels, max_pairs_per_set=None, seed=0) -> ConstraintSet:
-    """The exhaustive constraint set of ``labels``.
+    """The exhaustive constraint set of ``labels``, a vector of any label type renumbered 0..c-1 in order.
 
     The second and third parameters are kept only because
     ``perfbench/harness.py`` passes a cap of ``None`` and a seed
@@ -60,4 +43,14 @@ def build_constraints(labels, max_pairs_per_set=None, seed=0) -> ConstraintSet:
         _integer("max_pairs_per_set", max_pairs_per_set)
         raise ValueError(f"max_pairs_per_set is no longer supported, got {max_pairs_per_set!r}")
     raw = np.asarray(labels)
-    return ConstraintSet(np.unique(raw, return_inverse=True)[1].reshape(raw.shape))
+    if raw.ndim != 1:
+        raise ValueError(f"labels must be a vector, got shape {raw.shape}")
+    if raw.shape[0] < 2:
+        raise ValueError("need at least 2 samples to build constraints")
+    constraints = ConstraintSet(np.unique(raw, return_inverse=True)[1])
+    constraints.labels.setflags(write=False)
+    if constraints.n_similar == 0:
+        raise ValueError("no similar pairs (no class has 2 members)")
+    if constraints.n_dissimilar == 0:
+        raise ValueError("no dissimilar pairs (only one class present)")
+    return constraints

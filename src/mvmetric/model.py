@@ -18,7 +18,7 @@ MODEL_FORMAT_VERSION = "2"
 ORTHONORMALITY_TOL = 1e-8
 SIMPLEX_TOL = 1e-12
 STOP_REASONS = (None, "tol", "max_iters")
-# hyperparameters saved in model files and eval report configs, in this order; model files may omit the last two
+# hyperparameters saved in model files and eval report configs, in this order
 SAVED_HYPERPARAMS = ("embed_dim", "weight_exponent", "coupling_eta", "max_iters", "tol")
 
 
@@ -141,8 +141,7 @@ class MultiviewMetricModel:
     per-view metric matrix is ``W_v @ W_v.T`` without scales.  ``trace``
     keeps per-iteration diagnostics from training.  ``stop_reason`` is
     ``"tol"`` when training converged, ``"max_iters"`` when it ran out of
-    iterations, and ``None`` when unknown (models built by hand or saved
-    without it).
+    iterations, and ``None`` when unknown (models built by hand).
     """
 
     projections: tuple
@@ -250,13 +249,14 @@ class MultiviewMetricModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MultiviewMetricModel":
-        """Inverse of ``to_dict``; a given ``format_version``, ``num_views`` or ``view_dims`` must match."""
+        """Inverse of ``to_dict``; of its keys only ``format_version``, ``scales`` and ``config`` may be missing."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"invalid model document: expected a JSON object, got {type(doc).__name__}")
         check_format_version(doc, "model document", MODEL_FORMAT_VERSION)
         try:
             # the JSON values go to Hyperparams as they are, so its checks see
             # them: 2.5 or "7" is no max_iters, and true is no eta
-            values = {key: doc[key] for key in SAVED_HYPERPARAMS[:3]}
-            values.update((key, doc[key]) for key in SAVED_HYPERPARAMS[3:] if key in doc)
+            values = {key: doc[key] for key in SAVED_HYPERPARAMS}
             if values["embed_dim"] is None:
                 raise TypeError("embed_dim must be an integer, got None")
             scales = doc.get("scales")
@@ -269,19 +269,18 @@ class MultiviewMetricModel:
                 scales = tuple(_decode(s, f"scales {i + 1}", 8) for i, s in enumerate(scales))
             weights = [_real("view_weights", w) for w in doc["view_weights"]]
             # 2.0 or true is no count, as in every other integer field
-            if "num_views" in doc:
-                _integer("num_views", doc["num_views"])
-            for n in doc.get("view_dims", ()):
+            _integer("num_views", doc["num_views"])
+            for n in doc["view_dims"]:
                 _integer("view_dims", n)
-            trace = doc.get("trace", [])
+            trace = doc["trace"]
             if not isinstance(trace, list) or not all(isinstance(entry, dict) for entry in trace):
                 raise TypeError(f"trace must be a list of objects, got {trace!r:.40}")
-            stop_reason = doc.get("stop_reason")
+            stop_reason = doc["stop_reason"]
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"invalid model document: {exc}") from exc
         model = cls(tuple(projections), weights, hyper, tuple(trace), stop_reason, scales)
         for key, value in (("num_views", model.num_views), ("view_dims", model.view_dims)):
-            if key in doc and doc[key] != value:
+            if doc[key] != value:
                 raise ValueError(f"model document: {key} {doc[key]!r:.40} does not match the projections' {value}")
         return model
 

@@ -180,26 +180,24 @@ def _remaining_change(change, previous):
 def _predict_move(moves):
     """A block's next move from its last three, newest first: a * m1 + b * m2,
     with (a, b) minimising ||m1 - a * m2 - b * m3||_F, the memory-2
-    extrapolation of Anderson acceleration (Walker & Ni, 2011).  When m2
-    and m3 are parallel to within g22 * g33 - g23^2 <= 1e-12 * g22 * g33
-    (g_ij the moves' dot products), the fit is not unique: if m1 is parallel
-    to m2 by the same test, the moves are geometric and the prediction is
-    m1 times its rate g12 / g22, and otherwise None.  None also with fewer
-    than three moves or a zero m2.  The products are taken relative to g22,
-    so scaling every move by a power of two scales the prediction by exactly
-    that power."""
+    extrapolation of Anderson acceleration (Walker & Ni, 2011).  None when
+    m2 and m3 are parallel to within g22 * g33 - g23^2 <= 1e-12 * g22 * g33
+    (g_ij the moves' dot products), where the fit is not unique, and with
+    fewer than three moves or a zero m2.  The products are taken relative to
+    g22, so scaling every move by a power of two scales the prediction by
+    exactly that power."""
     if len(moves) < 3:
         return None
     m1, m2, m3 = (m.ravel() for m in moves)
     g22 = float(m2.dot(m2))
     if g22 == 0.0:
         return None
-    pairs = ((m1, m1), (m1, m2), (m1, m3), (m2, m3), (m3, m3))
-    g11, g12, g13, g23, g33 = (float(x.dot(y)) / g22 for x, y in pairs)
+    pairs = ((m1, m2), (m1, m3), (m2, m3), (m3, m3))
+    g12, g13, g23, g33 = (float(x.dot(y)) / g22 for x, y in pairs)
     det = g33 - g23 * g23
-    if det > 1e-12 * g33:
-        return (g12 * g33 - g13 * g23) / det * moves[0] + (g13 - g12 * g23) / det * moves[1]
-    return g12 * moves[0] if g11 - g12 * g12 <= 1e-12 * g11 else None
+    if det <= 1e-12 * g33:
+        return None
+    return (g12 * g33 - g13 * g23) / det * moves[0] + (g13 - g12 * g23) / det * moves[1]
 
 
 def _refine_blocks(Z, dims, blocks):

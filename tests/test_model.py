@@ -83,7 +83,8 @@ def test_save_load_roundtrip_is_exact(tmp_path):
     assert loaded.stop_reason == model.stop_reason == "tol"
     doc = model.to_dict()
     del doc["max_iters"], doc["tol"]
-    assert MultiviewMetricModel.from_dict(doc).hyper == Hyperparams(embed_dim=2)
+    with pytest.raises(ValueError, match=re.escape("invalid model document: 'max_iters'")):
+        MultiviewMetricModel.from_dict(doc)
 
 
 def test_model_document_fields(tmp_path):
@@ -121,13 +122,14 @@ def test_extreme_floats_round_trip_bit_exactly(tmp_path):
         assert loaded.view(np.uint64).tolist() == saved.view(np.uint64).tolist()
 
 
-def test_stop_reason_missing_from_older_documents_loads_as_none(tmp_path):
+def test_stop_reason_must_be_present_and_known(tmp_path):
     doc = _trained_model().to_dict()
     assert doc["stop_reason"] == "tol"
     del doc["stop_reason"]
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
-    assert MultiviewMetricModel.load(path).stop_reason is None
+    with pytest.raises(ValueError, match=re.escape("invalid model document: 'stop_reason'")):
+        MultiviewMetricModel.load(path)
     doc["stop_reason"] = "gave_up"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="stop_reason"):
@@ -175,17 +177,20 @@ def test_load_rejects_dims_that_disagree_with_the_projections(tmp_path, views, k
         MultiviewMetricModel.load(path)
 
 
-def test_documents_without_format_version_or_dims_load(tmp_path):
+def test_documents_load_without_format_version_but_not_without_dims(tmp_path):
     model = _trained_model()
     path = tmp_path / "model.json"
-    for keys in (["format_version"], ["num_views", "view_dims"]):
+    doc = model.to_dict()
+    del doc["format_version"]
+    path.write_text(json.dumps(doc))
+    for loaded in (MultiviewMetricModel.from_dict(doc), MultiviewMetricModel.load(path)):
+        assert loaded.view_dims == [4, 5]
+        assert all(np.array_equal(a, b) for a, b in zip(model.projections, loaded.projections))
+    for key in ("num_views", "view_dims"):
         doc = model.to_dict()
-        for key in keys:
-            del doc[key]
-        path.write_text(json.dumps(doc))
-        for loaded in (MultiviewMetricModel.from_dict(doc), MultiviewMetricModel.load(path)):
-            assert loaded.view_dims == [4, 5]
-            assert all(np.array_equal(a, b) for a, b in zip(model.projections, loaded.projections))
+        del doc[key]
+        with pytest.raises(ValueError, match=re.escape(f"invalid model document: '{key}'")):
+            MultiviewMetricModel.from_dict(doc)
 
 
 def test_model_validates_orthonormality():
@@ -223,6 +228,10 @@ def test_load_rejects_bad_documents(tmp_path):
     path.write_text(json.dumps([1, 2, 3]))
     with pytest.raises(ValueError, match="JSON object"):
         MultiviewMetricModel.load(path)
+    # from_dict checks the same itself: a non-object is no model document either
+    for doc, kind in (([1, 2, 3], "list"), ("model", "str"), (2, "int"), (None, "NoneType")):
+        with pytest.raises(ValueError, match=f"invalid model document: expected a JSON object, got {kind}"):
+            MultiviewMetricModel.from_dict(doc)
     path.write_text(json.dumps({"embed_dim": 2}))
     with pytest.raises(ValueError, match="invalid model document"):
         MultiviewMetricModel.load(path)

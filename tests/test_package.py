@@ -30,6 +30,7 @@ REMOVED = (
     "coupling_matrix",
     "compute_scatter",
     "compute_cross",
+    "ConstraintSet",
 )
 
 

@@ -275,9 +275,8 @@ def _reference_refine_blocks(Z, dims, blocks, max_sweeps=30, inner_iters=50, est
     ``estimate=False`` is the step-only loop that came before.  With
     ``predict``, a block with three moves m1, m2, m3 (newest first) starts
     its steps at W + a * m1 + b * m2, (a, b) the least-squares fit of m1 by
-    a * m2 + b * m3, or at W + g12 / g22 * m1 when all three are parallel;
-    the first step from such a start sets no rate, and a block whose steps
-    run out keeps no move."""
+    a * m2 + b * m3, unless m2 and m3 are parallel; the first step from such
+    a start sets no rate, and a block whose steps run out keeps no move."""
     offsets = _block_offsets(dims)
     m = len(dims)
     diag = [Z[offsets[v]:offsets[v + 1], offsets[v]:offsets[v + 1]] for v in range(m)]
@@ -299,15 +298,12 @@ def _reference_refine_blocks(Z, dims, blocks, max_sweeps=30, inner_iters=50, est
                 m1, m2, m3 = moves[v]
                 g22 = float(np.vdot(m2, m2))
                 if g22 > 0.0:
-                    pairs = ((m1, m1), (m1, m2), (m1, m3), (m2, m3), (m3, m3))
-                    g11, g12, g13, g23, g33 = (float(np.vdot(x, y)) / g22 for x, y in pairs)
+                    pairs = ((m1, m2), (m1, m3), (m2, m3), (m3, m3))
+                    g12, g13, g23, g33 = (float(np.vdot(x, y)) / g22 for x, y in pairs)
                     det = g33 - g23 * g23
                     if det > 1e-12 * g33:
                         a, b = (g12 * g33 - g13 * g23) / det, (g13 - g12 * g23) / det
                         current, predicted = blocks[v] + (a * m1 + b * m2), True
-                    elif g11 - g12 * g12 <= 1e-12 * g11:
-                        # all three moves parallel: the one rate g12
-                        current, predicted = blocks[v] + g12 * m1, True
             previous, converged = None, False
             for i in range(inner_iters):
                 updated, _ = _reference_orthonormal_polar(shifted @ current + coupling)
@@ -499,17 +495,15 @@ def test_the_first_step_from_a_predicted_start_sets_no_rate(monkeypatch):
 def test_predict_move_is_the_least_squares_extrapolation(k):
     rng = np.random.default_rng(33)
     M, N = rng.standard_normal((2, 6, 3))
-    # fewer than three moves, a zero m2, or a parallel m2 and m3 that m1 is
-    # not parallel to: no prediction
+    # fewer than three moves, a zero m2, or a parallel m2 and m3, whatever
+    # m1 is: no prediction
     assert solver._predict_move([]) is None
     assert solver._predict_move([M, N]) is None
     assert solver._predict_move([M, np.zeros_like(M), N]) is None
     assert solver._predict_move([N, M, -0.5 * M]) is None
-    # a geometric sequence m_k = rho^k M is predicted as rho m1
-    m1 = 0.9**3 * M
-    prediction = solver._predict_move([m1, 0.9**2 * M, 0.9 * M])
-    assert np.linalg.norm(prediction - 0.9 * m1) <= 1e-15 * np.linalg.norm(0.9 * m1)
-    # so is one with a complex ratio, m_k = Re(rho^k (M + i N)), which
+    # so a geometric sequence m_k = rho^k M, whose moves are all parallel, is not predicted
+    assert solver._predict_move([0.9**3 * M, 0.9**2 * M, 0.9 * M]) is None
+    # one with a complex ratio, m_k = Re(rho^k (M + i N)), is predicted: it
     # satisfies m_(k+1) = 2 Re(rho) m_k - |rho|^2 m_(k-1)
     rho = 0.9 * np.exp(0.3j)
     sequence = [np.real(rho**j * (M + 1j * N)) for j in (4, 3, 2, 1)]
