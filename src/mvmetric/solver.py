@@ -16,21 +16,19 @@ blocks, (a_v^r + a_w^r) / (2 * eta) off them.  With the W_v stacked into
 one tall W, G = tr(W.T Z W) = sum_v a_v^r g_v(W), g_v being the view's gain.
 
 The W-step is a heuristic for maximising tr(W.T Z W) under per-view
-orthonormality: take the top eigenvectors of Z, restore per-view
-orthonormality by polar projection, then run deterministic block-coordinate
-ascent sweeps of majorize-maximize (MM) solves.  It does not always reach
-the maximum, so neither the logged objective nor Phi below need increase.
-Each sweep steps a block until its step, or from the second step on the
-change still to come at the rate the steps shrink, is at most ``MM_STOP``
-(1e-12).  A block's steps start at the block plus its next move as
-extrapolated from its last three (``_predict_move``); the first step from
-such a start, which also brings it back onto the manifold, sets no rate,
-and a solve that runs out of ``MM_STEPS`` clears the block's moves.  A
-sweep step takes a block's
-polar factor from the ``eigh`` of its d x d Gram matrix when the previous
-step found the block's condition number below 10 (``GRAM_FLOOR``) and this
-one confirms it, with an error of about kappa^2 * eps <= 1e-14, under that
-stop; every other polar step, and every one that pads, takes a thin SVD.
+orthonormality: run deterministic block-coordinate ascent sweeps of
+majorize-maximize (MM) solves from the fit's start, which the first
+iteration takes once from the top eigenvectors of its Z, each view's slice
+restored to orthonormality by polar projection; every later iteration's
+sweeps start there again.  It does not always reach the maximum, so
+neither the logged objective nor Phi below need increase.  Each sweep
+steps a block until its step, or from the second step on the change still
+to come at the rate the steps shrink, is at most ``MM_STOP`` (1e-12).  A
+block's steps start at the block plus its next move as extrapolated from
+its last three (``_predict_move``); the first step from such a start, which
+also brings it back onto the manifold, sets no rate, and a solve that runs
+out of ``MM_STEPS`` clears the block's moves.  Every polar step takes the
+thin SVD.
 With eta = inf, Z is block-diagonal and the W-step is exact instead: each
 view's top eigenvectors of its margin block B_v - S_v (Ky Fan, per view).
 The weight step is exact: with b = a^r it sets b proportional to
@@ -60,7 +58,6 @@ from .model import Hyperparams, MultiviewMetricModel
 from .scatter import _block_offsets, coupling_matrix
 
 GAIN_CLAMP_FLOOR = 1e-8
-GRAM_FLOOR = 1e-2  # polar factor from the Gram matrix when lam_min > this * lam_max
 REFINE_SWEEPS = 30  # block-coordinate sweeps per W-step
 MM_STEPS = 50  # majorize-maximize steps per block and sweep at most
 MM_STOP = 1e-12  # a block's MM steps end once a step, or the change still to come, is at most this
@@ -128,42 +125,19 @@ def _fill_deficient_columns(U: np.ndarray, deficient: np.ndarray) -> np.ndarray:
     return U
 
 
-def _orthonormal_polar(block: np.ndarray, scale: float | None = None):
-    """Closest column-orthonormal matrix in Frobenius norm, with rank padding.
+def _orthonormal_polar(block: np.ndarray):
+    """Closest column-orthonormal matrix in Frobenius norm, from the thin SVD.
 
-    Returns (W, padded, scale); ``padded`` flags that the block had rank
-    below its column count and deficient directions were completed
-    deterministically.  The returned ``scale`` picks the route of the
-    block's next step: None for the thin SVD, else the Gram route, with a
-    power of two that brings this block's largest singular value to
-    [1/2, 1).
-
-    Given a ``scale``, the factor is B V diag(lam^(-1/2)) V.T, with B the
-    block times ``scale`` and (lam, V) the ``eigh`` of the d x d B.T B,
-    when lam_min > ``GRAM_FLOOR`` * lam_max, i.e. the block's condition
-    number kappa is below 10.  The Gram route's error, about
-    kappa^2 * eps <= 1e-14, then stays under ``MM_STOP`` (1e-12), the
-    bound on a block's last MM step or on the change still to come after
-    it (``_refine_blocks``);
-    the power of two changes no rounding and keeps B.T B near 1, far from
-    overflow.  A block that fails the test is decomposed by the SVD, so
-    every padded block comes from the SVD.
+    Returns (W, padded); ``padded`` flags that the block had rank below its
+    column count (a singular value at most 1e-10 of the largest) and the
+    deficient directions were completed deterministically.
     """
-    if scale is not None:
-        scaled = block * scale
-        lam, V = np.linalg.eigh(scaled.T @ scaled)
-        top = float(lam[-1])
-        if float(lam[0]) > GRAM_FLOOR * top:
-            next_scale = math.ldexp(scale, -math.frexp(math.sqrt(top))[1])
-            return scaled @ ((V / np.sqrt(lam)) @ V.T), False, next_scale
     U, s, Vh = np.linalg.svd(block, full_matrices=False)
     # singular values come in descending order, so the last is the smallest
-    top, low = float(s[0]), float(s[-1])
-    cutoff = 1e-10 * top
-    if low <= cutoff:
-        return _fill_deficient_columns(U, s <= cutoff) @ Vh, True, None
-    next_scale = math.ldexp(1.0, -math.frexp(top)[1]) if (low / top) ** 2 > GRAM_FLOOR else None
-    return U @ Vh, False, next_scale
+    cutoff = 1e-10 * float(s[0])
+    if float(s[-1]) <= cutoff:
+        return _fill_deficient_columns(U, s <= cutoff) @ Vh, True
+    return U @ Vh, False
 
 
 def _remaining_change(change, previous):
@@ -221,21 +195,15 @@ def _refine_blocks(Z, dims, blocks):
     solves all run out steps from W itself.  A predicted start lies off the
     manifold, so monotonicity no longer proves a solve's output at least as
     good as its input; every step after the first is monotone, and over the
-    benchmark's train fits (seeds 1, 3 and 4) and the tests' refine cases
-    no solve lowered its block's objective by more than 1.8e-15 relative
-    (34,530 solves).
-
-    A block's first step in each call takes the SVD route, and each step's
-    decomposition picks the route of that block's next one
-    (``_orthonormal_polar``).  Returns the refined blocks and the number of
-    polar steps made.
+    benchmark's train fits (seeds 1, 3 and 4) no solve lowered its block's
+    objective by more than 1.5e-15 relative (31,410 solves).  Returns the
+    refined blocks and the number of polar steps made.
     """
     offsets = _block_offsets(dims)
     m = len(dims)
     diag = [Z[offsets[v]:offsets[v + 1], offsets[v]:offsets[v + 1]] for v in range(m)]
     shifted = [a + max(0.0, -float(np.linalg.eigvalsh(a).min())) * np.eye(len(a)) for a in diag]
     blocks = [b.copy() for b in blocks]
-    scales = [None] * m
     moves = [[] for _ in range(m)]
     steps = 0
     for _ in range(REFINE_SWEEPS):
@@ -248,7 +216,7 @@ def _refine_blocks(Z, dims, blocks):
             start, predicted = blocks[v], _predict_move(moves[v])
             current, previous = start if predicted is None else start + predicted, None
             for k in range(MM_STEPS):
-                updated, _, scales[v] = _orthonormal_polar(shifted[v] @ current + coupling, scales[v])
+                updated, _ = _orthonormal_polar(shifted[v] @ current + coupling)
                 steps += 1
                 # the Frobenius norm of the step, as np.linalg.norm computes it
                 step = (updated - current).ravel(order="K")
@@ -266,22 +234,29 @@ def _refine_blocks(Z, dims, blocks):
     return blocks, steps
 
 
-def _update_projections(Z, dims, d):
-    """W-step: each view's slice of the top-d eigenvectors of Z, projected to
-    its nearest column-orthonormal matrix (rank-deficient slices are padded
-    deterministically), then improved by block-coordinate MM sweeps.
-    Returns the blocks, the padded views (1-based) and the polar steps made
-    (one SVD per view, then the sweeps').  Z must be exactly symmetric and
-    d <= min(dims), as ``train`` ensures."""
+def _polar_start(Z, dims, d):
+    """A W-step's start: each view's slice of the top-d eigenvectors of Z,
+    projected to its nearest column-orthonormal matrix (rank-deficient slices
+    are padded deterministically).  Returns the blocks and the padded views
+    (1-based).  Z must be exactly symmetric and d <= min(dims), as ``train``
+    ensures."""
     _, vecs = top_eigenpairs(Z, d)
     offsets = _block_offsets(dims)
     blocks, padded = [], []
-    for v in range(len(dims)):
-        w, was_padded, _ = _orthonormal_polar(vecs[offsets[v]:offsets[v + 1], :])
+    for v, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+        w, was_padded = _orthonormal_polar(vecs[lo:hi])
         blocks.append(w)
         if was_padded:
             padded.append(v + 1)
-    blocks, steps = _refine_blocks(Z, dims, blocks)
+    return blocks, padded
+
+
+def _update_projections(Z, dims, d):
+    """The W-step from scratch: ``_polar_start``, then block-coordinate MM
+    sweeps.  Returns the blocks, the padded views and the polar steps made
+    (one SVD per view, then the sweeps')."""
+    start, padded = _polar_start(Z, dims, d)
+    blocks, steps = _refine_blocks(Z, dims, start)
     return blocks, padded, len(dims) + steps
 
 
@@ -324,10 +299,14 @@ def update_view_weights(gains, weight_exponent: float) -> np.ndarray:
 
 def _alternate(K: np.ndarray, dims, hyper: Hyperparams):
     """``train``'s alternation on the coupling matrix K; returns the blocks,
-    weights, trace and stop reason.  ``hyper`` must be resolved.  With
-    ``coupling_eta`` inf, Z is block-diagonal, so the W-step's maximiser is
-    each view's top eigenvectors of its diagonal block of K, whatever the
-    weights: the second iteration repeats the first, and ``tol`` ends the fit.
+    weights, trace and stop reason.  ``hyper`` must be resolved.  The first
+    iteration takes the fit's start from its Z (``_polar_start``), and every
+    iteration's sweeps start there, so a fit makes one eigendecomposition of
+    Z; every trace entry reports the start's padded views, and only the
+    first counts the start's polar steps.  With ``coupling_eta`` inf, Z is
+    block-diagonal, so the W-step's maximiser is each view's top
+    eigenvectors of its diagonal block of K, whatever the weights: the
+    second iteration repeats the first, and ``tol`` ends the fit.
 
     The fit stops with ``"tol"`` after iteration k when its residual r_k is
     below ``tol``, or when, with q = r_k / r_(k-1) < 1, the remaining change
@@ -339,7 +318,7 @@ def _alternate(K: np.ndarray, dims, hyper: Hyperparams):
     r, d = hyper.weight_exponent, hyper.embed_dim
     offsets = _block_offsets(dims)
     weights = np.full(len(dims), 1.0 / len(dims))
-    blocks, trace = None, []
+    blocks, start, trace = None, None, []
     for iteration in range(1, hyper.max_iters + 1):
         previous = blocks
         if hyper.coupling_eta == math.inf:
@@ -347,7 +326,12 @@ def _alternate(K: np.ndarray, dims, hyper: Hyperparams):
             padded, steps = [], 0
         else:
             Z = assemble_block_matrix(K, dims, weights, hyper)
-            blocks, padded, steps = _update_projections(Z, dims, d)
+            steps = 0
+            if start is None:
+                start, padded = _polar_start(Z, dims, d)
+                steps = len(dims)
+            blocks, sweep_steps = _refine_blocks(Z, dims, start)
+            steps += sweep_steps
         gains = compute_view_gains(blocks, K, hyper)
         objective = float(np.dot(weights**r, gains))
         weights = update_view_weights(gains, r)

@@ -68,7 +68,7 @@ def test_pairs_are_ordered_and_disjoint():
     assert cs.n_similar + cs.n_dissimilar == 7 * 6 // 2
 
 
-def test_negative_indices_are_rejected():
+def test_negative_labels_are_renumbered():
     # build_constraints maps any label, negative ones too, to class indices
     assert build_constraints([-1, 0, 0, -1]).labels.tolist() == [0, 1, 1, 0]
 

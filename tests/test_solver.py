@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvmetric import (
@@ -338,17 +338,16 @@ def _count_svds(monkeypatch):
 
 
 def _refine_cases():
-    """(Z, dims, d, pads, svd_only): ``pads`` marks a case some step of which
-    pads a column, ``svd_only`` one none of whose blocks passes the Gram floor."""
+    """(Z, dims, d, pads): ``pads`` marks a case some step of which pads a column."""
     rng = np.random.default_rng(17)
     for _ in range(25):
         dims = [int(rng.integers(2, 9)) for _ in range(int(rng.integers(2, 5)))]
         d = int(rng.integers(1, min(dims) + 1))
         base = rng.standard_normal((sum(dims), sum(dims)))
-        yield (base + base.T) / 2.0, dims, d, False, False
+        yield (base + base.T) / 2.0, dims, d, False
     # far below unit scale: the rank cutoff scales with Z
-    yield (base + base.T) * 2.0**-40, dims, d, False, False
-    yield np.zeros((7, 7)), [3, 4], 2, True, True
+    yield (base + base.T) * 2.0**-40, dims, d, False
+    yield np.zeros((7, 7)), [3, 4], 2, True
     # view 1 is uncoupled and its margin is -u u^T: the shifted block has rank
     # 2, so with d = 3 every step of that view pads a column
     u = rng.standard_normal(3)
@@ -356,25 +355,20 @@ def _refine_cases():
     Z = np.zeros((7, 7))
     Z[:3, :3] = -np.outer(u, u)
     Z[3:, 3:] = (base + base.T) / 2.0
-    yield Z, [3, 4], 3, True, False
-    # diagonal blocks with eigenvalues 1e3 ... 1 and weak coupling: each
-    # block's top 3 singular values stay about 30 apart, beyond the floor
+    yield Z, [3, 4], 3, True
+    # diagonal blocks with eigenvalues 1e3 ... 1 and weak coupling: every
+    # solve runs out of MM_STEPS
     Z = np.zeros((11, 11))
     for lo, hi in ((0, 5), (5, 11)):
         q = np.linalg.qr(rng.standard_normal((hi - lo, hi - lo)))[0]
         Z[lo:hi, lo:hi] = (q * np.logspace(3, 0, hi - lo)) @ q.T
     Z[:5, 5:] = 0.1 * rng.standard_normal((5, 6))
     Z[5:, :5] = Z[:5, 5:].T
-    yield Z, [5, 6], 3, False, True
-
-
-def _svd_only(block, scale=None):
-    """``_orthonormal_polar`` with the Gram route switched off."""
-    return (*_reference_orthonormal_polar(block), None)
+    yield Z, [5, 6], 3, False
 
 
 def _refine_starts(Z, dims, d):
-    """Each view's polar start, as ``_update_projections`` makes it."""
+    """Each view's polar start, as ``_polar_start`` makes it."""
     _, vecs = top_eigenpairs(Z, d)
     offsets = _block_offsets(dims)
     return [_reference_orthonormal_polar(vecs[lo:hi])[0] for lo, hi in zip(offsets, offsets[1:])]
@@ -385,12 +379,8 @@ def _unpredicted(monkeypatch):
 
 
 def test_refine_sweeps_are_bit_identical_to_the_reference_loop(monkeypatch):
-    # the SVD route is the reference's arithmetic, so a case that never takes
-    # the Gram route is bit-identical; the Gram route's error, about
-    # kappa^2 * eps with kappa <= 10, bounds the gap of the others.  Both
-    # loops start every solve at the block itself: a predicted start would
-    # carry that error on into the next solves, and the SVD-route test below
-    # pins the predicted starts
+    # both loops start every solve at the block itself; the next test pins
+    # the predicted starts
     _unpredicted(monkeypatch)
     fills = []
     fill = solver._fill_deficient_columns
@@ -401,34 +391,21 @@ def test_refine_sweeps_are_bit_identical_to_the_reference_loop(monkeypatch):
 
     monkeypatch.setattr(solver, "_fill_deficient_columns", counted)
     svds = _count_svds(monkeypatch)
-    gram_steps = 0
-    for Z, dims, d, pads, svd_only in _refine_cases():
+    for Z, dims, d, pads in _refine_cases():
         start = _refine_starts(Z, dims, d)
         fills.clear()
         svds.clear()
         blocks, steps = solver._refine_blocks(Z, dims, start)
         assert bool(fills) == pads
-        assert (len(svds) == steps) == svd_only
-        gram_steps += steps - len(svds)
+        # every polar step is one thin SVD
+        assert len(svds) == steps
         ref_blocks, ref_steps = _reference_refine_blocks(Z, dims, start, predict=False)
-        if svd_only:
-            assert all(np.array_equal(b, ref) for b, ref in zip(blocks, ref_blocks))
-            assert steps == ref_steps
-        # a block's last MM step can land within rounding of either stop
-        # clause (under the step clause alone, the 21st case ended one at
-        # 1.00003e-12 by the SVD, 0.99995e-12 by the Gram route), so the Gram
-        # route may take one step fewer or more
-        assert abs(steps - ref_steps) <= 1
-        for b, ref in zip(blocks, ref_blocks):
-            assert np.linalg.norm(b @ b.T - ref @ ref.T) <= 1e-13
-    assert gram_steps > 0
+        assert steps == ref_steps
+        assert all(np.array_equal(b, ref) for b, ref in zip(blocks, ref_blocks))
 
 
-def test_refine_sweeps_on_the_svd_route_are_bit_identical_to_the_reference_loop(monkeypatch):
-    # with the Gram route off, every case, each predicted start included, is
-    # the reference's arithmetic
-    monkeypatch.setattr(solver, "_orthonormal_polar", _svd_only)
-    for Z, dims, d, _, _ in _refine_cases():
+def test_predicted_refine_sweeps_are_bit_identical_to_the_reference_loop():
+    for Z, dims, d, _ in _refine_cases():
         start = _refine_starts(Z, dims, d)
         blocks, steps = solver._refine_blocks(Z, dims, start)
         ref_blocks, ref_steps = _reference_refine_blocks(Z, dims, start)
@@ -442,7 +419,7 @@ def test_the_estimate_stop_stays_within_1e_10_of_the_step_only_loop(monkeypatch)
     # than 1e-10; both loops start every solve at the block itself
     _unpredicted(monkeypatch)
     saved = 0
-    for Z, dims, d, _, _ in _refine_cases():
+    for Z, dims, d, _ in _refine_cases():
         start = _refine_starts(Z, dims, d)
         blocks, steps = solver._refine_blocks(Z, dims, start)
         ref_blocks, ref_steps = _reference_refine_blocks(Z, dims, start, estimate=False, predict=False)
@@ -459,7 +436,7 @@ def test_predicted_starts_save_steps_and_keep_the_endpoints(monkeypatch):
     # W_v W_v^T stays within 1e-10 and the objective within rounding, and the
     # last case, each of whose solves runs out of steps, is bit-identical
     cases = list(_refine_cases())
-    starts = [_refine_starts(Z, dims, d) for Z, dims, d, _, _ in cases]
+    starts = [_refine_starts(Z, dims, d) for Z, dims, d, _ in cases]
     predicted = [solver._refine_blocks(Z, dims, start) for (Z, dims, *_), start in zip(cases, starts)]
     _unpredicted(monkeypatch)
     plain = [solver._refine_blocks(Z, dims, start) for (Z, dims, *_), start in zip(cases, starts)]
@@ -555,65 +532,12 @@ def test_remaining_change_is_the_bound_of_a_contraction():
 def test_a_block_that_does_not_contract_runs_to_mm_steps(monkeypatch):
     # with Z = I a step maps the block to the negated block: every step has
     # norm 1, q = 1 gives no estimate, and each sweep takes MM_STEPS steps
-    def negated(block, scale=None):
-        return -block, False, None
+    def negated(block):
+        return -block, False
 
     monkeypatch.setattr(solver, "_orthonormal_polar", negated)
     _, steps = solver._refine_blocks(np.eye(1), [1], [np.full((1, 1), 0.5)])
     assert steps == solver.REFINE_SWEEPS * solver.MM_STEPS
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    rows=st.integers(1, 40),
-    cols=st.integers(1, 12),
-    log_kappa=st.floats(0.0, 3.0),
-    exponent=st.integers(-40, 40),
-    zeros=st.integers(0, 3),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_gram_route_matches_the_svd_route(rows, cols, log_kappa, exponent, zeros, seed):
-    # singular values from kappa down to 1, the last ``zeros`` of them 0,
-    # scaled by 2**exponent; the Gram route is tried with scale 2**-exponent
-    cols = min(cols, rows)
-    zeros = min(zeros, cols - 1)
-    kappa = 10.0**log_kappa if cols > 1 else 1.0
-    assume(abs(kappa**2 * solver.GRAM_FLOOR - 1.0) > 1e-6)
-    rng = np.random.default_rng(seed)
-    left = np.linalg.qr(rng.standard_normal((rows, cols)))[0]
-    right = np.linalg.qr(rng.standard_normal((cols, cols)))[0]
-    s = np.geomspace(kappa, 1.0, cols)
-    s[cols - zeros:] = 0.0
-    block = (left * s) @ right * 2.0**exponent
-    w, padded, scale = solver._orthonormal_polar(block, 2.0**-exponent)
-    ref, ref_padded = _reference_orthonormal_polar(block)
-    if zeros or kappa**2 * solver.GRAM_FLOOR > 1.0:
-        assert np.array_equal(w, ref) and padded == ref_padded == bool(zeros)
-        return
-    # the Gram route's error is about kappa^2 * eps <= 1e-14, under the 1e-12 MM step stop
-    assert not padded
-    assert np.linalg.norm(w - ref) <= 1e-12
-    assert np.linalg.norm(w.T @ w - np.eye(cols)) <= 1e-12
-    # the next step's scale brings the largest singular value near 1
-    assert 0.25 <= scale * kappa * 2.0**exponent < 2.0
-
-
-def test_wide_view_fit_matches_the_svd_only_fit(monkeypatch):
-    ds = generate_synthetic(3, 10, [60, 40, 30], noise_views={3}, seed=5)
-    sp = split(ds, 18, seed=5)
-    cs = build_constraints(ds.labels[sp.train_indices])
-    hyper = Hyperparams(embed_dim=5)
-    svds = _count_svds(monkeypatch)
-    model = train(ds, sp, cs, hyper)
-    # the Gram route took most steps
-    assert len(svds) < sum(e["polar_steps"] for e in model.trace) / 2
-
-    monkeypatch.setattr(solver, "_orthonormal_polar", _svd_only)
-    reference = train(ds, sp, cs, hyper)
-    assert model.stop_reason == reference.stop_reason
-    assert [e["polar_steps"] for e in model.trace] == [e["polar_steps"] for e in reference.trace]
-    for w, ref in zip(model.projections, reference.projections):
-        assert np.linalg.norm(w @ w.T - ref @ ref.T) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -1013,28 +937,29 @@ def test_rank_deficient_wide_view_matches_the_full_space_solve():
 
 
 def test_trace_counts_polar_steps(monkeypatch):
-    # ``polar_steps`` counts each W-step's polar steps by either route, and only the SVD pads
+    # ``polar_steps`` counts each W-step's polar steps, each one thin SVD: the
+    # fit's start, one per view, in the first W-step only, then the sweeps'
     ds = generate_synthetic(2, 10, [25, 6], seed=8)
     sp = split(ds, 12, seed=9)
     cs = build_constraints(ds.labels[sp.train_indices])
     fits = [(ds, sp, cs, Hyperparams(embed_dim=3)), _rank_deficient_wide_view_fit_inputs()]
-    steps, per_w_step, gram_steps = [], [], []
-    polar, w_step = solver._orthonormal_polar, solver._update_projections
+    steps, per_w_step = [], []
+    polar, sweeps = solver._orthonormal_polar, solver._refine_blocks
 
     def counted(*args):
         before = len(svds)
         result = polar(*args)
-        steps.append((result[1], len(svds) - before))
+        steps.append(len(svds) - before)
         return result
 
-    def counted_w_step(*args):
+    def counted_sweeps(*args):
         before = len(steps)
-        result = w_step(*args)
+        result = sweeps(*args)
         per_w_step.append(len(steps) - before)
         return result
 
     monkeypatch.setattr(solver, "_orthonormal_polar", counted)
-    monkeypatch.setattr(solver, "_update_projections", counted_w_step)
+    monkeypatch.setattr(solver, "_refine_blocks", counted_sweeps)
     svds = _count_svds(monkeypatch)
     for fit in fits:
         steps.clear()
@@ -1043,15 +968,47 @@ def test_trace_counts_polar_steps(monkeypatch):
         model = train(*fit)
         for entry in model.trace:
             assert set(entry) == {"iteration", "objective", "gains", "weights", "residual", "padded_views", "polar_steps"}
-            # one polar projection per view, then at least one per view and sweep
-            assert entry["polar_steps"] >= 2 + 2 * solver.REFINE_SWEEPS
-        assert [e["polar_steps"] for e in model.trace] == per_w_step
-        # a step makes at most one SVD, and a padded step completes the columns of its own
-        assert all(made <= 1 and (made or not padded) for padded, made in steps)
-        gram_steps.append(len(steps) - len(svds))
-    assert gram_steps[0] > 0
-    # the last fit counted pads view 1 in every iteration
+        # at least one step per view and sweep
+        assert all(count >= 2 * solver.REFINE_SWEEPS for count in per_w_step)
+        assert [e["polar_steps"] for e in model.trace] == [2 + per_w_step[0], *per_w_step[1:]]
+        assert steps == [1] * sum(e["polar_steps"] for e in model.trace)
+    # the last fit's start pads view 1, and every iteration reports it
+    assert len(model.trace) > 1
     assert all(e["padded_views"] == [1] for e in model.trace)
+
+
+def test_a_coupled_fit_takes_one_start_and_sweeps_from_it_every_iteration(monkeypatch):
+    ds = generate_synthetic(3, 10, [6, 8, 5], noise_views={3}, seed=1)
+    sp = split(ds, 15, seed=1)
+    cs = build_constraints(ds.labels[sp.train_indices])
+    eigh_inputs, starts = [], []
+    eigenpairs, sweeps = solver.top_eigenpairs, solver._refine_blocks
+
+    def recorded_eigenpairs(Z, d):
+        eigh_inputs.append(Z.shape)
+        return eigenpairs(Z, d)
+
+    def recorded_sweeps(Z, dims, blocks):
+        starts.append([b.copy() for b in blocks])
+        return sweeps(Z, dims, blocks)
+
+    monkeypatch.setattr(solver, "top_eigenpairs", recorded_eigenpairs)
+    monkeypatch.setattr(solver, "_refine_blocks", recorded_sweeps)
+    model = train(ds, sp, cs, Hyperparams(embed_dim=3, coupling_eta=1.0))
+    assert len(model.trace) > 2
+    # one eigendecomposition, of the whole Z (each view no wider than
+    # n_train + d keeps its width), and one start for every W-step
+    side = sum(ds.view_dims)
+    assert eigh_inputs == [(side, side)]
+    assert len(starts) == len(model.trace)
+    assert all(np.array_equal(b, first) for blocks in starts for b, first in zip(blocks, starts[0]))
+    # an uncoupled fit still solves each view by its own eigendecomposition,
+    # in each of its two iterations, with no sweeps
+    eigh_inputs.clear()
+    starts.clear()
+    uncoupled = train(ds, sp, cs, Hyperparams(embed_dim=3, coupling_eta=np.inf))
+    assert len(uncoupled.trace) == 2 and not starts
+    assert eigh_inputs == [(dim, dim) for dim in ds.view_dims] * 2
 
 
 def _meets_a_stop_clause(residuals, tol):
