@@ -195,7 +195,7 @@ def _add_common_hyper_flags(p: argparse.ArgumentParser) -> None:
                    help="maximum alternating iterations (default: %(default)s)")
     p.add_argument("--tol", type=float, default=Hyperparams.tol,
                    help="stop once the relative change of W_v W_v^T falls below tol, or once the change "
-                   "still to come at the last two changes' ratio q < 1, change * q / (1 - q), is at most "
+                   "still to come at the rate the last two changes shrank is at most "
                    f"{STOP_MARGIN:g} * tol (default: %(default)s)")
     p.add_argument("--standardize", action=argparse.BooleanOptionalAction, default=Hyperparams.standardize,
                    help="centre and scale each view's features by the training split's mean and std; "

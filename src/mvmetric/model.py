@@ -61,9 +61,9 @@ class Hyperparams:
     tol
         Finite stopping tolerance > 0 on an iteration's residual, the
         relative change of the per-view metrics ``W_v W_v^T``.  A fit stops
-        with ``"tol"`` when the residual falls below it, or when, with q < 1
-        the ratio of the last two residuals, ``residual * q / (1 - q)`` is at
-        most ``solver.STOP_MARGIN * tol`` (0.1 * tol).
+        with ``"tol"`` when the residual falls below it, or when the change
+        still to come at the rate the residuals shrink is at most
+        ``solver.STOP_MARGIN * tol`` (0.1 * tol; ``solver._alternate``).
     standardize
         Centre and scale each view's features by the mean and standard
         deviation of its training columns before fitting; the model keeps

@@ -15,32 +15,16 @@ it), and each iteration weights K blockwise into Z: a_v^r on diagonal
 blocks, (a_v^r + a_w^r) / (2 * eta) off them.  With the W_v stacked into
 one tall W, G = tr(W.T Z W) = sum_v a_v^r g_v(W), g_v being the view's gain.
 
-The W-step is a heuristic for maximising tr(W.T Z W) under per-view
-orthonormality: run deterministic block-coordinate ascent sweeps of
-majorize-maximize (MM) solves from the fit's start, which the first
-iteration takes once from the top eigenvectors of its Z, each view's slice
-restored to orthonormality by polar projection; every later iteration's
-sweeps start there again.  It does not always reach the maximum, so
-neither the logged objective nor Phi below need increase.  Each sweep
-steps a block until its step, or from the second step on the change still
-to come at the rate the steps shrink, is at most ``MM_STOP`` (1e-12).  A
-block's steps start at the block plus its next move as extrapolated from
-its last three (``_predict_move``); the first step from such a start, which
-also brings it back onto the manifold, sets no rate, and a solve that runs
-out of ``MM_STEPS`` clears the block's moves.  Every polar step takes the
-thin SVD.
-With eta = inf, Z is block-diagonal and the W-step is exact instead: each
-view's top eigenvectors of its margin block B_v - S_v (Ky Fan, per view).
-The weight step is exact: with b = a^r it sets b proportional to
-g^(r/(r-1)), which maximises sum_v b_v g_v over b >= 0 with ||b||_p = 1,
-p = (2r-1)/r, for nonnegative gains (one below 1e-8 of the largest |g_v|
-is clamped there first); Z depends only on b's direction.  So the
-alternation is block-coordinate ascent of sum_v b_v g_v(W), whose maximum
-over b is Phi(W) = ||max(g(W), 0)||_q, q = (2r-1)/(r-1).  Every threshold
-(polar rank cutoff, gain clamp, the predictor's parallel test) is relative,
-and the MM stop and the predictor read only differences of blocks, which no
-unit scales, so scaling all features by one c, which scales K by c^2,
-leaves the fit as it is.
+A fit alternates two steps from uniform weights (``_alternate``, which also
+states when it stops).  The W-step is a heuristic for maximising
+tr(W.T Z W) under per-view orthonormality: block-coordinate sweeps
+(``_refine_blocks``) from the fit's start (``_polar_start``).  The weight
+step is exact: with b = a^r it maximises sum_v b_v g_v over b >= 0 with
+||b||_p = 1 (``update_view_weights``), and Z depends only on b's
+direction.  So the alternation is block-coordinate ascent of
+sum_v b_v g_v(W), whose maximum over b is Phi(W) = ||max(g(W), 0)||_q,
+q = (2r-1)/(r-1).  The W-step does not always reach its maximum, so
+neither the logged objective nor Phi need increase.
 
 Only ``train`` and ``TrainingError`` are exported; the stages it runs take
 arguments it has already checked, and do not check them again.
@@ -179,12 +163,12 @@ def _refine_blocks(Z, dims, blocks):
 
     Each block update is a majorize-maximize solve: with the diagonal block
     shifted to be PSD, the step W <- polar(H W + B) from an orthonormal W
-    never decreases the objective.  Each of the ``REFINE_SWEEPS`` sweeps
-    steps every block at most ``MM_STEPS`` times, and ends its steps after
-    one of norm s when s <= ``MM_STOP``, or when, from the block's second
-    step in the sweep on, q = s / s_prev < 1 and s * q / (1 - q), the
-    change still to come at rate q (``_remaining_change``), is at most
-    ``MM_STOP``.
+    never decreases the objective.  Every W-step runs ``REFINE_SWEEPS``
+    sweeps, each of which steps every block at most ``MM_STEPS`` times and
+    ends a block's steps after one of norm s when s <= ``MM_STOP``, or
+    when, from the block's second step in the sweep on, the change still to
+    come at the rate q = s / s_prev the steps shrink
+    (``_remaining_change``) is at most ``MM_STOP``.
 
     A block's steps start at W plus the move ``_predict_move`` extrapolates
     from its last three moves (a move is the block after a solve minus the
@@ -235,11 +219,13 @@ def _refine_blocks(Z, dims, blocks):
 
 
 def _polar_start(Z, dims, d):
-    """A W-step's start: each view's slice of the top-d eigenvectors of Z,
-    projected to its nearest column-orthonormal matrix (rank-deficient slices
-    are padded deterministically).  Returns the blocks and the padded views
-    (1-based).  Z must be exactly symmetric and d <= min(dims), as ``train``
-    ensures."""
+    """The fit's start: each view's slice of the top-d eigenvectors of Z,
+    replaced by its polar factor, the nearest column-orthonormal matrix
+    (rank-deficient slices are padded deterministically).  A coupled fit
+    takes it once, from its first iteration's Z, and every W-step of the fit
+    starts its sweeps there, so the fit makes one eigendecomposition of Z.
+    Returns the blocks and the padded views (1-based).  Z must be exactly
+    symmetric and d <= min(dims), as ``train`` ensures."""
     _, vecs = top_eigenpairs(Z, d)
     offsets = _block_offsets(dims)
     blocks, padded = [], []
@@ -249,15 +235,6 @@ def _polar_start(Z, dims, d):
         if was_padded:
             padded.append(v + 1)
     return blocks, padded
-
-
-def _update_projections(Z, dims, d):
-    """The W-step from scratch: ``_polar_start``, then block-coordinate MM
-    sweeps.  Returns the blocks, the padded views and the polar steps made
-    (one SVD per view, then the sweeps')."""
-    start, padded = _polar_start(Z, dims, d)
-    blocks, steps = _refine_blocks(Z, dims, start)
-    return blocks, padded, len(dims) + steps
 
 
 def compute_view_gains(projections, K: np.ndarray, hyper: Hyperparams) -> np.ndarray:
@@ -277,17 +254,17 @@ def compute_view_gains(projections, K: np.ndarray, hyper: Hyperparams) -> np.nda
 
 
 def update_view_weights(gains, weight_exponent: float) -> np.ndarray:
-    """Closed-form simplex weights from the view gains.
+    """The weight step: closed-form simplex weights from the view gains.
 
-    a_v is proportional to ``g_v ** (1/(r-1))``, so higher-gain views get
-    more weight, uniform gains give exactly uniform weights, and r -> inf
-    flattens toward 1/m.  This is the interior stationary point of the
-    weight subproblem ``min sum_v a_v^r / g_v`` on the simplex.
-
-    Gains are clamped below at ``GAIN_CLAMP_FLOOR`` times the largest
-    ``|g_v|`` (all-zero gains: uniform weights) before the power, since the
-    margin term can be negative.  ``weight_exponent`` must be above 1, as
-    ``Hyperparams`` ensures.
+    Gains are first clamped below at ``GAIN_CLAMP_FLOOR`` times the largest
+    ``|g_v|`` (all-zero gains: uniform weights), since the margin term can
+    be negative.  Then a_v is proportional to ``g_v ** (1/(r-1))``, so
+    higher-gain views get more weight, uniform gains give exactly uniform
+    weights, and r -> inf flattens toward 1/m.  With b = a^r this sets b
+    proportional to g^(r/(r-1)), which maximises sum_v b_v g_v over b >= 0
+    with ||b||_p = 1, p = (2r-1)/r; on the simplex it is the interior
+    stationary point of ``min sum_v a_v^r / g_v``.  ``weight_exponent``
+    must be above 1, as ``Hyperparams`` ensures.
     """
     gains = np.asarray(gains, dtype=float)
     clamped = np.maximum(gains, GAIN_CLAMP_FLOOR * (np.abs(gains).max() or 1.0))
@@ -299,22 +276,25 @@ def update_view_weights(gains, weight_exponent: float) -> np.ndarray:
 
 def _alternate(K: np.ndarray, dims, hyper: Hyperparams):
     """``train``'s alternation on the coupling matrix K; returns the blocks,
-    weights, trace and stop reason.  ``hyper`` must be resolved.  The first
-    iteration takes the fit's start from its Z (``_polar_start``), and every
-    iteration's sweeps start there, so a fit makes one eigendecomposition of
-    Z; every trace entry reports the start's padded views, and only the
-    first counts the start's polar steps.  With ``coupling_eta`` inf, Z is
+    weights, trace and stop reason.  ``hyper`` must be resolved.  Each
+    iteration runs the W-step on its Z, from the fit's start
+    (``_polar_start``, taken in the first iteration), then the weight step;
+    every trace entry reports the start's padded views, and only the first
+    counts the start's polar steps.  With ``coupling_eta`` inf, Z is
     block-diagonal, so the W-step's maximiser is each view's top
     eigenvectors of its diagonal block of K, whatever the weights: the
     second iteration repeats the first, and ``tol`` ends the fit.
 
-    The fit stops with ``"tol"`` after iteration k when its residual r_k is
-    below ``tol``, or when, with q = r_k / r_(k-1) < 1, the remaining change
-    of a contraction at rate q, r_k * q / (1 - q) (``_remaining_change``),
-    is at most ``STOP_MARGIN * tol``.  The margin allows for a rate
-    that still grows: in small fits q grew up to 5x between iterations.
-    Either clause reads only the trace's residuals, and neither changes an
-    iterate, so a fit equals the same fit capped at its iteration count."""
+    Iteration k's residual r_k is the relative Frobenius change of the
+    per-view metrics ``W_v W_v^T``, which no rotation of a view's columns
+    moves.  The fit stops with ``"tol"`` after iteration k when r_k is below
+    ``tol``, or when the change still to come at the rate
+    q = r_k / r_(k-1) the residuals shrink (``_remaining_change``) is at
+    most ``STOP_MARGIN * tol``, else with ``"max_iters"`` after
+    ``max_iters``.  The margin allows for a rate that still grows: in small
+    fits q grew up to 5x between iterations.  Either clause reads only the
+    trace's residuals, and neither changes an iterate, so a fit equals the
+    same fit capped at its iteration count."""
     r, d = hyper.weight_exponent, hyper.embed_dim
     offsets = _block_offsets(dims)
     weights = np.full(len(dims), 1.0 / len(dims))
@@ -366,16 +346,13 @@ def train(
 ) -> MultiviewMetricModel:
     """Alternate the W-step and the weight step until the projections settle.
 
-    Weights start uniform.  Each iteration's ``residual`` is the relative
-    Frobenius change of the per-view metrics ``W_v W_v^T`` (which no
-    rotation of a view's columns moves).  The fit stops with ``"tol"`` when
-    the residual falls below ``tol``, or when the last two residuals shrink
-    by a ratio q < 1 and ``residual * q / (1 - q)``, the change still to come
-    at that rate, is at most ``STOP_MARGIN * tol``; else it stops after
-    ``max_iters``.  The model's ``stop_reason`` says which, and its trace
-    records every iteration.
-    ``coupling_eta`` inf disables the coupling; such a fit solves each view
-    exactly, repeats that solve in its second iteration and stops there.
+    The module docstring states the objective and the two steps, and
+    ``_alternate`` when a fit stops; the model's ``stop_reason`` says why,
+    and its trace records every iteration.  ``coupling_eta`` inf disables
+    the coupling; such a fit solves each view exactly, repeats that solve
+    in its second iteration and stops there.  Every threshold of the fit
+    is relative or reads only orthonormal blocks, so scaling all features
+    by one factor, which scales K by its square, leaves the fit as it is.
 
     Every view is solved in ``min(D_v, n_train + d)`` coordinates: an
     orthonormal basis ``Q_v`` (from a thin QR) of its first ``d`` feature

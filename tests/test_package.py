@@ -153,6 +153,23 @@ def test_readme_names_resolve_in_the_package():
     assert sorted(name for name in names if not _resolves(name)) == []
 
 
+def _stale_constants(text):
+    """README's inline ``NAME = value`` spans whose value no ``mvmetric`` module holds under that name."""
+    return [
+        f"{name} = {value}"
+        for name, value in re.findall(r"`([A-Z][A-Z0-9_]*) = ([^`]+)`", text)
+        if not any(name in vars(m) and vars(m)[name] == ast.literal_eval(value) for m in MODULES)
+    ]
+
+
+def test_readme_constants_hold_their_values():
+    sample = "`REFINE_SWEEPS = 30`, `MM_STEPS = 7`, `GONE = 1`, `q = s / s_prev`"
+    assert _stale_constants(sample) == ["MM_STEPS = 7", "GONE = 1"]
+    text = README.read_text()
+    assert {"REFINE_SWEEPS", "STOP_MARGIN", "TRIANGLE_SLACK"} <= set(re.findall(r"`([A-Z][A-Z0-9_]*) = ", text))
+    assert _stale_constants(text) == []
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # the benchmark's files that call the package; tier-1 does not run perfbench's own tests
 BENCHMARK_FILES = ("harness.py", "tracing.py", "clock.py", "oracle.py")
@@ -283,6 +300,30 @@ def test_no_unused_imports():
         f"{path.parent.name}/{path.name}": found for path in modules + tests if (found := _unused_imports(path))
     }
     assert unused == {}
+
+
+def _unreferenced_definitions(sources, exported):
+    """Module-level functions and classes that no other statement of ``sources`` loads, by name or
+    as an attribute, and that ``exported`` does not list; a definition's use of its own name does not count."""
+    body = [stmt for source in sources for stmt in ast.parse(source).body]
+    loads = [
+        {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(stmt)
+         if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+        for stmt in body
+    ]
+    return sorted(
+        stmt.name for i, stmt in enumerate(body)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name not in exported
+        and not any(stmt.name in names for j, names in enumerate(loads) if j != i)
+    )
+
+
+def test_every_definition_is_used_or_exported():
+    sample = "def used(): pass\ndef unused(): used()\ndef itself(): itself()\nclass Exported: pass\n"
+    assert _unreferenced_definitions([sample], {"Exported"}) == ["itself", "unused"]
+    package = Path(mvmetric.__file__).resolve().parent
+    sources = [path.read_text() for path in sorted(package.glob("*.py"))]
+    assert _unreferenced_definitions(sources, set(mvmetric.__all__)) == []
 
 
 # pytest.mark.skip / skipif / xfail, pytest.skip(), pytest.xfail() and

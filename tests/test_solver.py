@@ -21,7 +21,6 @@ from mvmetric.solver import (
     _alternate,
     _block_offsets,
     _fill_deficient_columns,
-    _update_projections,
     assemble_block_matrix,
     compute_view_gains,
     top_eigenpairs,
@@ -73,6 +72,12 @@ def stacked_objective(Z, blocks):
     """tr(W.T Z W) for the row-stacked per-view blocks."""
     W = np.vstack(blocks)
     return float(np.sum((Z @ W) * W))
+
+
+def first_w_step(Z, dims, d):
+    """The blocks of a fit's first W-step on Z, as ``_alternate`` runs it:
+    the sweeps from the polar start."""
+    return solver._refine_blocks(Z, dims, solver._polar_start(Z, dims, d)[0])[0]
 
 
 def random_orthonormal_blocks(rng, dims, d):
@@ -163,7 +168,7 @@ def test_z_equals_the_blockwise_formula_bit_for_bit_and_the_gains_to_rounding():
         weights = rng.dirichlet(np.ones(len(dims)))
         Z = assemble_block_matrix(K, dims, weights, hyper)
         assert np.array_equal(Z, _blockwise_block_matrix(margins, crosses, weights, hyper))
-        for blocks in (_update_projections(Z, dims, 2)[0], random_orthonormal_blocks(rng, dims, 2)):
+        for blocks in (first_w_step(Z, dims, 2), random_orthonormal_blocks(rng, dims, 2)):
             gains = compute_view_gains(blocks, K, hyper)
             gap = np.abs(gains - _blockwise_view_gains(blocks, margins, crosses, hyper)).max()
             assert gap <= 1e-13 * np.abs(gains).max()
@@ -175,13 +180,13 @@ def test_z_equals_the_blockwise_formula_bit_for_bit_and_the_gains_to_rounding():
 
 def test_diagonal_z_returns_leading_basis_vectors():
     Z = np.diag([5.0, 3.0, 1.0])
-    blocks = _update_projections(Z, [3], 2)[0]
+    blocks = first_w_step(Z, [3], 2)
     np.testing.assert_allclose(blocks[0], np.eye(3)[:, :2], atol=1e-12)
 
 
 def test_identity_z_returns_orthonormal_blocks_with_full_trace():
     Z = np.eye(5)
-    blocks = _update_projections(Z, [3, 2], 2)[0]
+    blocks = first_w_step(Z, [3, 2], 2)
     for block, dim in zip(blocks, (3, 2)):
         assert block.shape == (dim, 2)
         np.testing.assert_allclose(block.T @ block, np.eye(2), atol=1e-10)
@@ -193,7 +198,7 @@ def test_projection_step_beats_random_search():
     rng = np.random.default_rng(4)
     base = rng.standard_normal((6, 6))
     Z = (base + base.T) / 2.0
-    blocks = _update_projections(Z, [3, 3], 1)[0]
+    blocks = first_w_step(Z, [3, 3], 1)
     ours = stacked_objective(Z, blocks)
     best = -np.inf
     for _ in range(10_000):
@@ -215,33 +220,27 @@ def test_top_eigenpairs_residual_and_sign():
         assert vecs[lead, j] > 0
 
 
-def test_update_projections_pads_rank_deficient_blocks():
+def test_first_w_step_pads_rank_deficient_blocks():
     # zero matrix: every eigenvector slice is rank deficient, yet the
     # returned blocks must still be orthonormal and deterministic
     Z = np.zeros((5, 5))
-    blocks = _update_projections(Z, [3, 2], 2)[0]
-    again = _update_projections(Z, [3, 2], 2)[0]
+    blocks = first_w_step(Z, [3, 2], 2)
+    again = first_w_step(Z, [3, 2], 2)
     for a, b in zip(blocks, again):
         np.testing.assert_allclose(a.T @ a, np.eye(2), atol=1e-10)
         assert np.array_equal(a, b)
 
 
 def test_refinement_never_hurts_the_polar_initializer():
-    from mvmetric.solver import _orthonormal_polar
-
     rng = np.random.default_rng(14)
     for _ in range(25):
         dims = [int(rng.integers(2, 6)) for _ in range(int(rng.integers(2, 4)))]
         d = int(rng.integers(1, min(dims) + 1))
         base = rng.standard_normal((sum(dims), sum(dims)))
         Z = (base + base.T) / 2.0
-        _, vecs = top_eigenpairs(Z, d)
-        offsets = _block_offsets(dims)
-        polar_blocks = [
-            _orthonormal_polar(vecs[offsets[v] : offsets[v + 1], :])[0] for v in range(len(dims))
-        ]
-        refined = _update_projections(Z, dims, d)[0]
-        assert stacked_objective(Z, refined) >= stacked_objective(Z, polar_blocks) - 1e-10
+        start = solver._polar_start(Z, dims, d)[0]
+        refined = solver._refine_blocks(Z, dims, start)[0]
+        assert stacked_objective(Z, refined) >= stacked_objective(Z, start) - 1e-10
 
 
 def test_orthonormality_invariant_on_random_instances():
@@ -251,7 +250,7 @@ def test_orthonormality_invariant_on_random_instances():
         d = int(rng.integers(1, min(dims) + 1))
         base = rng.standard_normal((sum(dims), sum(dims)))
         Z = (base + base.T) / 2.0
-        for block in _update_projections(Z, dims, d)[0]:
+        for block in first_w_step(Z, dims, d):
             assert np.linalg.norm(block.T @ block - np.eye(d)) <= 1e-8
 
 
@@ -549,7 +548,7 @@ def test_gains_decoupled_equal_top_eigenvalue_sum():
     K, margins, _ = random_instance(rng, [4, 3])
     hyper = Hyperparams(embed_dim=2, coupling_eta=np.inf)
     Z = assemble_block_matrix(K, [4, 3], np.array([0.5, 0.5]), hyper)
-    blocks = _update_projections(Z, [4, 3], 2)[0]
+    blocks = first_w_step(Z, [4, 3], 2)
     gains = compute_view_gains(blocks, K, hyper)
     for v, margin in enumerate(margins):
         expected = np.sort(np.linalg.eigvalsh(margin))[::-1][:2].sum()
@@ -564,7 +563,7 @@ def test_gains_symmetric_for_identical_views():
     K = coupling_matrix([ViewMatrix(1, data), ViewMatrix(2, data)], cs)
     hyper = Hyperparams(embed_dim=2, coupling_eta=1.0)
     Z = assemble_block_matrix(K, [3, 3], np.array([0.5, 0.5]), hyper)
-    blocks = _update_projections(Z, [3, 3], 2)[0]
+    blocks = first_w_step(Z, [3, 3], 2)
     gains = compute_view_gains(blocks, K, hyper)
     np.testing.assert_allclose(gains[0], gains[1], atol=1e-9)
 
