@@ -40,6 +40,22 @@ def collect() -> tuple[dict, dict]:
     return artifacts, provenance
 
 
+def moved(got, want) -> str:
+    """What differs between one workload-seed's artifact sets and its committed
+    ones: how many model hashes, of how many, and whether the report hash."""
+    if got is None or want is None:
+        return "recorded on one side only"
+    if len(got) != len(want):
+        return f"{len(got)} distinct artifact sets against {len(want)} committed"
+    notes = []
+    for g, w in zip(got, want):
+        models, pinned = g["model_sha256"], w["model_sha256"]
+        count = sum(a != b for a, b in zip(models, pinned)) + abs(len(models) - len(pinned))
+        report = "differs" if g["report_sha256"] != w["report_sha256"] else "matches"
+        notes.append(f"{count} of {len(pinned)} model hashes differ, the report hash {report}")
+    return "; ".join(notes)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true", help="record the hashes instead of comparing")
@@ -60,7 +76,8 @@ def main(argv=None) -> int:
     keys = sorted(want["artifacts"].keys() | got["artifacts"].keys())
     differ = [key for key in keys if got["artifacts"].get(key) != want["artifacts"].get(key)]
     for key in differ:
-        print(f"error: {key}: artifact hashes differ from {HASHES.name}", file=sys.stderr)
+        what = moved(got["artifacts"].get(key), want["artifacts"].get(key))
+        print(f"error: {key}: artifact hashes differ from {HASHES.name}: {what}", file=sys.stderr)
     if differ:
         print(f"committed provenance {json.dumps(want['provenance'])}", file=sys.stderr)
         print(f"this run's provenance {json.dumps(got['provenance'])}", file=sys.stderr)

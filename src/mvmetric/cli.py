@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -21,10 +22,14 @@ EXIT_USAGE = 2
 
 
 def _parse_int_list(text: str, what: str) -> list:
-    try:
-        return [int(part) for part in str(text).split(",") if part != ""]
-    except ValueError as exc:
-        raise ValueError(f"malformed {what} list: {text!r}") from exc
+    """Comma-separated integers, each read as a labels-file line is: an
+    optional sign, then ASCII digits, spaces around it allowed.  ``""`` is
+    the empty list; an empty item is an error naming ``what``."""
+    parts = text.split(",") if text else []
+    # int() would also read "5_0" as 50 and non-ASCII digits
+    if not all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", part) for part in parts):
+        raise ValueError(f"malformed --{what} list: {text!r}")
+    return [int(part) for part in parts]
 
 
 def _config_value(action: argparse.Action, value):

@@ -70,58 +70,31 @@ def assemble_block_matrix(K: np.ndarray, dims, weights, hyper: Hyperparams) -> n
 def top_eigenpairs(Z: np.ndarray, d: int):
     """Largest-d eigenpairs of symmetric Z, eigenvalues descending.
 
-    Each eigenvector is sign-normalized so its largest-magnitude entry is
-    positive (ties resolved by the lowest row index), making the
-    decomposition deterministic up to degenerate eigenvalues.
+    Each eigenvector keeps the sign ``numpy.linalg.eigh`` gives it: no
+    metric W_v W_v^T, gain or weight reads a column's sign.
     """
     vals, vecs = np.linalg.eigh(Z)
-    vals = vals[::-1][:d].copy()
-    vecs = vecs[:, ::-1][:, :d].copy()
-    for j in range(vecs.shape[1]):
-        lead = np.argmax(np.abs(vecs[:, j]))
-        if vecs[lead, j] < 0:
-            vecs[:, j] = -vecs[:, j]
-    return vals, vecs
-
-
-def _fill_deficient_columns(U: np.ndarray, deficient: np.ndarray) -> np.ndarray:
-    """Replace flagged columns with Gram-Schmidt complements of standard basis vectors.
-
-    Basis vectors are tried in index order, so the completion is deterministic;
-    against k < D orthonormal columns the D residuals' squares sum to D - k >= 1.
-    """
-    U = U.copy()
-    dim = U.shape[0]
-    current = [U[:, j] for j in np.nonzero(~deficient)[0]]
-    for col in np.nonzero(deficient)[0]:
-        for b in range(dim):
-            v = np.zeros(dim)
-            v[b] = 1.0
-            for _ in range(2):  # two passes keep the result orthogonal to rounding
-                for u in current:
-                    v = v - (u @ v) * u
-            norm = np.linalg.norm(v)
-            if norm > 1e-6:
-                v /= norm
-                U[:, col] = v
-                current.append(v)
-                break
-    return U
+    return vals[::-1][:d].copy(), vecs[:, ::-1][:, :d].copy()
 
 
 def _orthonormal_polar(block: np.ndarray):
     """Closest column-orthonormal matrix in Frobenius norm, from the thin SVD.
 
     Returns (W, padded); ``padded`` flags that the block had rank below its
-    column count (a singular value at most 1e-10 of the largest) and the
-    deficient directions were completed deterministically.
+    column count (a singular value at most 1e-10 of the largest).  Then the
+    left singular vectors of the kept singular values are completed by one
+    QR of them beside the identity: the Q columns after the kept ones
+    orthonormalise the standard basis vectors in index order against them,
+    so the completion is deterministic.
     """
     U, s, Vh = np.linalg.svd(block, full_matrices=False)
     # singular values come in descending order, so the last is the smallest
     cutoff = 1e-10 * float(s[0])
-    if float(s[-1]) <= cutoff:
-        return _fill_deficient_columns(U, s <= cutoff) @ Vh, True
-    return U @ Vh, False
+    if float(s[-1]) > cutoff:
+        return U @ Vh, False
+    kept = int(np.count_nonzero(s > cutoff))
+    U[:, kept:] = np.linalg.qr(np.hstack([U[:, :kept], np.eye(len(U))]))[0][:, kept:len(s)]
+    return U @ Vh, True
 
 
 def _remaining_change(change, previous):
@@ -221,7 +194,8 @@ def _refine_blocks(Z, dims, blocks):
 def _polar_start(Z, dims, d):
     """The fit's start: each view's slice of the top-d eigenvectors of Z,
     replaced by its polar factor, the nearest column-orthonormal matrix
-    (rank-deficient slices are padded deterministically).  A coupled fit
+    (``_orthonormal_polar``, which completes a rank-deficient slice from the
+    standard basis).  The eigenvectors' signs are ``eigh``'s.  A coupled fit
     takes it once, from its first iteration's Z, and every W-step of the fit
     starts its sweeps there, so the fit makes one eigendecomposition of Z.
     Returns the blocks and the padded views (1-based).  Z must be exactly
@@ -360,13 +334,17 @@ def train(
     Every block of Z is built from the training columns, so the objective
     sees ``W_v`` only through its part in their span, and the ``d`` axes
     leave room for any part outside it; those axes come first in ``Q_v``
-    because rank padding tries standard basis vectors in index order, so
-    padding picks the same vectors as in raw coordinates.  Gains, objective,
-    residual and weights are unchanged by this orthonormal change of basis,
-    and the projections can differ from a solve in raw coordinates by a
-    right rotation, which leaves ``W_v W_v^T`` as it is.  ``constraints``
-    must hold the split's training labels in order, and every training
-    index must be below the sample count, else a ``ValueError``.
+    because rank padding completes a block by one QR from the standard
+    basis vectors in index order, so padding picks the same vectors as in
+    raw coordinates.  The one exception is a candidate inside the span
+    before it, which the QR does not skip as a Gram-Schmidt search would:
+    its column is some unit vector orthogonal to that span, which can differ
+    between the two coordinates.  Gains, objective, residual and weights
+    are unchanged by this orthonormal change of basis, and the projections
+    can differ from a solve in raw coordinates by a right rotation, which
+    leaves ``W_v W_v^T`` as it is.  ``constraints`` must hold the split's
+    training labels in order, and every training index must be below the
+    sample count, else a ``ValueError``.
 
     With ``hyper.standardize``, each view's training columns are first
     centred and divided by their per-feature standard deviation (1 where it

@@ -81,11 +81,14 @@ def test_generate_same_seed_identical_files(tmp_path, dataset_dir):
 
 
 def test_generate_malformed_dims(tmp_path, capsys):
-    code = run_cli(
-        ["generate", "--classes", "2", "--per-class", "5", "--view-dims", "4,x", "--out", str(tmp_path / "d")]
-    )
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+    # an empty item and int()'s underscores are errors, not 2 views or a view of 50 features
+    for dims in ("4,x", "4,,6", "5_0", "5,"):
+        code = run_cli(
+            ["generate", "--classes", "2", "--per-class", "5", "--view-dims", dims, "--out", str(tmp_path / "d")]
+        )
+        assert code == 2
+        assert f"error: malformed --view-dims list: {dims!r}" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
     # one view is a dataset too: it round-trips through its manifest
     code = run_cli(
         ["generate", "--classes", "2", "--per-class", "5", "--view-dims", "4", "--out", str(tmp_path / "d")]

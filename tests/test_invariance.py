@@ -57,7 +57,7 @@ def _fit(dataset, train_indices):
     test_indices = np.setdiff1d(np.arange(dataset.n), train_indices)
     cons = build_constraints(dataset.labels[np.asarray(train_indices)])
     model = train(dataset, SplitSpec(train_indices, test_indices), cons, HYPER)
-    # rank padding tries standard basis vectors in index order, so a padded
+    # rank padding completes from standard basis vectors in index order, so a padded
     # fit may legitimately depend on feature order
     assume(not any(entry["padded_views"] for entry in model.trace))
     return model

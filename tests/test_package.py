@@ -244,7 +244,8 @@ def test_benchmark_hashes_read_each_result_file_s_provenance(tmp_path, monkeypat
     def write_results(*threads):
         for path, count in zip(files, threads):
             provenance = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0", "blas_threads": count}
-            path.write_text(json.dumps({"provenance": provenance, "artifacts": [json.dumps({"name": path.name})]}))
+            artifacts = {"model_sha256": [f"{path.name} model {i}" for i in range(2)], "report_sha256": path.name}
+            path.write_text(json.dumps({"provenance": provenance, "artifacts": [json.dumps(artifacts)]}))
 
     # the last file read must not speak for the others, when comparing or when writing
     write_results(2, 1)
@@ -257,12 +258,22 @@ def test_benchmark_hashes_read_each_result_file_s_provenance(tmp_path, monkeypat
     assert hashes.main(["--write"]) == 0
     assert json.loads((tmp_path / "hashes.json").read_text())["provenance"]["blas_threads"] == 1
     assert hashes.main([]) == 0
+    # a difference says how many model hashes moved and whether the report's did
+    committed = json.loads((tmp_path / "hashes.json").read_text())
+    committed["artifacts"]["score-shifted seed 1"][0]["model_sha256"][1] = "pinned"
+    (tmp_path / "hashes.json").write_text(json.dumps(committed))
+    assert hashes.main([]) == 1
+    err = capsys.readouterr().err
+    assert "score-shifted seed 1: artifact hashes differ from hashes.json: 1 of 2 model hashes differ" in err
+    assert "the report hash matches" in err
     # a result the committed file lacks, say a newly gated seed, is a difference
     committed = json.loads((tmp_path / "hashes.json").read_text())
     del committed["artifacts"]["wide-views seed 1"]
     (tmp_path / "hashes.json").write_text(json.dumps(committed))
     assert hashes.main([]) == 1
-    assert "wide-views seed 1: artifact hashes differ" in capsys.readouterr().err
+    assert "wide-views seed 1: artifact hashes differ from hashes.json: recorded on one side only" in (
+        capsys.readouterr().err
+    )
 
 
 def _unused_imports(path):

@@ -20,7 +20,6 @@ from mvmetric.scatter import compute_cross, compute_scatter, coupling_matrix
 from mvmetric.solver import (
     _alternate,
     _block_offsets,
-    _fill_deficient_columns,
     assemble_block_matrix,
     compute_view_gains,
     top_eigenpairs,
@@ -207,17 +206,16 @@ def test_projection_step_beats_random_search():
     assert ours >= best
 
 
-def test_top_eigenpairs_residual_and_sign():
+def test_top_eigenpairs_residual_and_order():
     rng = np.random.default_rng(5)
     base = rng.standard_normal((8, 8))
     Z = (base + base.T) / 2.0
     vals, vecs = top_eigenpairs(Z, 3)
     assert np.all(np.diff(vals) <= 1e-12)
+    # the largest three, in descending order
+    np.testing.assert_allclose(vals, np.linalg.eigvalsh(Z)[::-1][:3], rtol=0.0, atol=1e-12)
     residual = np.linalg.norm(Z @ vecs - vecs * vals)
     assert residual <= 1e-8 * np.linalg.norm(Z)
-    for j in range(3):
-        lead = np.argmax(np.abs(vecs[:, j]))
-        assert vecs[lead, j] > 0
 
 
 def test_first_w_step_pads_rank_deficient_blocks():
@@ -229,6 +227,54 @@ def test_first_w_step_pads_rank_deficient_blocks():
     for a, b in zip(blocks, again):
         np.testing.assert_allclose(a.T @ a, np.eye(2), atol=1e-10)
         assert np.array_equal(a, b)
+
+
+def _gram_schmidt_projector(kept, count):
+    """The projector onto ``kept`` plus the orthonormalised residuals of
+    e_0, ..., e_(count-1), or None when one of them lies within 1e-6 of the
+    span before it."""
+    basis = list(kept.T)
+    for j in range(count):
+        v = np.eye(len(kept))[j]
+        for _ in range(2):  # two passes keep the residual orthogonal to rounding
+            for u in basis:
+                v = v - (u @ v) * u
+        norm = np.linalg.norm(v)
+        if norm <= 1e-6:
+            return None
+        basis.append(v / norm)
+    stacked = np.column_stack(basis)
+    return stacked @ stacked.T
+
+
+def test_orthonormal_polar_completes_a_deficient_block_from_the_standard_basis():
+    rng = np.random.default_rng(23)
+    with_e0 = np.zeros((5, 3))
+    with_e0[0, 0] = 2.0
+    with_e0[1:, 1] = rng.standard_normal(4)
+    q1, q2 = np.linalg.qr(rng.standard_normal((6, 3)))[0], np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    near_singular = (q1 * [1.0, 0.5, 1e-11]) @ q2.T
+    blocks = [np.zeros((5, 3)), with_e0, near_singular]
+    for _ in range(20):
+        dim = int(rng.integers(2, 9))
+        cols = int(rng.integers(1, dim + 1))
+        rank = int(rng.integers(0, cols))
+        blocks.append(rng.standard_normal((dim, rank)) @ rng.standard_normal((rank, cols)))
+    compared = []
+    for block in blocks:
+        W, padded = solver._orthonormal_polar(block)
+        assert padded
+        assert np.abs(W.T @ W - np.eye(block.shape[1])).max() <= 1e-12
+        again, _ = solver._orthonormal_polar(block)
+        assert np.array_equal(W, again)
+        U, s, _ = np.linalg.svd(block, full_matrices=False)
+        kept = int(np.count_nonzero(s > 1e-10 * s[0]))
+        projector = _gram_schmidt_projector(U[:, :kept], s.size - kept)
+        if projector is not None:
+            assert np.abs(W @ W.T - projector).max() <= 1e-12
+        compared.append(projector is not None)
+    # e_0 lies inside the second block's kept span; every other block is compared
+    assert compared[1] is False and compared.count(False) == 1
 
 
 def test_refinement_never_hurts_the_polar_initializer():
@@ -255,18 +301,21 @@ def test_orthonormality_invariant_on_random_instances():
 
 
 def _reference_orthonormal_polar(block):
-    """The polar projection as first written, its rank cutoff made relative,
-    kept to pin the solver's bits."""
+    """The polar projection, its rank cutoff relative, kept to pin the
+    solver's bits.  A block of rank k below its column count keeps its
+    first k left singular vectors and takes the others from one QR of them
+    beside the identity: its Q columns after the first k."""
     U, s, Vh = np.linalg.svd(block, full_matrices=False)
     cutoff = 1e-10 * (float(s[0]) if s.size else 0.0)
-    deficient = s <= cutoff
-    padded = bool(deficient.any())
+    kept = int(np.count_nonzero(s > cutoff))
+    padded = kept < s.size
     if padded:
-        U = _fill_deficient_columns(U, deficient)
+        q = np.linalg.qr(np.hstack([U[:, :kept], np.eye(U.shape[0])]))[0]
+        U = np.hstack([U[:, :kept], q[:, kept:s.size]])
     return U @ Vh, padded
 
 
-def _reference_refine_blocks(Z, dims, blocks, max_sweeps=30, inner_iters=50, estimate=True, predict=True):
+def _reference_refine_blocks(Z, dims, blocks, estimate=True, predict=True):
     """The refine sweeps as first written, without their objective stop, kept
     to pin the solver's bits.  A block's steps end at a step of norm at most
     1e-12 or, with ``estimate``, from its second step on when
@@ -283,7 +332,7 @@ def _reference_refine_blocks(Z, dims, blocks, max_sweeps=30, inner_iters=50, est
     blocks = [b.copy() for b in blocks]
     moves = [[] for _ in range(m)]
     svds = 0
-    for _ in range(max_sweeps):
+    for _ in range(30):
         for v in range(m):
             lo, hi = offsets[v], offsets[v + 1]
             coupling = np.zeros_like(blocks[v])
@@ -304,7 +353,7 @@ def _reference_refine_blocks(Z, dims, blocks, max_sweeps=30, inner_iters=50, est
                         a, b = (g12 * g33 - g13 * g23) / det, (g13 - g12 * g23) / det
                         current, predicted = blocks[v] + (a * m1 + b * m2), True
             previous, converged = None, False
-            for i in range(inner_iters):
+            for i in range(50):
                 updated, _ = _reference_orthonormal_polar(shifted @ current + coupling)
                 svds += 1
                 step = np.linalg.norm(updated - current)
@@ -381,21 +430,22 @@ def test_refine_sweeps_are_bit_identical_to_the_reference_loop(monkeypatch):
     # both loops start every solve at the block itself; the next test pins
     # the predicted starts
     _unpredicted(monkeypatch)
-    fills = []
-    fill = solver._fill_deficient_columns
+    paddings = []
+    polar = solver._orthonormal_polar
 
-    def counted(*args):
-        fills.append(1)
-        return fill(*args)
+    def counted(block):
+        W, padded = polar(block)
+        paddings.append(padded)
+        return W, padded
 
-    monkeypatch.setattr(solver, "_fill_deficient_columns", counted)
+    monkeypatch.setattr(solver, "_orthonormal_polar", counted)
     svds = _count_svds(monkeypatch)
     for Z, dims, d, pads in _refine_cases():
         start = _refine_starts(Z, dims, d)
-        fills.clear()
+        paddings.clear()
         svds.clear()
         blocks, steps = solver._refine_blocks(Z, dims, start)
-        assert bool(fills) == pads
+        assert any(paddings) == pads
         # every polar step is one thin SVD
         assert len(svds) == steps
         ref_blocks, ref_steps = _reference_refine_blocks(Z, dims, start, predict=False)
