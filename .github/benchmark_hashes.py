@@ -29,11 +29,16 @@ PINNED_ENV = ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")
 
 
 def collect() -> tuple[dict, dict]:
-    """Artifact hashes of the last untraced gate runs in ``OUT``, and each result file's provenance."""
+    """Artifact hashes of the last untraced gate runs in ``OUT``, and each result file's provenance.
+
+    A missing result file raises ``FileNotFoundError`` naming it and the run that writes it."""
     artifacts, provenance = {}, {}
     for seed in SEEDS:
         for name in WORKLOADS:
             path = OUT / f"{name}-seed{seed}-trace0.json"
+            if not path.is_file():
+                run = f"python3 perfbench/run.py --seconds 0 --seed {seed}"
+                raise FileNotFoundError(f"{path} is missing: {run} writes it")
             result = json.loads(path.read_text())
             artifacts[f"{name} seed {seed}"] = [json.loads(a) for a in result["artifacts"]]
             provenance[str(path)] = {key: result["provenance"][key] for key in ("numpy", "blas", "blas_threads")}
@@ -60,7 +65,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true", help="record the hashes instead of comparing")
     args = parser.parse_args(argv)
-    artifacts, provenance = collect()
+    try:
+        artifacts, provenance = collect()
+    except FileNotFoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if len({json.dumps(p) for p in provenance.values()}) > 1:
         print("error: the result files were made under different provenance:", file=sys.stderr)
         for path, p in provenance.items():

@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _integer
-
 
 @dataclass(frozen=True)
 class ConstraintSet:
@@ -37,10 +35,9 @@ def build_constraints(labels, max_pairs_per_set=None, seed=0) -> ConstraintSet:
     The second and third parameters are kept only because
     ``perfbench/harness.py`` passes a cap of ``None`` and a seed
     positionally; remove them with ROADMAP item 1.  Any cap other than
-    ``None`` is an error (``TypeError`` if not an integer); the seed is unused.
+    ``None`` is a ``ValueError``; the seed is unused.
     """
     if max_pairs_per_set is not None:
-        _integer("max_pairs_per_set", max_pairs_per_set)
         raise ValueError(f"max_pairs_per_set is no longer supported, got {max_pairs_per_set!r}")
     raw = np.asarray(labels)
     if raw.ndim != 1:

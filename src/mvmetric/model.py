@@ -52,8 +52,10 @@ class Hyperparams:
         Finite exponent r > 1 on the view weights; larger values push the
         learned weights toward uniform.
     coupling_eta
-        Divisor of the cross-view coupling term (coefficient 1/(2*eta));
-        larger values weaken the coupling, ``inf`` disables the coupling;
+        Divisor of the cross-view coupling term: a fit divides each cross
+        block C_vw by it once, where ``scatter.coupling_matrix`` builds the
+        block matrix, and the weights scale it by (a_v^r + a_w^r) / 2.
+        Larger values weaken the coupling, ``inf`` disables the coupling;
         such a fit solves each view exactly by its top eigenvectors.
     max_iters
         Most alternating iterations a fit runs; one that reaches it without

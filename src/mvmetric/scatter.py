@@ -1,5 +1,5 @@
 """Margin scatter matrices from class statistics, cross-view correlation
-blocks, and the coupling matrix that stacks them.
+blocks, and the block matrix Z_1 that stacks them at unit view weights.
 
 These are internal stages of ``train``: ``mvmetric`` does not export them,
 and they do not check the arguments ``train`` has already checked."""
@@ -63,23 +63,23 @@ def _block_offsets(dims):
     return np.concatenate([[0], np.cumsum(dims)])
 
 
-def coupling_matrix(views, constraints: ConstraintSet) -> np.ndarray:
-    """The unweighted stacked matrix K of a fit, built once.
+def coupling_matrix(views, constraints: ConstraintSet, eta: float) -> np.ndarray:
+    """Z_1, a fit's block matrix at unit view weights, built once per fit.
 
     Diagonal block v is the margin ``B_v - S_v`` of ``views[v]``; block
-    (v, w), v < w, is the cross block ``C_vw`` and block (w, v) its exact
-    transpose, so K is exactly symmetric.  Every view must hold the same
-    training columns, the ones the constraints address.
+    (v, w), v < w, is the cross block ``C_vw / eta`` and block (w, v) its
+    exact transpose, so Z_1 is exactly symmetric.  Every view must hold the
+    same training columns, the ones the constraints address.
     """
     dims = [view.n_features for view in views]
     offsets = _block_offsets(dims)
-    K = np.empty((offsets[-1], offsets[-1]))
+    Z1 = np.empty((offsets[-1], offsets[-1]))
     for v, view in enumerate(views):
         between, within = compute_scatter(view, constraints)
-        K[offsets[v]:offsets[v + 1], offsets[v]:offsets[v + 1]] = between - within
+        Z1[offsets[v]:offsets[v + 1], offsets[v]:offsets[v + 1]] = between - within
     for v in range(len(views)):
         for w in range(v + 1, len(views)):
-            cross = compute_cross(views[v], views[w])
-            K[offsets[v]:offsets[v + 1], offsets[w]:offsets[w + 1]] = cross
-            K[offsets[w]:offsets[w + 1], offsets[v]:offsets[v + 1]] = cross.T
-    return K
+            cross = compute_cross(views[v], views[w]) / eta
+            Z1[offsets[v]:offsets[v + 1], offsets[w]:offsets[w + 1]] = cross
+            Z1[offsets[w]:offsets[w + 1], offsets[v]:offsets[v + 1]] = cross.T
+    return Z1

@@ -9,22 +9,25 @@ a_v (exponent r > 1) is
 with B_v/S_v the mean outer product of the differences of all
 different-class/same-class training pairs, which ``compute_scatter`` takes
 exactly from class means and class-centred columns without forming a pair,
-and C_vw the cross-view correlation blocks.  A fit stacks these once into
-the symmetric coupling matrix K (B_v - S_v on diagonal block v, C_vw off
-it), and each iteration weights K blockwise into Z: a_v^r on diagonal
-blocks, (a_v^r + a_w^r) / (2 * eta) off them.  With the W_v stacked into
-one tall W, G = tr(W.T Z W) = sum_v a_v^r g_v(W), g_v being the view's gain.
+and C_vw the cross-view correlation blocks.  These stack into Z_1, the
+symmetric block matrix at unit weights, built once per fit
+(``coupling_matrix``): B_v - S_v on diagonal block v, C_vw / eta off it.
+Each iteration scales block (v, w) of Z_1 by (b_v + b_w) / 2, b = a^r,
+into Z (``assemble_block_matrix``).  With the W_v stacked into one tall
+W, G = tr(W.T Z W) = sum_v b_v g_v(W), the gain g_v being view v's share
+of tr(W.T Z_1 W) (``compute_view_gains``).
 
 A fit alternates two steps from uniform weights (``_alternate``, which also
 states when it stops).  The W-step is a heuristic for maximising
 tr(W.T Z W) under per-view orthonormality: block-coordinate sweeps
 (``_refine_blocks``) from the fit's start (``_polar_start``).  The weight
-step is exact: with b = a^r it maximises sum_v b_v g_v over b >= 0 with
-||b||_p = 1 (``update_view_weights``), and Z depends only on b's
-direction.  So the alternation is block-coordinate ascent of
-sum_v b_v g_v(W), whose maximum over b is Phi(W) = ||max(g(W), 0)||_q,
-q = (2r-1)/(r-1).  The W-step does not always reach its maximum, so
-neither the logged objective nor Phi need increase.
+step is exact: it maximises sum_v b_v g_v over b >= 0 with ||b||_p = 1
+(``update_view_weights``), and the W-step reads only b's direction, its
+thresholds being relative.  So the alternation is block-coordinate
+ascent of sum_v b_v g_v(W), whose maximum over b is
+Phi(W) = ||max(g(W), 0)||_q, q = (2r-1)/(r-1).  The W-step does not
+always reach its maximum, so neither the logged objective nor Phi need
+increase.
 
 Only ``train`` and ``TrainingError`` are exported; the stages it runs take
 arguments it has already checked, and do not check them again.
@@ -52,19 +55,10 @@ class TrainingError(RuntimeError):
     """Training aborted: the fit's arithmetic overflowed or a decomposition failed."""
 
 
-def assemble_block_matrix(K: np.ndarray, dims, weights, hyper: Hyperparams) -> np.ndarray:
-    """Weight the coupling matrix K into Z, whose quadratic form equals the objective.
-
-    Z is ``coeff * K`` with ``coeff = a_v^r`` on diagonal block v and
-    ``(a_v^r + a_w^r) / (2 eta)`` on block (v, w), v != w.  The result is
-    symmetric bit-exactly.  ``weights`` must hold one nonnegative weight per
-    view, and K be square of side ``sum(dims)``, as every caller ensures.
-    """
-    weights = np.asarray(weights, dtype=float)
-    powered = weights**hyper.weight_exponent
-    coeff = (powered[:, None] + powered[None, :]) / (2.0 * hyper.coupling_eta)
-    np.fill_diagonal(coeff, powered)
-    return np.repeat(np.repeat(coeff, dims, axis=0), dims, axis=1) * K
+def assemble_block_matrix(Z1: np.ndarray, dims, powered) -> np.ndarray:
+    """Z: block (v, w) of ``Z1`` times (b_v + b_w) / 2, b = ``powered``; exactly symmetric as Z1 is."""
+    b = np.repeat(powered, dims)
+    return (b[:, None] + b[None, :]) / 2.0 * Z1
 
 
 def top_eigenpairs(Z: np.ndarray, d: int):
@@ -211,20 +205,18 @@ def _polar_start(Z, dims, d):
     return blocks, padded
 
 
-def compute_view_gains(projections, K: np.ndarray, hyper: Hyperparams) -> np.ndarray:
-    """Per-view marginal gain: the view's share of tr(W.T Z W) at unit weights.
+def compute_view_gains(projections, Z1: np.ndarray) -> np.ndarray:
+    """Per-view marginal gain: the view's share of tr(W.T Z_1 W), Z_1 the fit's block matrix at unit weights.
 
-    With Z_1 = ``assemble_block_matrix(K, dims, ones, hyper)`` and W the
-    stacked projections, g_v sums view v's rows of W * (Z_1 W), which, K
-    being exactly symmetric, is
+    With W the stacked projections, g_v sums view v's rows of W * (Z_1 W),
+    which, Z_1 being exactly symmetric, is
     g_v = tr(W_v.T (B_v - S_v) W_v) + (1/eta) * sum_{w != v} tr(W_v.T C_vw W_w):
     1/r times the derivative of the objective with respect to the view's
     weight, evaluated at weight 1.
     """
     dims = [p.shape[0] for p in projections]
     W = np.vstack(projections)
-    Z = assemble_block_matrix(K, dims, np.ones(len(dims)), hyper)
-    return np.add.reduceat(np.sum((Z @ W) * W, axis=1), _block_offsets(dims)[:-1])
+    return np.add.reduceat(np.sum((Z1 @ W) * W, axis=1), _block_offsets(dims)[:-1])
 
 
 def update_view_weights(gains, weight_exponent: float) -> np.ndarray:
@@ -248,15 +240,16 @@ def update_view_weights(gains, weight_exponent: float) -> np.ndarray:
     return raw / raw.sum()
 
 
-def _alternate(K: np.ndarray, dims, hyper: Hyperparams):
-    """``train``'s alternation on the coupling matrix K; returns the blocks,
-    weights, trace and stop reason.  ``hyper`` must be resolved.  Each
-    iteration runs the W-step on its Z, from the fit's start
-    (``_polar_start``, taken in the first iteration), then the weight step;
-    every trace entry reports the start's padded views, and only the first
+def _alternate(Z1: np.ndarray, dims, hyper: Hyperparams):
+    """``train``'s alternation on the fit's block matrix Z_1 at unit weights;
+    returns the blocks, weights, trace and stop reason.  ``hyper`` must be
+    resolved, and Z_1 built at its ``coupling_eta``.  Each iteration takes
+    b = a^r once, for its Z and its objective, runs the W-step on Z from
+    the fit's start (``_polar_start``, taken in the first iteration), then
+    the weight step; every trace entry reports the start's padded views, and only the first
     counts the start's polar steps.  With ``coupling_eta`` inf, Z is
     block-diagonal, so the W-step's maximiser is each view's top
-    eigenvectors of its diagonal block of K, whatever the weights: the
+    eigenvectors of its diagonal block of Z_1, whatever the weights: the
     second iteration repeats the first, and ``tol`` ends the fit.
 
     Iteration k's residual r_k is the relative Frobenius change of the
@@ -275,19 +268,20 @@ def _alternate(K: np.ndarray, dims, hyper: Hyperparams):
     blocks, start, trace = None, None, []
     for iteration in range(1, hyper.max_iters + 1):
         previous = blocks
+        powered = weights**r
         if hyper.coupling_eta == math.inf:
-            blocks = [top_eigenpairs(K[lo:hi, lo:hi], d)[1] for lo, hi in zip(offsets, offsets[1:])]
+            blocks = [top_eigenpairs(Z1[lo:hi, lo:hi], d)[1] for lo, hi in zip(offsets, offsets[1:])]
             padded, steps = [], 0
         else:
-            Z = assemble_block_matrix(K, dims, weights, hyper)
+            Z = assemble_block_matrix(Z1, dims, powered)
             steps = 0
             if start is None:
                 start, padded = _polar_start(Z, dims, d)
                 steps = len(dims)
             blocks, sweep_steps = _refine_blocks(Z, dims, start)
             steps += sweep_steps
-        gains = compute_view_gains(blocks, K, hyper)
-        objective = float(np.dot(weights**r, gains))
+        gains = compute_view_gains(blocks, Z1)
+        objective = float(np.dot(powered, gains))
         weights = update_view_weights(gains, r)
         residual = None
         if previous is not None:
@@ -326,7 +320,7 @@ def train(
     the coupling; such a fit solves each view exactly, repeats that solve
     in its second iteration and stops there.  Every threshold of the fit
     is relative or reads only orthonormal blocks, so scaling all features
-    by one factor, which scales K by its square, leaves the fit as it is.
+    by one factor, which scales Z_1 by its square, leaves the fit as it is.
 
     Every view is solved in ``min(D_v, n_train + d)`` coordinates: an
     orthonormal basis ``Q_v`` (from a thin QR) of its first ``d`` feature
@@ -379,8 +373,8 @@ def train(
                 train_views.append(ViewMatrix(view.view_id, reduced[:, d:]))
                 bases.append(basis)
             dims = [tv.n_features for tv in train_views]
-            K = coupling_matrix(train_views, constraints)
-            blocks, weights, trace, stop_reason = _alternate(K, dims, hyper)
+            Z1 = coupling_matrix(train_views, constraints, hyper.coupling_eta)
+            blocks, weights, trace, stop_reason = _alternate(Z1, dims, hyper)
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise TrainingError(f"training failed: {exc}") from exc
     projections = tuple(q @ b for b, q in zip(blocks, bases))

@@ -106,11 +106,10 @@ def test_criterion_3_objective_consistency():
     rng = np.random.default_rng(30)
     start = time.perf_counter()
     dims = [3, 5, 4]
-    K, margins, crosses = random_instance(rng, dims, n_samples=9)
+    z1_at, margins, crosses = random_instance(rng, dims, n_samples=9)
     weights = rng.dirichlet(np.ones(3))
     r, eta = 2.5, 0.8
-    hyper = Hyperparams(embed_dim=2, weight_exponent=r, coupling_eta=eta)
-    Z = assemble_block_matrix(K, dims, weights, hyper)
+    Z = assemble_block_matrix(z1_at(eta), dims, weights**r)
     worst = 0.0
     for _ in range(20):
         blocks = random_orthonormal_blocks(rng, dims, 2)
@@ -200,13 +199,12 @@ def test_criterion_6_gain_gradient_check():
     for i in range(10):
         m = int(rng.integers(2, 4))
         dims = [int(rng.integers(2, 5)) for _ in range(m)]
-        K, margins, crosses = random_instance(rng, dims, n_samples=8)
+        z1_at, margins, crosses = random_instance(rng, dims, n_samples=8)
         r = (1.5, 2.0, 3.0)[i % 3]
         eta = float(rng.uniform(0.5, 2.0))
-        hyper = Hyperparams(embed_dim=1, weight_exponent=r, coupling_eta=eta)
         d = min(dims)
         blocks = random_orthonormal_blocks(rng, dims, d)
-        gains = compute_view_gains(blocks, K, hyper)
+        gains = compute_view_gains(blocks, z1_at(eta))
         ones = np.ones(m)
         for v in range(m):
             up, down = ones.copy(), ones.copy()

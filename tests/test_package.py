@@ -232,13 +232,19 @@ def test_benchmark_names_resolve_in_the_package():
 BENCHMARK_HASHES = PERFBENCH.parent / ".github" / "benchmark_hashes.py"
 
 
-def test_benchmark_hashes_read_each_result_file_s_provenance(tmp_path, monkeypatch, capsys):
+def _benchmark_hashes_in(tmp_path, monkeypatch, seed):
+    """The hash script reading results from and writing hashes to ``tmp_path``, for one seed."""
     spec = importlib.util.spec_from_file_location("benchmark_hashes", BENCHMARK_HASHES)
     hashes = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(hashes)
     monkeypatch.setattr(hashes, "OUT", tmp_path)
     monkeypatch.setattr(hashes, "HASHES", tmp_path / "hashes.json")
-    monkeypatch.setattr(hashes, "SEEDS", (1,))  # one result file per workload
+    monkeypatch.setattr(hashes, "SEEDS", (seed,))
+    return hashes
+
+
+def test_benchmark_hashes_read_each_result_file_s_provenance(tmp_path, monkeypatch, capsys):
+    hashes = _benchmark_hashes_in(tmp_path, monkeypatch, 1)  # one result file per workload
     files = [tmp_path / f"{name}-seed1-trace0.json" for name in hashes.WORKLOADS]
 
     def write_results(*threads):
@@ -274,6 +280,23 @@ def test_benchmark_hashes_read_each_result_file_s_provenance(tmp_path, monkeypat
     assert "wide-views seed 1: artifact hashes differ from hashes.json: recorded on one side only" in (
         capsys.readouterr().err
     )
+
+
+def test_benchmark_hashes_name_a_missing_result_file_and_its_run(tmp_path, monkeypatch, capsys):
+    hashes = _benchmark_hashes_in(tmp_path, monkeypatch, 3)
+    provenance = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0", "blas_threads": 1}
+    artifacts = json.dumps({"model_sha256": ["model"], "report_sha256": "report"})
+    (tmp_path / "score-shifted-seed3-trace0.json").write_text(
+        json.dumps({"provenance": provenance, "artifacts": [artifacts]})
+    )
+    for argv in ([], ["--write"]):
+        assert hashes.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {tmp_path / 'wide-views-seed3-trace0.json'} is missing: "
+            "python3 perfbench/run.py --seconds 0 --seed 3 writes it\n"
+        )
+    assert not (tmp_path / "hashes.json").exists()
 
 
 def _unused_imports(path):

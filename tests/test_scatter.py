@@ -236,15 +236,16 @@ def test_coupling_matrix_blocks_are_the_scatters_and_crosses_bit_for_bit():
     cs = build_constraints(labels)
     dims = [3, 5, 2, 4]
     views = [ViewMatrix(v + 1, rng.standard_normal((dim, 9))) for v, dim in enumerate(dims)]
-    K = coupling_matrix(views, cs)
     offsets = np.concatenate([[0], np.cumsum(dims)])
     block = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
-    assert K.shape == (14, 14)
-    for v, view in enumerate(views):
-        between, within = compute_scatter(view, cs)
-        assert np.array_equal(K[block[v], block[v]], between - within)
-        for w in range(v + 1, len(views)):
-            cross = compute_cross(view, views[w])
-            assert np.array_equal(K[block[v], block[w]], cross)
-            assert np.array_equal(K[block[w], block[v]], cross.T)
-    assert np.array_equal(K, K.T)
+    for eta in (1.0, 0.7, np.inf):
+        Z1 = coupling_matrix(views, cs, eta)
+        assert Z1.shape == (14, 14)
+        for v, view in enumerate(views):
+            between, within = compute_scatter(view, cs)
+            assert np.array_equal(Z1[block[v], block[v]], between - within)
+            for w in range(v + 1, len(views)):
+                cross = compute_cross(view, views[w]) / eta
+                assert np.array_equal(Z1[block[v], block[w]], cross)
+                assert np.array_equal(Z1[block[w], block[v]], cross.T)
+        assert np.array_equal(Z1, Z1.T)

@@ -28,10 +28,11 @@ from mvmetric.solver import (
 
 
 def random_instance(rng, dims, n_samples=8):
-    """Random views' coupling matrix K and, apart from K, its parts.
+    """Random views' block matrix Z_1 at unit weights and, apart from Z_1, its parts.
 
-    Returns K, each view's margin ``B_v - S_v`` and a dict of the cross
-    blocks ``C_vw`` keyed by view positions (v, w), v < w.
+    Returns ``coupling_matrix`` of the views as a function of eta, each
+    view's margin ``B_v - S_v`` and a dict of the cross blocks ``C_vw``
+    keyed by view positions (v, w), v < w.  No eta draws from ``rng``.
     """
     labels = rng.integers(0, 2, size=n_samples)
     while np.unique(labels).size < 2 or not np.any(np.bincount(labels) >= 2):
@@ -44,7 +45,7 @@ def random_instance(rng, dims, n_samples=8):
         for a in range(len(dims))
         for b in range(a + 1, len(dims))
     }
-    return coupling_matrix(views, cs), margins, crosses
+    return lambda eta: coupling_matrix(views, cs, eta), margins, crosses
 
 
 def cross_for(crosses, v, w):
@@ -89,18 +90,16 @@ def random_orthonormal_blocks(rng, dims, d):
 
 def test_assemble_infinite_eta_decouples_views():
     rng = np.random.default_rng(0)
-    K, _, _ = random_instance(rng, [3, 4])
-    hyper = Hyperparams(embed_dim=2, coupling_eta=np.inf)
-    Z = assemble_block_matrix(K, [3, 4], np.array([0.5, 0.5]), hyper)
+    z1_at, _, _ = random_instance(rng, [3, 4])
+    Z = assemble_block_matrix(z1_at(np.inf), [3, 4], np.array([0.5, 0.5]) ** 2.0)
     assert np.array_equal(Z[:3, 3:], np.zeros((3, 4)))
     assert np.array_equal(Z[3:, :3], np.zeros((4, 3)))
 
 
 def test_assemble_degenerate_weights():
     rng = np.random.default_rng(1)
-    K, margins, crosses = random_instance(rng, [3, 4])
-    hyper = Hyperparams(embed_dim=2, weight_exponent=2.0, coupling_eta=3.0)
-    Z = assemble_block_matrix(K, [3, 4], np.array([1.0, 0.0]), hyper)
+    z1_at, margins, crosses = random_instance(rng, [3, 4])
+    Z = assemble_block_matrix(z1_at(3.0), [3, 4], np.array([1.0, 0.0]) ** 2.0)
     np.testing.assert_array_equal(Z[:3, :3], margins[0])
     np.testing.assert_array_equal(Z[3:, 3:], np.zeros((4, 4)))
     np.testing.assert_allclose(Z[:3, 3:], crosses[(0, 1)] / 6.0, rtol=1e-15)
@@ -108,18 +107,16 @@ def test_assemble_degenerate_weights():
 
 def test_assemble_is_bit_exact_symmetric():
     rng = np.random.default_rng(2)
-    K, _, _ = random_instance(rng, [3, 4, 2])
-    hyper = Hyperparams(embed_dim=2, coupling_eta=0.7)
-    Z = assemble_block_matrix(K, [3, 4, 2], np.array([0.2, 0.5, 0.3]), hyper)
+    z1_at, _, _ = random_instance(rng, [3, 4, 2])
+    Z = assemble_block_matrix(z1_at(0.7), [3, 4, 2], np.array([0.2, 0.5, 0.3]) ** 2.0)
     assert np.array_equal(Z, Z.T)
 
 
 def test_quadratic_form_matches_term_by_term_objective():
     rng = np.random.default_rng(3)
-    K, margins, crosses = random_instance(rng, [3, 4, 2])
-    hyper = Hyperparams(embed_dim=2, weight_exponent=2.5, coupling_eta=0.9)
+    z1_at, margins, crosses = random_instance(rng, [3, 4, 2])
     weights = np.array([0.2, 0.5, 0.3])
-    Z = assemble_block_matrix(K, [3, 4, 2], weights, hyper)
+    Z = assemble_block_matrix(z1_at(0.9), [3, 4, 2], weights**2.5)
     for _ in range(20):
         blocks = random_orthonormal_blocks(rng, [3, 4, 2], 2)
         via_z = stacked_objective(Z, blocks)
@@ -127,22 +124,21 @@ def test_quadratic_form_matches_term_by_term_objective():
         np.testing.assert_allclose(via_z, direct, rtol=1e-10)
 
 
-def _blockwise_block_matrix(margins, crosses, weights, hyper):
+def _blockwise_block_matrix(margins, crosses, powered, eta):
     """Z assembled block by block from the separate margins and cross blocks."""
-    powered = np.asarray(weights, dtype=float) ** hyper.weight_exponent
     offsets = _block_offsets([len(margin) for margin in margins])
     block = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
     Z = np.zeros((offsets[-1], offsets[-1]))
     for v, margin in enumerate(margins):
         Z[block[v], block[v]] = powered[v] * margin
     for (v, w), cross in crosses.items():
-        scaled = (powered[v] + powered[w]) / (2.0 * hyper.coupling_eta) * cross
+        scaled = (cross / eta) * ((powered[v] + powered[w]) / 2.0)
         Z[block[v], block[w]] = scaled
         Z[block[w], block[v]] = scaled.T
     return Z
 
 
-def _blockwise_view_gains(projections, margins, crosses, hyper):
+def _blockwise_view_gains(projections, margins, crosses, eta):
     """The gains from the separate margins and cross blocks, one sum per term."""
     m = len(projections)
     gains = np.zeros(m)
@@ -151,7 +147,7 @@ def _blockwise_view_gains(projections, margins, crosses, hyper):
         gains[v] = np.sum((margins[v] @ w_v) * w_v)
         for w in range(m):
             if w != v:
-                gains[v] += np.sum((cross_for(crosses, v, w) @ projections[w]) * w_v) / hyper.coupling_eta
+                gains[v] += np.sum((cross_for(crosses, v, w) @ projections[w]) * w_v) / eta
     return gains
 
 
@@ -161,16 +157,46 @@ def test_z_equals_the_blockwise_formula_bit_for_bit_and_the_gains_to_rounding():
     rng = np.random.default_rng(19)
     for i in range(24):
         dims = [int(rng.integers(2, 30)) for _ in range(int(rng.integers(2, 5)))]
-        K, margins, crosses = random_instance(rng, dims, n_samples=int(rng.integers(4, 40)))
+        z1_at, margins, crosses = random_instance(rng, dims, n_samples=int(rng.integers(4, 40)))
         eta = (0.5, 1.0, 10.0, np.inf)[i % 4]
-        hyper = Hyperparams(embed_dim=2, weight_exponent=(1.5, 2.0, 3.0)[i % 3], coupling_eta=eta)
-        weights = rng.dirichlet(np.ones(len(dims)))
-        Z = assemble_block_matrix(K, dims, weights, hyper)
-        assert np.array_equal(Z, _blockwise_block_matrix(margins, crosses, weights, hyper))
+        Z1 = z1_at(eta)
+        powered = rng.dirichlet(np.ones(len(dims))) ** (1.5, 2.0, 3.0)[i % 3]
+        Z = assemble_block_matrix(Z1, dims, powered)
+        assert np.array_equal(Z, _blockwise_block_matrix(margins, crosses, powered, eta))
         for blocks in (first_w_step(Z, dims, 2), random_orthonormal_blocks(rng, dims, 2)):
-            gains = compute_view_gains(blocks, K, hyper)
-            gap = np.abs(gains - _blockwise_view_gains(blocks, margins, crosses, hyper)).max()
+            gains = compute_view_gains(blocks, Z1)
+            gap = np.abs(gains - _blockwise_view_gains(blocks, margins, crosses, eta)).max()
             assert gap <= 1e-13 * np.abs(gains).max()
+
+
+def test_a_coupled_fit_builds_z1_once_and_assembles_z_once_per_iteration(monkeypatch):
+    ds = generate_synthetic(2, 10, [25, 6], seed=8)
+    sp = split(ds, 12, seed=9)
+    cs = build_constraints(ds.labels[sp.train_indices])
+    built, assembled, read = [], [], []
+    coupling, assemble, gains = solver.coupling_matrix, solver.assemble_block_matrix, solver.compute_view_gains
+
+    def recorded_coupling(*args):
+        built.append(coupling(*args))
+        return built[-1]
+
+    def recorded_assemble(Z1, *args):
+        assembled.append(Z1)
+        return assemble(Z1, *args)
+
+    def recorded_gains(projections, Z1, *args):
+        read.append(Z1)
+        return gains(projections, Z1, *args)
+
+    # the gains read the fit's own Z_1; only the W-step assembles a Z
+    monkeypatch.setattr(solver, "coupling_matrix", recorded_coupling)
+    monkeypatch.setattr(solver, "assemble_block_matrix", recorded_assemble)
+    monkeypatch.setattr(solver, "compute_view_gains", recorded_gains)
+    model = train(ds, sp, cs, Hyperparams(embed_dim=3))
+    assert len(model.trace) >= 2
+    assert len(built) == 1
+    assert len(assembled) == len(read) == len(model.trace)
+    assert all(Z1 is built[0] for Z1 in assembled + read)
 
 
 # ---------------------------------------------------------------------------
@@ -595,11 +621,11 @@ def test_a_block_that_does_not_contract_runs_to_mm_steps(monkeypatch):
 
 def test_gains_decoupled_equal_top_eigenvalue_sum():
     rng = np.random.default_rng(7)
-    K, margins, _ = random_instance(rng, [4, 3])
-    hyper = Hyperparams(embed_dim=2, coupling_eta=np.inf)
-    Z = assemble_block_matrix(K, [4, 3], np.array([0.5, 0.5]), hyper)
+    z1_at, margins, _ = random_instance(rng, [4, 3])
+    Z1 = z1_at(np.inf)
+    Z = assemble_block_matrix(Z1, [4, 3], np.array([0.5, 0.5]) ** 2.0)
     blocks = first_w_step(Z, [4, 3], 2)
-    gains = compute_view_gains(blocks, K, hyper)
+    gains = compute_view_gains(blocks, Z1)
     for v, margin in enumerate(margins):
         expected = np.sort(np.linalg.eigvalsh(margin))[::-1][:2].sum()
         np.testing.assert_allclose(gains[v], expected, rtol=1e-8)
@@ -610,11 +636,10 @@ def test_gains_symmetric_for_identical_views():
     data = rng.standard_normal((3, 8))
     labels = np.array([0, 0, 1, 1, 0, 1, 0, 1])
     cs = build_constraints(labels)
-    K = coupling_matrix([ViewMatrix(1, data), ViewMatrix(2, data)], cs)
-    hyper = Hyperparams(embed_dim=2, coupling_eta=1.0)
-    Z = assemble_block_matrix(K, [3, 3], np.array([0.5, 0.5]), hyper)
+    Z1 = coupling_matrix([ViewMatrix(1, data), ViewMatrix(2, data)], cs, 1.0)
+    Z = assemble_block_matrix(Z1, [3, 3], np.array([0.5, 0.5]) ** 2.0)
     blocks = first_w_step(Z, [3, 3], 2)
-    gains = compute_view_gains(blocks, K, hyper)
+    gains = compute_view_gains(blocks, Z1)
     np.testing.assert_allclose(gains[0], gains[1], atol=1e-9)
 
 
@@ -622,12 +647,11 @@ def test_gains_match_finite_difference_gradient():
     rng = np.random.default_rng(9)
     for _ in range(5):
         dims = [3, 4]
-        K, margins, crosses = random_instance(rng, dims)
-        hyper = Hyperparams(embed_dim=2, weight_exponent=2.5, coupling_eta=1.3)
+        z1_at, margins, crosses = random_instance(rng, dims)
         blocks = random_orthonormal_blocks(rng, dims, 2)
-        gains = compute_view_gains(blocks, K, hyper)
+        gains = compute_view_gains(blocks, z1_at(1.3))
         h = 1e-5
-        r = hyper.weight_exponent
+        r = 2.5
         for v in range(2):
             for point, factor in ((np.ones(2), r), (np.full(2, 0.5), r * 0.5 ** (r - 1))):
                 up, down = point.copy(), point.copy()
@@ -863,10 +887,9 @@ def test_overflowing_fit_raises_one_training_error(factor, hyper, operation):
 
 def full_space_train(dataset, split_spec, constraints, hyper):
     """The alternation in raw coordinates: blocks, weights, trace, stop reason."""
-    K = coupling_matrix(
-        [ViewMatrix(v.view_id, v.data[:, split_spec.train_indices]) for v in dataset.views], constraints
-    )
-    return _alternate(K, dataset.view_dims, hyper.resolved(dataset.view_dims))
+    views = [ViewMatrix(v.view_id, v.data[:, split_spec.train_indices]) for v in dataset.views]
+    Z1 = coupling_matrix(views, constraints, hyper.coupling_eta)
+    return _alternate(Z1, dataset.view_dims, hyper.resolved(dataset.view_dims))
 
 
 def _fit_both(ds, train_count, seed, d, eta=1.0):
