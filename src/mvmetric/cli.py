@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 
 from ._format import FORMAT_VERSION, read_json_object
 from .constraints import build_constraints
-from .dataset import generate_synthetic, load_manifest, split, write_dataset
+from .dataset import _INTEGER_TEXT, generate_synthetic, load_manifest, split, write_dataset
 from .eval import run_benchmark
 from .metric import check_metric_axioms
 from .model import Hyperparams, MultiviewMetricModel
@@ -26,8 +25,7 @@ def _parse_int_list(text: str, what: str) -> list:
     optional sign, then ASCII digits, spaces around it allowed.  ``""`` is
     the empty list; an empty item is an error naming ``what``."""
     parts = text.split(",") if text else []
-    # int() would also read "5_0" as 50 and non-ASCII digits
-    if not all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", part) for part in parts):
+    if not all(_INTEGER_TEXT.fullmatch(part) for part in parts):
         raise ValueError(f"malformed --{what} list: {text!r}")
     return [int(part) for part in parts]
 

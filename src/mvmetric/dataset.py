@@ -20,7 +20,9 @@ import numpy as np
 from ._format import FORMAT_VERSION, check_format_version, read_json_object
 from .model import _integer, _real, _seed
 
-SPLIT_RETRIES = 100  # draws ``split`` makes before giving up on two classes
+SPLIT_RETRIES = 100  # draws ``split`` makes before giving up on a training set that can train
+# a decimal integer, spaces around it allowed; int() would also read "1_0" as 10 and non-ASCII digits
+_INTEGER_TEXT = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 def _integer_labels(values, what: str) -> np.ndarray:
@@ -190,8 +192,7 @@ def _parse_labels_file(path: Path) -> np.ndarray:
         text = line.strip()
         if not text:
             continue
-        # int() would also read "1_0" as 10 and non-ASCII digits
-        if not re.fullmatch(r"[+-]?[0-9]+", text):
+        if not _INTEGER_TEXT.fullmatch(text):
             raise ValueError(f"labels file {path}, line {lineno}: not an integer: {text!r}")
         labels.append(int(text))
     return np.asarray(labels, dtype=int)
@@ -260,22 +261,23 @@ def load_manifest(manifest_path) -> MultiviewDataset:
 def split(dataset: MultiviewDataset, train_count: int, seed: int) -> SplitSpec:
     """Uniform random train/test split, deterministic given the seed.
 
-    Redraws (up to ``SPLIT_RETRIES`` times) when the sampled train set
-    covers fewer than two classes, then fails.  ``train_count`` and ``seed``
-    (>= 0) must be integers, not bools.
+    Redraws (up to ``SPLIT_RETRIES`` times) until the training labels
+    cover two classes and some class twice, as ``build_constraints`` needs,
+    then fails; so ``train_count`` must be in [3, n - 1].  ``train_count``
+    and ``seed`` (>= 0) must be integers, not bools.
     """
     train_count = _integer("train_count", train_count)
     seed = _seed(seed)
     n = dataset.n
-    if not 2 <= train_count <= n - 1:
-        raise ValueError(f"train_count must be in [2, {n - 1}], got {train_count}")
+    if not 3 <= train_count <= n - 1:
+        raise ValueError(f"train_count must be in [3, {n - 1}], got {train_count}")
     rng = np.random.default_rng(seed)
     for _ in range(SPLIT_RETRIES):
         train = np.sort(rng.choice(n, size=train_count, replace=False))
-        if np.unique(dataset.labels[train]).size >= 2:
-            test = np.setdiff1d(np.arange(n), train)
-            return SplitSpec(train, test)
-    raise ValueError(f"could not obtain >= 2 classes in train set after {SPLIT_RETRIES} retries")
+        sizes = np.unique(dataset.labels[train], return_counts=True)[1]
+        if sizes.size >= 2 and sizes.max() >= 2:
+            return SplitSpec(train, np.setdiff1d(np.arange(n), train))
+    raise ValueError(f"could not obtain >= 2 classes, one of them twice, in a train set after {SPLIT_RETRIES} retries")
 
 
 def generate_synthetic(

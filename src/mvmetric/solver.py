@@ -13,9 +13,10 @@ and C_vw the cross-view correlation blocks.  These stack into Z_1, the
 symmetric block matrix at unit weights, built once per fit
 (``coupling_matrix``): B_v - S_v on diagonal block v, C_vw / eta off it.
 Each iteration scales block (v, w) of Z_1 by (b_v + b_w) / 2, b = a^r,
-into Z (``assemble_block_matrix``).  With the W_v stacked into one tall
-W, G = tr(W.T Z W) = sum_v b_v g_v(W), the gain g_v being view v's share
-of tr(W.T Z_1 W) (``compute_view_gains``).
+into Z (``assemble_block_matrix``).  The W_v are the row slices of one
+tall W, the fit's only form of them from its start until ``train`` maps
+each back through its view's basis, and G = tr(W.T Z W) = sum_v b_v g_v(W),
+the gain g_v being view v's share of tr(W.T Z_1 W) (``compute_view_gains``).
 
 A fit alternates two steps from uniform weights (``_alternate``, which also
 states when it stops).  The W-step is a heuristic for maximising
@@ -125,8 +126,9 @@ def _predict_move(moves):
     return (g12 * g33 - g13 * g23) / det * moves[0] + (g13 - g12 * g23) / det * moves[1]
 
 
-def _refine_blocks(Z, dims, blocks):
-    """Block-coordinate ascent on tr(W.T Z W) with per-view orthonormality.
+def _refine_blocks(Z, dims, W):
+    """Block-coordinate ascent on tr(W.T Z W), each view's row slice W_v of
+    W orthonormal; W is copied, as every W-step of a fit starts from its one start.
 
     Each block update is a majorize-maximize solve: with the diagonal block
     shifted to be PSD, the step W <- polar(H W + B) from an orthonormal W
@@ -148,23 +150,21 @@ def _refine_blocks(Z, dims, blocks):
     good as its input; every step after the first is monotone, and over the
     benchmark's train fits (seeds 1, 3 and 4) no solve lowered its block's
     objective by more than 1.5e-15 relative (31,410 solves).  Returns the
-    refined blocks and the number of polar steps made.
+    refined W and the number of polar steps made.
     """
-    offsets = _block_offsets(dims)
-    m = len(dims)
-    diag = [Z[offsets[v]:offsets[v + 1], offsets[v]:offsets[v + 1]] for v in range(m)]
+    views = [slice(lo, lo + dim) for lo, dim in zip(_block_offsets(dims), dims)]
+    diag = [Z[rows, rows] for rows in views]
     shifted = [a + max(0.0, -float(np.linalg.eigvalsh(a).min())) * np.eye(len(a)) for a in diag]
-    blocks = [b.copy() for b in blocks]
-    moves = [[] for _ in range(m)]
+    W = W.copy()
+    moves = [[] for _ in views]
     steps = 0
     for _ in range(REFINE_SWEEPS):
-        for v in range(m):
-            lo, hi = offsets[v], offsets[v + 1]
-            coupling = np.zeros_like(blocks[v])
-            for w in range(m):
+        for v, rows in enumerate(views):
+            coupling = np.zeros_like(W[rows])
+            for w, cols in enumerate(views):
                 if w != v:
-                    coupling += Z[lo:hi, offsets[w]:offsets[w + 1]] @ blocks[w]
-            start, predicted = blocks[v], _predict_move(moves[v])
+                    coupling += Z[rows, cols] @ W[cols]
+            start, predicted = W[rows], _predict_move(moves[v])
             current, previous = start if predicted is None else start + predicted, None
             for k in range(MM_STEPS):
                 updated, _ = _orthonormal_polar(shifted[v] @ current + coupling)
@@ -181,41 +181,38 @@ def _refine_blocks(Z, dims, blocks):
                 previous = norm if k or predicted is None else None
             else:
                 moves[v] = []  # a capped solve keeps no move, so the next ones start unpredicted
-            blocks[v] = current
-    return blocks, steps
+            W[rows] = current
+    return W, steps
 
 
 def _polar_start(Z, dims, d):
-    """The fit's start: each view's slice of the top-d eigenvectors of Z,
-    replaced by its polar factor, the nearest column-orthonormal matrix
-    (``_orthonormal_polar``, which completes a rank-deficient slice from the
-    standard basis).  The eigenvectors' signs are ``eigh``'s.  A coupled fit
-    takes it once, from its first iteration's Z, and every W-step of the fit
-    starts its sweeps there, so the fit makes one eigendecomposition of Z.
-    Returns the blocks and the padded views (1-based).  Z must be exactly
-    symmetric and d <= min(dims), as ``train`` ensures."""
-    _, vecs = top_eigenpairs(Z, d)
-    offsets = _block_offsets(dims)
-    blocks, padded = [], []
-    for v, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
-        w, was_padded = _orthonormal_polar(vecs[lo:hi])
-        blocks.append(w)
+    """The fit's start: the top-d eigenvectors of Z, each view's row slice
+    replaced in place by its polar factor, the nearest column-orthonormal
+    matrix (``_orthonormal_polar``, which completes a rank-deficient slice
+    from the standard basis).  The eigenvectors' signs are ``eigh``'s.  A
+    coupled fit takes it once, from its first iteration's Z, and every
+    W-step of the fit starts its sweeps there, so the fit makes one
+    eigendecomposition of Z.  Returns the stacked (sum(dims) x d) W and the
+    padded views (1-based).  Z must be exactly symmetric and
+    d <= min(dims), as ``train`` ensures."""
+    _, W = top_eigenpairs(Z, d)
+    padded = []
+    for v, (lo, dim) in enumerate(zip(_block_offsets(dims), dims)):
+        W[lo:lo + dim], was_padded = _orthonormal_polar(W[lo:lo + dim])
         if was_padded:
             padded.append(v + 1)
-    return blocks, padded
+    return W, padded
 
 
-def compute_view_gains(projections, Z1: np.ndarray) -> np.ndarray:
+def compute_view_gains(W: np.ndarray, Z1: np.ndarray, dims) -> np.ndarray:
     """Per-view marginal gain: the view's share of tr(W.T Z_1 W), Z_1 the fit's block matrix at unit weights.
 
-    With W the stacked projections, g_v sums view v's rows of W * (Z_1 W),
-    which, Z_1 being exactly symmetric, is
+    With W the stacked (sum(dims) x d) projections, g_v sums view v's rows
+    of W * (Z_1 W), which, Z_1 being exactly symmetric, is
     g_v = tr(W_v.T (B_v - S_v) W_v) + (1/eta) * sum_{w != v} tr(W_v.T C_vw W_w):
     1/r times the derivative of the objective with respect to the view's
     weight, evaluated at weight 1.
     """
-    dims = [p.shape[0] for p in projections]
-    W = np.vstack(projections)
     return np.add.reduceat(np.sum((Z1 @ W) * W, axis=1), _block_offsets(dims)[:-1])
 
 
@@ -242,51 +239,51 @@ def update_view_weights(gains, weight_exponent: float) -> np.ndarray:
 
 def _alternate(Z1: np.ndarray, dims, hyper: Hyperparams):
     """``train``'s alternation on the fit's block matrix Z_1 at unit weights;
-    returns the blocks, weights, trace and stop reason.  ``hyper`` must be
+    returns the stacked W, weights, trace and stop reason.  ``hyper`` must be
     resolved, and Z_1 built at its ``coupling_eta``.  Each iteration takes
     b = a^r once, for its Z and its objective, runs the W-step on Z from
     the fit's start (``_polar_start``, taken in the first iteration), then
-    the weight step; every trace entry reports the start's padded views, and only the first
-    counts the start's polar steps.  With ``coupling_eta`` inf, Z is
-    block-diagonal, so the W-step's maximiser is each view's top
-    eigenvectors of its diagonal block of Z_1, whatever the weights: the
-    second iteration repeats the first, and ``tol`` ends the fit.
+    the weight step; every trace entry reports the start's padded views,
+    and only the first counts the start's polar steps.  With
+    ``coupling_eta`` inf, Z is block-diagonal, so the W-step's maximiser
+    is each view's top eigenvectors of its diagonal block of Z_1, stacked,
+    whatever the weights: the second iteration repeats the first, and
+    ``tol`` ends the fit.
 
     Iteration k's residual r_k is the relative Frobenius change of the
-    per-view metrics ``W_v W_v^T``, which no rotation of a view's columns
-    moves.  The fit stops with ``"tol"`` after iteration k when r_k is below
-    ``tol``, or when the change still to come at the rate
-    q = r_k / r_(k-1) the residuals shrink (``_remaining_change``) is at
-    most ``STOP_MARGIN * tol``, else with ``"max_iters"`` after
-    ``max_iters``.  The margin allows for a rate that still grows: in small
-    fits q grew up to 5x between iterations.  Either clause reads only the
-    trace's residuals, and neither changes an iterate, so a fit equals the
-    same fit capped at its iteration count."""
+    per-view metrics ``W_v W_v^T``, W_v view v's row slice of W, which no
+    rotation of a view's columns moves.  The fit stops with ``"tol"``
+    after iteration k when r_k is below ``tol``, or when the change still
+    to come at the rate q = r_k / r_(k-1) the residuals shrink
+    (``_remaining_change``) is at most ``STOP_MARGIN * tol``, else with
+    ``"max_iters"`` after ``max_iters``.  The margin allows for a rate that
+    still grows: in small fits q grew up to 5x between iterations.  Either
+    clause reads only the trace's residuals, and neither changes an
+    iterate, so a fit equals the same fit capped at its iteration count."""
     r, d = hyper.weight_exponent, hyper.embed_dim
-    offsets = _block_offsets(dims)
+    views = [slice(lo, lo + dim) for lo, dim in zip(_block_offsets(dims), dims)]
     weights = np.full(len(dims), 1.0 / len(dims))
-    blocks, start, trace = None, None, []
+    W, start, trace = None, None, []
     for iteration in range(1, hyper.max_iters + 1):
-        previous = blocks
+        previous = W
         powered = weights**r
         if hyper.coupling_eta == math.inf:
-            blocks = [top_eigenpairs(Z1[lo:hi, lo:hi], d)[1] for lo, hi in zip(offsets, offsets[1:])]
+            W = np.vstack([top_eigenpairs(Z1[rows, rows], d)[1] for rows in views])
             padded, steps = [], 0
         else:
             Z = assemble_block_matrix(Z1, dims, powered)
-            steps = 0
             if start is None:
                 start, padded = _polar_start(Z, dims, d)
-                steps = len(dims)
-            blocks, sweep_steps = _refine_blocks(Z, dims, start)
-            steps += sweep_steps
-        gains = compute_view_gains(blocks, Z1)
+            W, steps = _refine_blocks(Z, dims, start)
+            if iteration == 1:
+                steps += len(dims)  # the start's polar steps
+        gains = compute_view_gains(W, Z1, dims)
         objective = float(np.dot(powered, gains))
         weights = update_view_weights(gains, r)
         residual = None
         if previous is not None:
-            num = sum(np.linalg.norm(b @ b.T - p @ p.T) for b, p in zip(blocks, previous))
-            den = sum(np.linalg.norm(p @ p.T) for p in previous)
+            num = sum(np.linalg.norm(W[rows] @ W[rows].T - previous[rows] @ previous[rows].T) for rows in views)
+            den = sum(np.linalg.norm(previous[rows] @ previous[rows].T) for rows in views)
             residual = float(num / den)
         trace.append(
             {
@@ -302,8 +299,8 @@ def _alternate(Z1: np.ndarray, dims, hyper: Hyperparams):
         if residual is not None:
             estimate = _remaining_change(residual, trace[-2]["residual"])
             if residual < hyper.tol or estimate <= STOP_MARGIN * hyper.tol:
-                return blocks, weights, trace, "tol"
-    return blocks, weights, trace, "max_iters"
+                return W, weights, trace, "tol"
+    return W, weights, trace, "max_iters"
 
 
 def train(
@@ -374,8 +371,8 @@ def train(
                 bases.append(basis)
             dims = [tv.n_features for tv in train_views]
             Z1 = coupling_matrix(train_views, constraints, hyper.coupling_eta)
-            blocks, weights, trace, stop_reason = _alternate(Z1, dims, hyper)
+            W, weights, trace, stop_reason = _alternate(Z1, dims, hyper)
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise TrainingError(f"training failed: {exc}") from exc
-    projections = tuple(q @ b for b, q in zip(blocks, bases))
+    projections = tuple(q @ W[lo:lo + dim] for q, lo, dim in zip(bases, _block_offsets(dims), dims))
     return MultiviewMetricModel(projections, weights, hyper, tuple(trace), stop_reason, scales)

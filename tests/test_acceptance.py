@@ -204,7 +204,7 @@ def test_criterion_6_gain_gradient_check():
         eta = float(rng.uniform(0.5, 2.0))
         d = min(dims)
         blocks = random_orthonormal_blocks(rng, dims, d)
-        gains = compute_view_gains(blocks, z1_at(eta))
+        gains = compute_view_gains(np.vstack(blocks), z1_at(eta), dims)
         ones = np.ones(m)
         for v in range(m):
             up, down = ones.copy(), ones.copy()

@@ -14,6 +14,7 @@ from mvmetric import (
     generate_synthetic,
     load_dataset,
     load_manifest,
+    run_benchmark,
     split,
     train,
     write_dataset,
@@ -272,6 +273,9 @@ def test_split_train_count_out_of_range():
         split(ds, ds.n, seed=0)
     with pytest.raises(ValueError, match="train_count"):
         split(ds, 1, seed=0)
+    # two samples are either two classes or a pair of one class, never both
+    with pytest.raises(ValueError, match=r"train_count must be in \[3, 9\], got 2"):
+        split(ds, 2, seed=0)
 
 
 def test_split_checks_its_count_and_seed_by_name():
@@ -318,8 +322,20 @@ def test_split_retries_until_two_classes():
     labels = np.array([0] * 18 + [1] * 2)
     ds = MultiviewDataset(views, labels)
     for seed in range(20):
-        sp = split(ds, 2, seed=seed)
+        sp = split(ds, 3, seed=seed)
         assert np.unique(labels[sp.train_indices]).size == 2
+
+
+def test_every_split_can_train():
+    # three classes of five: a draw of three is three singleton classes 125
+    # times in 455, and such a set has no similar pair to train on
+    ds = generate_synthetic(3, 5, [4, 4], seed=0)
+    for seed in range(20):
+        sp = split(ds, 3, seed)
+        assert np.bincount(ds.labels[sp.train_indices]).max() == 2
+        build_constraints(ds.labels[sp.train_indices])
+    report = run_benchmark(ds, 3, 5, Hyperparams(embed_dim=2), seed=0)
+    assert len(report.trials) == 5
 
 
 def test_split_fails_when_retries_exhausted(monkeypatch):
@@ -330,7 +346,7 @@ def test_split_fails_when_retries_exhausted(monkeypatch):
     # seed 0 draws class-0-only on its first attempt; forbidding retries must fail
     monkeypatch.setattr(mvmetric.dataset, "SPLIT_RETRIES", 1)
     with pytest.raises(ValueError, match="retries"):
-        split(ds, 2, seed=0)
+        split(ds, 3, seed=0)
 
 
 def test_generate_shapes_and_determinism():

@@ -69,13 +69,18 @@ def objective_oracle(blocks, weights, margins, crosses, r, eta):
 
 
 def stacked_objective(Z, blocks):
-    """tr(W.T Z W) for the row-stacked per-view blocks."""
+    """tr(W.T Z W) for the stacked W or its per-view blocks."""
     W = np.vstack(blocks)
     return float(np.sum((Z @ W) * W))
 
 
+def row_slices(W, dims):
+    """The per-view blocks of the stacked W: its row slices, in view order."""
+    return np.split(W, np.cumsum(dims)[:-1])
+
+
 def first_w_step(Z, dims, d):
-    """The blocks of a fit's first W-step on Z, as ``_alternate`` runs it:
+    """The stacked W of a fit's first W-step on Z, as ``_alternate`` runs it:
     the sweeps from the polar start."""
     return solver._refine_blocks(Z, dims, solver._polar_start(Z, dims, d)[0])[0]
 
@@ -163,8 +168,8 @@ def test_z_equals_the_blockwise_formula_bit_for_bit_and_the_gains_to_rounding():
         powered = rng.dirichlet(np.ones(len(dims))) ** (1.5, 2.0, 3.0)[i % 3]
         Z = assemble_block_matrix(Z1, dims, powered)
         assert np.array_equal(Z, _blockwise_block_matrix(margins, crosses, powered, eta))
-        for blocks in (first_w_step(Z, dims, 2), random_orthonormal_blocks(rng, dims, 2)):
-            gains = compute_view_gains(blocks, Z1)
+        for blocks in (row_slices(first_w_step(Z, dims, 2), dims), random_orthonormal_blocks(rng, dims, 2)):
+            gains = compute_view_gains(np.vstack(blocks), Z1, dims)
             gap = np.abs(gains - _blockwise_view_gains(blocks, margins, crosses, eta)).max()
             assert gap <= 1e-13 * np.abs(gains).max()
 
@@ -184,9 +189,9 @@ def test_a_coupled_fit_builds_z1_once_and_assembles_z_once_per_iteration(monkeyp
         assembled.append(Z1)
         return assemble(Z1, *args)
 
-    def recorded_gains(projections, Z1, *args):
+    def recorded_gains(W, Z1, *args):
         read.append(Z1)
-        return gains(projections, Z1, *args)
+        return gains(W, Z1, *args)
 
     # the gains read the fit's own Z_1; only the W-step assembles a Z
     monkeypatch.setattr(solver, "coupling_matrix", recorded_coupling)
@@ -205,13 +210,13 @@ def test_a_coupled_fit_builds_z1_once_and_assembles_z_once_per_iteration(monkeyp
 
 def test_diagonal_z_returns_leading_basis_vectors():
     Z = np.diag([5.0, 3.0, 1.0])
-    blocks = first_w_step(Z, [3], 2)
-    np.testing.assert_allclose(blocks[0], np.eye(3)[:, :2], atol=1e-12)
+    W = first_w_step(Z, [3], 2)
+    np.testing.assert_allclose(W, np.eye(3)[:, :2], atol=1e-12)
 
 
 def test_identity_z_returns_orthonormal_blocks_with_full_trace():
     Z = np.eye(5)
-    blocks = first_w_step(Z, [3, 2], 2)
+    blocks = row_slices(first_w_step(Z, [3, 2], 2), [3, 2])
     for block, dim in zip(blocks, (3, 2)):
         assert block.shape == (dim, 2)
         np.testing.assert_allclose(block.T @ block, np.eye(2), atol=1e-10)
@@ -248,11 +253,10 @@ def test_first_w_step_pads_rank_deficient_blocks():
     # zero matrix: every eigenvector slice is rank deficient, yet the
     # returned blocks must still be orthonormal and deterministic
     Z = np.zeros((5, 5))
-    blocks = first_w_step(Z, [3, 2], 2)
-    again = first_w_step(Z, [3, 2], 2)
-    for a, b in zip(blocks, again):
+    W = first_w_step(Z, [3, 2], 2)
+    assert np.array_equal(W, first_w_step(Z, [3, 2], 2))
+    for a in row_slices(W, [3, 2]):
         np.testing.assert_allclose(a.T @ a, np.eye(2), atol=1e-10)
-        assert np.array_equal(a, b)
 
 
 def _gram_schmidt_projector(kept, count):
@@ -322,7 +326,7 @@ def test_orthonormality_invariant_on_random_instances():
         d = int(rng.integers(1, min(dims) + 1))
         base = rng.standard_normal((sum(dims), sum(dims)))
         Z = (base + base.T) / 2.0
-        for block in first_w_step(Z, dims, d):
+        for block in row_slices(first_w_step(Z, dims, d), dims):
             assert np.linalg.norm(block.T @ block - np.eye(d)) <= 1e-8
 
 
@@ -442,7 +446,7 @@ def _refine_cases():
 
 
 def _refine_starts(Z, dims, d):
-    """Each view's polar start, as ``_polar_start`` makes it."""
+    """Each view's polar start, as ``_polar_start`` makes it, one block per view."""
     _, vecs = top_eigenpairs(Z, d)
     offsets = _block_offsets(dims)
     return [_reference_orthonormal_polar(vecs[lo:hi])[0] for lo, hi in zip(offsets, offsets[1:])]
@@ -470,22 +474,22 @@ def test_refine_sweeps_are_bit_identical_to_the_reference_loop(monkeypatch):
         start = _refine_starts(Z, dims, d)
         paddings.clear()
         svds.clear()
-        blocks, steps = solver._refine_blocks(Z, dims, start)
+        W, steps = solver._refine_blocks(Z, dims, np.vstack(start))
         assert any(paddings) == pads
         # every polar step is one thin SVD
         assert len(svds) == steps
         ref_blocks, ref_steps = _reference_refine_blocks(Z, dims, start, predict=False)
         assert steps == ref_steps
-        assert all(np.array_equal(b, ref) for b, ref in zip(blocks, ref_blocks))
+        assert np.array_equal(W, np.vstack(ref_blocks))
 
 
 def test_predicted_refine_sweeps_are_bit_identical_to_the_reference_loop():
     for Z, dims, d, _ in _refine_cases():
         start = _refine_starts(Z, dims, d)
-        blocks, steps = solver._refine_blocks(Z, dims, start)
+        W, steps = solver._refine_blocks(Z, dims, np.vstack(start))
         ref_blocks, ref_steps = _reference_refine_blocks(Z, dims, start)
         assert steps == ref_steps
-        assert all(np.array_equal(b, ref) for b, ref in zip(blocks, ref_blocks))
+        assert np.array_equal(W, np.vstack(ref_blocks))
 
 
 def test_the_estimate_stop_stays_within_1e_10_of_the_step_only_loop(monkeypatch):
@@ -496,11 +500,11 @@ def test_the_estimate_stop_stays_within_1e_10_of_the_step_only_loop(monkeypatch)
     saved = 0
     for Z, dims, d, _ in _refine_cases():
         start = _refine_starts(Z, dims, d)
-        blocks, steps = solver._refine_blocks(Z, dims, start)
+        W, steps = solver._refine_blocks(Z, dims, np.vstack(start))
         ref_blocks, ref_steps = _reference_refine_blocks(Z, dims, start, estimate=False, predict=False)
         assert steps <= ref_steps
         saved += ref_steps - steps
-        for b, ref in zip(blocks, ref_blocks):
+        for b, ref in zip(row_slices(W, dims), ref_blocks):
             assert np.linalg.norm(b @ b.T - ref @ ref.T) <= 1e-10
     assert saved > 0
 
@@ -511,19 +515,19 @@ def test_predicted_starts_save_steps_and_keep_the_endpoints(monkeypatch):
     # W_v W_v^T stays within 1e-10 and the objective within rounding, and the
     # last case, each of whose solves runs out of steps, is bit-identical
     cases = list(_refine_cases())
-    starts = [_refine_starts(Z, dims, d) for Z, dims, d, _ in cases]
+    starts = [np.vstack(_refine_starts(Z, dims, d)) for Z, dims, d, _ in cases]
     predicted = [solver._refine_blocks(Z, dims, start) for (Z, dims, *_), start in zip(cases, starts)]
     _unpredicted(monkeypatch)
     plain = [solver._refine_blocks(Z, dims, start) for (Z, dims, *_), start in zip(cases, starts)]
-    for (Z, *_), (blocks, _), (ref_blocks, _) in zip(cases, predicted, plain):
-        for b, ref in zip(blocks, ref_blocks):
+    for (Z, dims, *_), (W, _), (ref_W, _) in zip(cases, predicted, plain):
+        for b, ref in zip(row_slices(W, dims), row_slices(ref_W, dims)):
             assert np.linalg.norm(b @ b.T - ref @ ref.T) <= 1e-10
-        objective, ref_objective = stacked_objective(Z, blocks), stacked_objective(Z, ref_blocks)
+        objective, ref_objective = stacked_objective(Z, W), stacked_objective(Z, ref_W)
         assert objective >= ref_objective - 1e-12 * abs(ref_objective)
     assert sum(steps for _, steps in predicted) <= 0.85 * sum(steps for _, steps in plain)
-    (blocks, steps), (ref_blocks, ref_steps) = predicted[-1], plain[-1]
-    assert steps == ref_steps == solver.REFINE_SWEEPS * solver.MM_STEPS * len(blocks)
-    assert all(np.array_equal(b, ref) for b, ref in zip(blocks, ref_blocks))
+    (W, steps), (ref_W, ref_steps) = predicted[-1], plain[-1]
+    assert steps == ref_steps == solver.REFINE_SWEEPS * solver.MM_STEPS * len(cases[-1][1])
+    assert np.array_equal(W, ref_W)
 
 
 def test_the_first_step_from_a_predicted_start_sets_no_rate(monkeypatch):
@@ -538,7 +542,7 @@ def test_the_first_step_from_a_predicted_start_sets_no_rate(monkeypatch):
     W = np.linalg.qr(Q[:, :2] + 1e-6 * Q[:, 2:3])[0]
     monkeypatch.setattr(solver, "REFINE_SWEEPS", 1)
     monkeypatch.setattr(solver, "_predict_move", lambda moves: W)
-    (block,), steps = solver._refine_blocks(Z, [6], [W])
+    block, steps = solver._refine_blocks(Z, [6], W)
     assert steps > 2
     assert np.linalg.norm(block @ block.T - Q[:, :2] @ Q[:, :2].T) <= 1e-10
 
@@ -611,7 +615,7 @@ def test_a_block_that_does_not_contract_runs_to_mm_steps(monkeypatch):
         return -block, False
 
     monkeypatch.setattr(solver, "_orthonormal_polar", negated)
-    _, steps = solver._refine_blocks(np.eye(1), [1], [np.full((1, 1), 0.5)])
+    _, steps = solver._refine_blocks(np.eye(1), [1], np.full((1, 1), 0.5))
     assert steps == solver.REFINE_SWEEPS * solver.MM_STEPS
 
 
@@ -624,8 +628,7 @@ def test_gains_decoupled_equal_top_eigenvalue_sum():
     z1_at, margins, _ = random_instance(rng, [4, 3])
     Z1 = z1_at(np.inf)
     Z = assemble_block_matrix(Z1, [4, 3], np.array([0.5, 0.5]) ** 2.0)
-    blocks = first_w_step(Z, [4, 3], 2)
-    gains = compute_view_gains(blocks, Z1)
+    gains = compute_view_gains(first_w_step(Z, [4, 3], 2), Z1, [4, 3])
     for v, margin in enumerate(margins):
         expected = np.sort(np.linalg.eigvalsh(margin))[::-1][:2].sum()
         np.testing.assert_allclose(gains[v], expected, rtol=1e-8)
@@ -638,8 +641,7 @@ def test_gains_symmetric_for_identical_views():
     cs = build_constraints(labels)
     Z1 = coupling_matrix([ViewMatrix(1, data), ViewMatrix(2, data)], cs, 1.0)
     Z = assemble_block_matrix(Z1, [3, 3], np.array([0.5, 0.5]) ** 2.0)
-    blocks = first_w_step(Z, [3, 3], 2)
-    gains = compute_view_gains(blocks, Z1)
+    gains = compute_view_gains(first_w_step(Z, [3, 3], 2), Z1, [3, 3])
     np.testing.assert_allclose(gains[0], gains[1], atol=1e-9)
 
 
@@ -649,7 +651,7 @@ def test_gains_match_finite_difference_gradient():
         dims = [3, 4]
         z1_at, margins, crosses = random_instance(rng, dims)
         blocks = random_orthonormal_blocks(rng, dims, 2)
-        gains = compute_view_gains(blocks, z1_at(1.3))
+        gains = compute_view_gains(np.vstack(blocks), z1_at(1.3), dims)
         h = 1e-5
         r = 2.5
         for v in range(2):
@@ -886,10 +888,11 @@ def test_overflowing_fit_raises_one_training_error(factor, hyper, operation):
 
 
 def full_space_train(dataset, split_spec, constraints, hyper):
-    """The alternation in raw coordinates: blocks, weights, trace, stop reason."""
+    """The alternation in raw coordinates: the per-view blocks of W, weights, trace, stop reason."""
     views = [ViewMatrix(v.view_id, v.data[:, split_spec.train_indices]) for v in dataset.views]
     Z1 = coupling_matrix(views, constraints, hyper.coupling_eta)
-    return _alternate(Z1, dataset.view_dims, hyper.resolved(dataset.view_dims))
+    W, *rest = _alternate(Z1, dataset.view_dims, hyper.resolved(dataset.view_dims))
+    return row_slices(W, dataset.view_dims), *rest
 
 
 def _fit_both(ds, train_count, seed, d, eta=1.0):
@@ -1060,9 +1063,9 @@ def test_a_coupled_fit_takes_one_start_and_sweeps_from_it_every_iteration(monkey
         eigh_inputs.append(Z.shape)
         return eigenpairs(Z, d)
 
-    def recorded_sweeps(Z, dims, blocks):
-        starts.append([b.copy() for b in blocks])
-        return sweeps(Z, dims, blocks)
+    def recorded_sweeps(Z, dims, W):
+        starts.append(W.copy())
+        return sweeps(Z, dims, W)
 
     monkeypatch.setattr(solver, "top_eigenpairs", recorded_eigenpairs)
     monkeypatch.setattr(solver, "_refine_blocks", recorded_sweeps)
@@ -1073,7 +1076,7 @@ def test_a_coupled_fit_takes_one_start_and_sweeps_from_it_every_iteration(monkey
     side = sum(ds.view_dims)
     assert eigh_inputs == [(side, side)]
     assert len(starts) == len(model.trace)
-    assert all(np.array_equal(b, first) for blocks in starts for b, first in zip(blocks, starts[0]))
+    assert all(np.array_equal(W, starts[0]) for W in starts)
     # an uncoupled fit still solves each view by its own eigendecomposition,
     # in each of its two iterations, with no sweeps
     eigh_inputs.clear()
